@@ -355,7 +355,7 @@ int main(int argc, char** argv) {
       "collapse under every burst; the controller steps k down the\n"
       "c <= %.1f ladder when pressure rises and back up when it falls,\n"
       "holding the latency SLO while the measured c never crosses the\n"
-      "bound. Every decision is in the auditable trail (shpir_ctl).\n",
+      "bound. Every decision is in the auditable trail (shpir_stats hub control).\n",
       (unsigned long long)kStaticK, kCBound);
   return 0;
 }

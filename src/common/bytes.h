@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace shpir {
@@ -15,6 +16,12 @@ using Bytes = std::vector<uint8_t>;
 /// Non-owning views over byte ranges.
 using ByteSpan = std::span<const uint8_t>;
 using MutableByteSpan = std::span<uint8_t>;
+
+/// Views text (a JSON document, say) as the bytes of a payload.
+inline ByteSpan AsBytes(std::string_view text) {
+  return ByteSpan(reinterpret_cast<const uint8_t*>(text.data()),
+                  text.size());
+}
 
 /// Encodes `data` as lowercase hex.
 std::string HexEncode(ByteSpan data);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "core/security_parameter.h"
@@ -560,6 +561,37 @@ std::vector<PrivacyCostController::Decision> PrivacyCostController::Trail()
     const {
   common::MutexLock lock(mutex_);
   return std::vector<Decision>(trail_.begin(), trail_.end());
+}
+
+void RegisterControlDocument(PrivacyCostController* controller,
+                             obs::AdminRegistry* registry) {
+  registry->AddWithArg(
+      "control", [controller](std::string_view arg) -> Result<std::string> {
+        constexpr std::string_view kSetBounds = "set-bounds ";
+        if (arg == "freeze") {
+          controller->Freeze();
+        } else if (arg == "unfreeze") {
+          controller->Unfreeze();
+        } else if (arg.starts_with(kSetBounds)) {
+          // "KMIN KMAX": two decimal numbers, one space between them.
+          const std::string_view bounds = arg.substr(kSetBounds.size());
+          const size_t space = bounds.find(' ');
+          uint64_t k_min = 0;
+          uint64_t k_max = 0;
+          if (space == std::string_view::npos ||
+              !obs::ParseAdminNumber(bounds.substr(0, space), &k_min) ||
+              !obs::ParseAdminNumber(bounds.substr(space + 1), &k_max)) {
+            return InvalidArgumentError(
+                "set-bounds takes two decimal bounds: KMIN KMAX");
+          }
+          SHPIR_RETURN_IF_ERROR(controller->SetBounds(k_min, k_max));
+        } else if (!arg.empty()) {
+          return InvalidArgumentError(
+              "control takes no argument, freeze, unfreeze or "
+              "set-bounds KMIN KMAX");
+        }
+        return controller->StatusJson();
+      });
 }
 
 }  // namespace shpir::control

@@ -12,6 +12,7 @@
 
 #include "common/mutex.h"
 #include "common/result.h"
+#include "obs/admin.h"
 #include "obs/eventlog.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -100,8 +101,8 @@ class ShardedEnginePlant : public ControlPlant {
 ///     event/trace shapes are secret-independent (paired-rig tested).
 ///
 /// Every tick is auditable: an input snapshot + decision + outcome per
-/// shard lands in the decision trail (StatusJson / CONTROL_STATUS wire
-/// op), structured events, shpir_control_* metrics, and one
+/// shard lands in the decision trail (StatusJson / the "control" admin
+/// document), structured events, shpir_control_* metrics, and one
 /// "control_tick" trace span.
 class PrivacyCostController {
  public:
@@ -175,7 +176,7 @@ class PrivacyCostController {
   /// destructor.
   void Stop();
 
-  /// --- Operator verbs (shpir_ctl / CONTROL_STATUS wire op) -----------
+  /// --- Operator verbs (the "control" admin document) ------------------
 
   /// Freeze: keep observing and recording, stop actuating.
   void Freeze();
@@ -187,7 +188,7 @@ class PrivacyCostController {
   Status SetBounds(uint64_t k_min, uint64_t k_max);
 
   /// Closed-schema status document: bounds, per-shard live state +
-  /// ladder, and the decision trail. Served on the CONTROL_STATUS op.
+  /// ladder, and the decision trail. Served as the "control" document.
   std::string StatusJson();
 
   /// --- Observability --------------------------------------------------
@@ -275,6 +276,16 @@ class PrivacyCostController {
   Instruments instruments_;
   bool metered() const { return instruments_.ticks != nullptr; }
 };
+
+/// Registers the "control" admin document for `controller` (unowned,
+/// must outlive the registry's use). Its argument is empty (status),
+/// `freeze`, `unfreeze` or `set-bounds KMIN KMAX` (KMAX 0 = unbounded);
+/// every form answers with the post-action StatusJson(). A malformed
+/// argument is rejected before the controller is touched. The document
+/// changes state, so serve it only where ADMIN is authenticated: the
+/// hub's sealed session.
+void RegisterControlDocument(PrivacyCostController* controller,
+                             obs::AdminRegistry* registry);
 
 }  // namespace shpir::control
 

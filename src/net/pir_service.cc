@@ -8,24 +8,15 @@ constexpr uint8_t kOpRetrieve = 1;
 constexpr uint8_t kOpModify = 2;
 constexpr uint8_t kOpInsert = 3;
 constexpr uint8_t kOpRemove = 4;
-constexpr uint8_t kOpStats = 5;
-constexpr uint8_t kOpTraceDump = 6;
 constexpr uint8_t kOpTraced = 7;  // Envelope: ctx(17) | inner request.
-// Profiling dump; payload byte 0 selects the format (0 = JSON stack
-// table, 1 = flame-graph collapsed text; absent = 0).
-constexpr uint8_t kOpProfileDump = 8;
-constexpr uint8_t kOpSloStatus = 9;  // SLO/error-budget state (JSON).
 // Keyword-store manifest fetch; payload is the shared wire codec
 // (EncodeKeywordManifestRequest / ...Response in net/wire.h).
 constexpr uint8_t kOpKeywordManifest = 10;
-constexpr uint8_t kOpEventDump = 11;  // Structured event log (JSON).
-// Flight-recorder dump: payload byte 0 selects the mode (0 = list,
-// 1 = show; id rides the request id field).
-constexpr uint8_t kOpIncidentDump = 12;
-constexpr uint8_t kOpHealth = 13;  // Health/readiness document (JSON).
-// Privacy/cost controller status + operator verbs; payload is the
-// shared EncodeControlRequest codec (wire.h).
-constexpr uint8_t kOpControlStatus = 14;
+// One admin document; payload is the shared EncodeAdminRequest codec
+// (net/wire.h), the response is the document body. Codes 5, 6, 8, 9
+// and 11-14 are retired per-document admin ops: they are rejected as
+// unknown and must never be reused.
+constexpr uint8_t kOpAdmin = 15;
 
 constexpr uint8_t kStatusOk = 0;
 constexpr uint8_t kStatusError = 1;
@@ -126,47 +117,6 @@ Result<Bytes> PirServiceServer::HandleRecord(ByteSpan record,
         response = status.ok() ? OkResponse() : ErrorResponse(status);
         break;
       }
-      case kOpStats: {
-        if (stats_) {
-          const Bytes snapshot = stats_();
-          response = OkResponse(snapshot);
-        } else {
-          response = ErrorResponse(
-              UnimplementedError("stats are not enabled on this service"));
-        }
-        break;
-      }
-      case kOpTraceDump: {
-        if (trace_dump_) {
-          const Bytes dump = trace_dump_();
-          response = OkResponse(dump);
-        } else {
-          response = ErrorResponse(UnimplementedError(
-              "tracing is not enabled on this service"));
-        }
-        break;
-      }
-      case kOpProfileDump: {
-        if (profile_dump_) {
-          const bool folded = !payload.empty() && payload[0] == 1;
-          const Bytes dump = profile_dump_(folded);
-          response = OkResponse(dump);
-        } else {
-          response = ErrorResponse(UnimplementedError(
-              "profiling is not enabled on this service"));
-        }
-        break;
-      }
-      case kOpSloStatus: {
-        if (slo_status_) {
-          const Bytes status_json = slo_status_();
-          response = OkResponse(status_json);
-        } else {
-          response = ErrorResponse(UnimplementedError(
-              "SLO tracking is not enabled on this service"));
-        }
-        break;
-      }
       case kOpKeywordManifest: {
         if (!keyword_manifest_) {
           response = ErrorResponse(UnimplementedError(
@@ -183,52 +133,10 @@ Result<Bytes> PirServiceServer::HandleRecord(ByteSpan record,
             current, /*include_body=*/*cached != current.version));
         break;
       }
-      case kOpEventDump: {
-        if (event_dump_) {
-          const Bytes dump = event_dump_();
-          response = OkResponse(dump);
-        } else {
-          response = ErrorResponse(UnimplementedError(
-              "event logging is not enabled on this service"));
-        }
-        break;
-      }
-      case kOpIncidentDump: {
-        if (incident_dump_) {
-          const bool show = !payload.empty() && payload[0] == 1;
-          Result<Bytes> dump = incident_dump_(show, id);
-          response = dump.ok() ? OkResponse(*dump)
-                               : ErrorResponse(dump.status());
-        } else {
-          response = ErrorResponse(UnimplementedError(
-              "incident recording is not enabled on this service"));
-        }
-        break;
-      }
-      case kOpControlStatus: {
-        if (!control_) {
-          response = ErrorResponse(UnimplementedError(
-              "no privacy/cost controller attached to this service"));
-          break;
-        }
-        Result<ControlRequest> control = DecodeControlRequest(payload);
-        if (!control.ok()) {
-          response = ErrorResponse(control.status());
-          break;
-        }
-        Result<Bytes> doc = control_(*control);
-        response =
-            doc.ok() ? OkResponse(*doc) : ErrorResponse(doc.status());
-        break;
-      }
-      case kOpHealth: {
-        if (health_) {
-          const Bytes doc = health_();
-          response = OkResponse(doc);
-        } else {
-          response = ErrorResponse(UnimplementedError(
-              "health reporting is not enabled on this service"));
-        }
+      case kOpAdmin: {
+        Result<std::string> document = ServeAdmin(admin_, payload);
+        response = document.ok() ? OkResponse(AsBytes(*document))
+                                 : ErrorResponse(document.status());
         break;
       }
       default:
@@ -299,70 +207,19 @@ Status PirServiceClient::Remove(storage::PageId id) {
   return response.ok() ? OkStatus() : response.status();
 }
 
-Result<Bytes> PirServiceClient::Stats() { return Call(kOpStats, 0, {}); }
-
-Result<Bytes> PirServiceClient::TraceDump() {
-  return Call(kOpTraceDump, 0, {});
-}
-
-Result<Bytes> PirServiceClient::ProfileDump(bool folded) {
-  const uint8_t format = folded ? 1 : 0;
-  return Call(kOpProfileDump, 0, ByteSpan(&format, 1));
-}
-
-Result<Bytes> PirServiceClient::SloStatus() {
-  return Call(kOpSloStatus, 0, {});
-}
-
-Result<Bytes> PirServiceClient::EventDump() {
-  return Call(kOpEventDump, 0, {});
-}
-
-Result<Bytes> PirServiceClient::IncidentList() {
-  const uint8_t mode = 0;
-  return Call(kOpIncidentDump, 0, ByteSpan(&mode, 1));
-}
-
-Result<Bytes> PirServiceClient::IncidentShow(uint64_t id) {
-  const uint8_t mode = 1;
-  return Call(kOpIncidentDump, id, ByteSpan(&mode, 1));
-}
-
-Result<Bytes> PirServiceClient::Health() { return Call(kOpHealth, 0, {}); }
-
-Result<Bytes> PirServiceClient::ControlStatus() {
-  ControlRequest request;
-  request.verb = ControlVerb::kStatus;
-  return Call(kOpControlStatus, 0, EncodeControlRequest(request));
-}
-
-Result<Bytes> PirServiceClient::ControlFreeze() {
-  ControlRequest request;
-  request.verb = ControlVerb::kFreeze;
-  return Call(kOpControlStatus, 0, EncodeControlRequest(request));
-}
-
-Result<Bytes> PirServiceClient::ControlUnfreeze() {
-  ControlRequest request;
-  request.verb = ControlVerb::kUnfreeze;
-  return Call(kOpControlStatus, 0, EncodeControlRequest(request));
-}
-
-Result<Bytes> PirServiceClient::ControlSetBounds(uint64_t k_min,
-                                                 uint64_t k_max) {
-  ControlRequest request;
-  request.verb = ControlVerb::kSetBounds;
-  request.k_min = k_min;
-  request.k_max = k_max;
-  return Call(kOpControlStatus, 0, EncodeControlRequest(request));
-}
-
 Result<KeywordManifest> PirServiceClient::FetchKeywordManifest(
     uint64_t cached_version) {
   const Bytes request = EncodeKeywordManifestRequest(cached_version);
   SHPIR_ASSIGN_OR_RETURN(Bytes response,
                          Call(kOpKeywordManifest, 0, request));
   return DecodeKeywordManifestResponse(response);
+}
+
+Result<std::string> PirServiceClient::Admin(std::string_view name,
+                                            std::string_view arg) {
+  SHPIR_ASSIGN_OR_RETURN(Bytes document,
+                         Call(kOpAdmin, 0, EncodeAdminRequest(name, arg)));
+  return std::string(document.begin(), document.end());
 }
 
 }  // namespace shpir::net

@@ -3,11 +3,14 @@
 
 #include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "core/pir_engine.h"
 #include "net/secure_channel.h"
 #include "net/wire.h"
+#include "obs/admin.h"
 #include "obs/trace.h"
 
 namespace shpir::net {
@@ -28,58 +31,11 @@ namespace shpir::net {
 /// Runs inside the trusted boundary next to the engine.
 class PirServiceServer {
  public:
-  /// Produces the service's observability snapshot (JSON). Because the
-  /// STATS op travels inside the sealed session records, only
-  /// authenticated clients can fetch it. The provider must return
-  /// aggregate, request-index-free data only — it is the one sanctioned
-  /// crossing of the trust boundary (see docs/OBSERVABILITY.md).
-  using StatsProvider = std::function<Bytes()>;
-
-  /// Produces the trace dump (Chrome trace-event JSON) for the
-  /// TRACE_DUMP op. Authenticated like StatsProvider; span payloads are
-  /// public by construction (static names, shard indices, timing).
-  using TraceProvider = std::function<Bytes()>;
-
-  /// Produces the profiling dump for the PROFILE_DUMP op — folded
-  /// flame-graph text when `folded`, else the JSON stack table.
-  /// Authenticated like StatsProvider; profiles carry only static
-  /// frame names and aggregate timing (target-independent by the
-  /// constant-shape argument in obs/profiler.h).
-  using ProfileProvider = std::function<Bytes(bool folded)>;
-
-  /// Produces the SLO/error-budget status document (JSON) for the
-  /// SLO_STATUS op. Authenticated like StatsProvider; the tracker
-  /// stores only aggregate good/bad counts per time bucket.
-  using SloProvider = std::function<Bytes()>;
-
   /// Produces the current keyword-store manifest for the
   /// KEYWORD_MANIFEST op. The manifest is public by design (every
   /// client receives the same artifact); versioning lets cached clients
   /// skip the body. Null means the op answers Unimplemented.
   using KeywordManifestProvider = std::function<KeywordManifest()>;
-
-  /// Produces the structured event-log dump (JSON) for the EVENT_DUMP
-  /// op. Authenticated like StatsProvider; events carry only static
-  /// names and numeric aggregates (obs/eventlog.h's trust-boundary
-  /// contract).
-  using EventProvider = std::function<Bytes()>;
-
-  /// Produces the flight-recorder dump for the INCIDENT_DUMP op:
-  /// `show == false` lists bundle summaries, `show == true` returns
-  /// the full bundle `id` (NotFound when evicted).
-  using IncidentProvider =
-      std::function<Result<Bytes>(bool show, uint64_t id)>;
-
-  /// Produces the health/readiness document (JSON) for the HEALTH op —
-  /// shard liveness + SLO + privacy state, the load-balancer surface.
-  using HealthProvider = std::function<Bytes()>;
-
-  /// Serves the CONTROL_STATUS op: takes one decoded operator verb and
-  /// returns the privacy/cost controller's status JSON (the post-action
-  /// state). Authenticated like StatsProvider; controller state is a
-  /// public aggregate by design (k, c-estimates, decision outcomes).
-  using ControlProvider =
-      std::function<Result<Bytes>(const ControlRequest&)>;
 
   /// Relay-side timestamps for one request: when its frame arrived and
   /// when the hub dequeued it for handling. Used to reconstruct a
@@ -89,37 +45,25 @@ class PirServiceServer {
     uint64_t dequeue_ns = 0;
   };
 
-  /// Neither pointer is owned. The session must be the server side of
-  /// the handshake with this client. `stats` may be null, in which case
-  /// STATS requests are answered with an error; likewise `trace_dump`
-  /// for TRACE_DUMP. `tracer` (optional, unowned) records service-side
-  /// spans for requests arriving in a sampled TRACED envelope. Any
-  /// PirEngine works — the paper's single engine, a ThreadSafeEngine
-  /// wrapper, or the sharded serving runtime; engines without update
-  /// support answer the update ops with Unimplemented.
+  /// The session must be the server side of the handshake with this
+  /// client. Any PirEngine works — the paper's single engine, a
+  /// ThreadSafeEngine wrapper, or the sharded serving runtime; engines
+  /// without update support answer the update ops with Unimplemented.
+  /// The pointers are unowned and optional. `tracer` records
+  /// service-side spans for requests arriving in a sampled TRACED
+  /// envelope. `admin` serves the ADMIN op; because ADMIN travels
+  /// inside the sealed session, only authenticated clients reach it,
+  /// and every document it holds must be aggregate and
+  /// request-index-free (see docs/OBSERVABILITY.md).
   PirServiceServer(core::PirEngine* engine, SecureSession session,
-                   StatsProvider stats = nullptr,
-                   TraceProvider trace_dump = nullptr,
                    obs::Tracer* tracer = nullptr,
-                   ProfileProvider profile_dump = nullptr,
-                   SloProvider slo_status = nullptr,
-                   KeywordManifestProvider keyword_manifest = nullptr,
-                   EventProvider event_dump = nullptr,
-                   IncidentProvider incident_dump = nullptr,
-                   HealthProvider health = nullptr,
-                   ControlProvider control = nullptr)
+                   const obs::AdminRegistry* admin = nullptr,
+                   KeywordManifestProvider keyword_manifest = nullptr)
       : engine_(engine),
         session_(std::move(session)),
-        stats_(std::move(stats)),
-        trace_dump_(std::move(trace_dump)),
-        profile_dump_(std::move(profile_dump)),
-        slo_status_(std::move(slo_status)),
-        keyword_manifest_(std::move(keyword_manifest)),
-        event_dump_(std::move(event_dump)),
-        incident_dump_(std::move(incident_dump)),
-        health_(std::move(health)),
-        control_(std::move(control)),
-        tracer_(tracer) {}
+        tracer_(tracer),
+        admin_(admin),
+        keyword_manifest_(std::move(keyword_manifest)) {}
 
   /// Decrypts one request record, executes it, returns the sealed
   /// response record. Protocol-level failures (bad record) are errors;
@@ -131,16 +75,9 @@ class PirServiceServer {
  private:
   core::PirEngine* engine_;
   SecureSession session_;
-  StatsProvider stats_;
-  TraceProvider trace_dump_;
-  ProfileProvider profile_dump_;
-  SloProvider slo_status_;
-  KeywordManifestProvider keyword_manifest_;
-  EventProvider event_dump_;
-  IncidentProvider incident_dump_;
-  HealthProvider health_;
-  ControlProvider control_;
   obs::Tracer* tracer_;
+  const obs::AdminRegistry* admin_;
+  KeywordManifestProvider keyword_manifest_;
 };
 
 /// The client side. `deliver` sends a sealed request record through the
@@ -164,46 +101,16 @@ class PirServiceClient {
   /// Deletes page `id`.
   Status Remove(storage::PageId id);
 
-  /// Fetches the service's observability snapshot as JSON (the
-  /// obs::ToJson schema; parse with obs::ParseJsonSnapshot).
-  Result<Bytes> Stats();
-
-  /// Fetches the service's buffered spans as Chrome trace-event JSON.
-  Result<Bytes> TraceDump();
-
-  /// Fetches the service's continuous-profiling dump: folded
-  /// flame-graph text when `folded`, else the JSON stack table.
-  Result<Bytes> ProfileDump(bool folded = false);
-
-  /// Fetches the service's SLO/error-budget status document (JSON).
-  Result<Bytes> SloStatus();
-
   /// Fetches the keyword-store manifest. `cached_version` is the build
   /// version the client already holds (0 = none): when it is current
   /// the response carries the version but no body, so rebuild polling
   /// is one small sealed record.
   Result<KeywordManifest> FetchKeywordManifest(uint64_t cached_version = 0);
 
-  /// Fetches the service's structured event-log dump (JSON).
-  Result<Bytes> EventDump();
-
-  /// Fetches the flight-recorder incident summaries (JSON).
-  Result<Bytes> IncidentList();
-
-  /// Fetches one full incident bundle by id (JSON; NotFound when the
-  /// bundle has been evicted from the bounded store).
-  Result<Bytes> IncidentShow(uint64_t id);
-
-  /// Fetches the health/readiness document (JSON).
-  Result<Bytes> Health();
-
-  /// Privacy/cost controller surface (CONTROL_STATUS op). Every verb
-  /// returns the controller's post-action status JSON.
-  Result<Bytes> ControlStatus();
-  Result<Bytes> ControlFreeze();
-  Result<Bytes> ControlUnfreeze();
-  /// k_max 0 = unbounded.
-  Result<Bytes> ControlSetBounds(uint64_t k_min, uint64_t k_max);
+  /// Fetches admin document `name` ("stats", "health", ...) with the
+  /// optional argument text, e.g. Admin("profile", "collapsed").
+  Result<std::string> Admin(std::string_view name,
+                            std::string_view arg = {});
 
   /// Attaches a span collector (unowned; nullptr detaches). Sampled
   /// calls then emit "client_query"/"client_encode" spans and propagate

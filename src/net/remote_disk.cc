@@ -117,4 +117,15 @@ Result<KeywordManifest> FetchKeywordManifest(Transport& transport,
   return DecodeKeywordManifestResponse(payload);
 }
 
+Result<std::string> FetchAdmin(Transport& transport, std::string_view name,
+                               std::string_view arg) {
+  Request request;
+  request.op = Op::kAdmin;
+  request.payload = EncodeAdminRequest(name, arg);
+  SHPIR_ASSIGN_OR_RETURN(Bytes frame,
+                         transport.RoundTrip(EncodeRequest(request)));
+  SHPIR_ASSIGN_OR_RETURN(Bytes document, DecodeResponse(frame));
+  return std::string(document.begin(), document.end());
+}
+
 }  // namespace shpir::net

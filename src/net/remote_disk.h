@@ -2,6 +2,8 @@
 #define SHPIR_NET_REMOTE_DISK_H_
 
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "hardware/cost_accountant.h"
 #include "net/transport.h"
@@ -71,6 +73,11 @@ class RemoteDisk : public storage::Disk {
 /// when it is current; 0 always fetches.
 Result<KeywordManifest> FetchKeywordManifest(Transport& transport,
                                              uint64_t cached_version = 0);
+
+/// Fetches admin document `name` with the optional argument text from
+/// the provider over the storage protocol (Op::kAdmin).
+Result<std::string> FetchAdmin(Transport& transport, std::string_view name,
+                               std::string_view arg = {});
 
 }  // namespace shpir::net
 

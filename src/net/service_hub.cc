@@ -1,7 +1,6 @@
 #include "net/service_hub.h"
 
 #include "crypto/hmac.h"
-#include "obs/export.h"
 
 namespace shpir::net {
 
@@ -14,47 +13,31 @@ constexpr size_t kNonce = SecureSession::kNonceSize;
 ServiceHub::ServiceHub(
     core::PirEngine* engine, Bytes pre_shared_key, uint64_t rng_seed,
     obs::MetricsRegistry* metrics, obs::Tracer* tracer,
-    PirServiceServer::ProfileProvider profile_dump,
-    PirServiceServer::SloProvider slo_status,
-    PirServiceServer::KeywordManifestProvider keyword_manifest,
-    PirServiceServer::EventProvider event_dump,
-    PirServiceServer::IncidentProvider incident_dump,
-    PirServiceServer::HealthProvider health,
-    PirServiceServer::ControlProvider control)
+    const obs::AdminRegistry* admin,
+    PirServiceServer::KeywordManifestProvider keyword_manifest)
     : engine_(engine),
       pre_shared_key_(std::move(pre_shared_key)),
-      metrics_(metrics),
       tracer_(tracer),
-      profile_dump_(std::move(profile_dump)),
-      slo_status_(std::move(slo_status)),
+      admin_(admin),
       keyword_manifest_(std::move(keyword_manifest)),
-      event_dump_(std::move(event_dump)),
-      incident_dump_(std::move(incident_dump)),
-      health_(std::move(health)),
-      control_(std::move(control)),
       rng_(rng_seed == 0 ? crypto::SecureRandom()
                          : crypto::SecureRandom(rng_seed)) {
-  if (metrics_ != nullptr) {
+  if (metrics != nullptr) {
     instruments_.hellos =
-        metrics_->FindOrCreateCounter("shpir_net_hellos_total");
+        metrics->FindOrCreateCounter("shpir_net_hellos_total");
     instruments_.handshake_failures =
-        metrics_->FindOrCreateCounter("shpir_net_handshake_failures_total");
+        metrics->FindOrCreateCounter("shpir_net_handshake_failures_total");
     instruments_.data_frames =
-        metrics_->FindOrCreateCounter("shpir_net_data_frames_total");
+        metrics->FindOrCreateCounter("shpir_net_data_frames_total");
     instruments_.frames_rejected =
-        metrics_->FindOrCreateCounter("shpir_net_frames_rejected_total");
+        metrics->FindOrCreateCounter("shpir_net_frames_rejected_total");
     instruments_.frame_bytes_in =
-        metrics_->FindOrCreateCounter("shpir_net_frame_bytes_in_total");
+        metrics->FindOrCreateCounter("shpir_net_frame_bytes_in_total");
     instruments_.frame_bytes_out =
-        metrics_->FindOrCreateCounter("shpir_net_frame_bytes_out_total");
-    instruments_.sessions = metrics_->FindOrCreateGauge("shpir_net_sessions");
+        metrics->FindOrCreateCounter("shpir_net_frame_bytes_out_total");
+    instruments_.sessions = metrics->FindOrCreateGauge("shpir_net_sessions");
     instruments_.sessions->Set(0.0);
   }
-}
-
-Bytes ServiceHub::SnapshotJson() const {
-  const std::string json = obs::ToJson(metrics_->Snapshot());
-  return Bytes(json.begin(), json.end());
 }
 
 Bytes ServiceHub::ClientKey(ByteSpan pre_shared_key, uint64_t client_id) {
@@ -133,27 +116,11 @@ Result<Bytes> ServiceHub::HandleFrame(ByteSpan frame) {
       }
       return session.status();
     }
-    // STATS travels inside the sealed session, so only authenticated
-    // clients reach the snapshot; the snapshot itself is aggregate-only
-    // by construction of the registry.
-    PirServiceServer::StatsProvider stats;
-    if (metrics_ != nullptr) {
-      stats = [this] { return SnapshotJson(); };
-    }
-    // TRACE_DUMP likewise travels inside the session; span payloads are
-    // public by construction (static names, shard indices, timing).
-    PirServiceServer::TraceProvider trace_dump;
-    if (tracer_ != nullptr) {
-      trace_dump = [this] {
-        const std::string json = obs::ToChromeTraceJson(tracer_->Snapshot());
-        return Bytes(json.begin(), json.end());
-      };
-    }
+    // ADMIN travels inside the sealed session, so only authenticated
+    // clients reach the registry's documents.
     servers_[client_id] = std::make_unique<PirServiceServer>(
-        engine_, std::move(session).value(), std::move(stats),
-        std::move(trace_dump), tracer_, profile_dump_, slo_status_,
-        keyword_manifest_, event_dump_, incident_dump_, health_,
-        control_);
+        engine_, std::move(session).value(), tracer_, admin_,
+        keyword_manifest_);
     if (metered()) {
       instruments_.sessions->Set(static_cast<double>(servers_.size()));
     }

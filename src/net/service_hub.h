@@ -10,6 +10,7 @@
 #include "crypto/secure_random.h"
 #include "net/pir_service.h"
 #include "net/secure_channel.h"
+#include "obs/admin.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -33,37 +34,25 @@ class ServiceHub {
   /// `engine` is unowned; `pre_shared_key` is the key clients hold.
   /// Any PirEngine serves: the single paper engine (requests serialize
   /// on the coprocessor) or the sharded runtime in src/shard/ (requests
-  /// fan out across shard workers). `metrics` (optional, unowned, must
-  /// outlive the hub) enables the hub's shpir_net_* instruments and
-  /// turns on the authenticated STATS op: sessions established by the
-  /// hub answer PirServiceClient::Stats() with a JSON snapshot of the
-  /// registry. `tracer` (optional, unowned, must outlive the hub)
-  /// enables distributed tracing: sampled requests get hub_queue_wait /
-  /// service_handle spans and the authenticated TRACE_DUMP op returns
-  /// the buffered spans as Chrome trace JSON.
-  /// `profile_dump` / `slo_status` (optional) back the authenticated
-  /// PROFILE_DUMP / SLO_STATUS ops for every session the hub
-  /// establishes; both must be thread-safe and return aggregate,
-  /// target-independent data only (see obs/profiler.h, obs/slo.h).
-  /// `keyword_manifest` (optional) backs the KEYWORD_MANIFEST op — it
-  /// returns the current public keyword-store manifest and its build
-  /// version (see src/keyword/); must be thread-safe.
-  /// `event_dump` / `incident_dump` / `health` (optional) back the
-  /// authenticated EVENT_DUMP / INCIDENT_DUMP / HEALTH ops; all must be
-  /// thread-safe and return aggregate, target-independent data only
-  /// (see obs/eventlog.h, obs/flight_recorder.h).
+  /// fan out across shard workers). The remaining arguments are
+  /// optional; pointers are unowned and must outlive the hub.
+  /// - `metrics` gets the hub's shpir_net_* instruments.
+  /// - `tracer` turns on distributed tracing: sampled requests get
+  ///   hub_queue_wait / service_handle spans.
+  /// - `admin` serves the authenticated ADMIN op for every session the
+  ///   hub establishes. It must be fully built before serving; its
+  ///   handlers must be thread-safe and return aggregate,
+  ///   target-independent data only.
+  /// - `keyword_manifest` backs the KEYWORD_MANIFEST op: it returns the
+  ///   current public keyword-store manifest and its build version (see
+  ///   src/keyword/). Must be thread-safe.
   ServiceHub(core::PirEngine* engine, Bytes pre_shared_key,
              uint64_t rng_seed = 0,
              obs::MetricsRegistry* metrics = nullptr,
              obs::Tracer* tracer = nullptr,
-             PirServiceServer::ProfileProvider profile_dump = nullptr,
-             PirServiceServer::SloProvider slo_status = nullptr,
+             const obs::AdminRegistry* admin = nullptr,
              PirServiceServer::KeywordManifestProvider keyword_manifest =
-                 nullptr,
-             PirServiceServer::EventProvider event_dump = nullptr,
-             PirServiceServer::IncidentProvider incident_dump = nullptr,
-             PirServiceServer::HealthProvider health = nullptr,
-             PirServiceServer::ControlProvider control = nullptr);
+                 nullptr);
 
   /// Handles one wire frame from any client; returns the reply frame.
   Result<Bytes> HandleFrame(ByteSpan frame);
@@ -91,10 +80,6 @@ class ServiceHub {
   static Bytes ClientKey(ByteSpan pre_shared_key, uint64_t client_id);
 
  private:
-  /// Snapshot of the attached registry as JSON; called with mutex_ held
-  /// by the serving thread.
-  Bytes SnapshotJson() const;
-
   /// Aggregate instruments; all null when the hub has no registry.
   struct Instruments {
     obs::Counter* hellos = nullptr;
@@ -109,15 +94,9 @@ class ServiceHub {
 
   core::PirEngine* engine_;
   Bytes pre_shared_key_;
-  obs::MetricsRegistry* metrics_;
   obs::Tracer* tracer_;
-  PirServiceServer::ProfileProvider profile_dump_;
-  PirServiceServer::SloProvider slo_status_;
+  const obs::AdminRegistry* admin_;
   PirServiceServer::KeywordManifestProvider keyword_manifest_;
-  PirServiceServer::EventProvider event_dump_;
-  PirServiceServer::IncidentProvider incident_dump_;
-  PirServiceServer::HealthProvider health_;
-  PirServiceServer::ControlProvider control_;
   Instruments instruments_;  // Written by the ctor only; const afterwards.
   mutable common::Mutex mutex_;
   /// Server-nonce generator; drawn from under mutex_ in HandleFrame.

@@ -34,28 +34,29 @@ StorageServer::StorageServer(storage::Disk* disk,
                              obs::MetricsRegistry* metrics,
                              obs::Tracer* tracer, obs::Profiler* profiler,
                              obs::SloTracker* slo, obs::EventLog* eventlog,
-                             obs::FlightRecorder* recorder)
+                             obs::FlightRecorder* recorder,
+                             const obs::AdminRegistry* admin)
     : disk_(disk),
-      metrics_(metrics),
       tracer_(tracer),
       profiler_(profiler),
       slo_(slo),
       eventlog_(eventlog),
-      recorder_(recorder) {
+      recorder_(recorder),
+      admin_(admin) {
   if (eventlog_ != nullptr) {
     eventlog_->Emit(obs::EventLevel::kInfo, "provider_started",
                     {{"num_slots", disk_->num_slots()},
                      {"slot_size", disk_->slot_size()}});
   }
-  if (metrics_ != nullptr) {
+  if (metrics != nullptr) {
     instruments_.requests =
-        metrics_->FindOrCreateCounter("shpir_provider_requests_total");
+        metrics->FindOrCreateCounter("shpir_provider_requests_total");
     instruments_.read_slots =
-        metrics_->FindOrCreateCounter("shpir_provider_read_slots_total");
+        metrics->FindOrCreateCounter("shpir_provider_read_slots_total");
     instruments_.write_slots =
-        metrics_->FindOrCreateCounter("shpir_provider_write_slots_total");
+        metrics->FindOrCreateCounter("shpir_provider_write_slots_total");
     instruments_.errors =
-        metrics_->FindOrCreateCounter("shpir_provider_errors_total");
+        metrics->FindOrCreateCounter("shpir_provider_errors_total");
   }
 }
 
@@ -113,11 +114,6 @@ Bytes StorageServer::Handle(ByteSpan request_frame) {
   return response;
 }
 
-void StorageServer::SetControlProvider(
-    std::function<Result<std::string>(const ControlRequest&)> provider) {
-  control_provider_ = std::move(provider);
-}
-
 void StorageServer::PublishKeywordManifest(Bytes manifest,
                                            uint64_t version) {
   keyword_manifest_.manifest = std::move(manifest);
@@ -145,111 +141,15 @@ Bytes StorageServer::Dispatch(const Request& request) {
       return EncodeOkResponse(
           EncodeKeywordManifestResponse(keyword_manifest_, include_body));
     }
-    case Op::kTraceDump: {
-      if (tracer_ == nullptr) {
-        return EncodeErrorResponse(
-            UnimplementedError("tracing is not enabled on this provider"));
-      }
-      const std::string json = obs::ToChromeTraceJson(tracer_->Snapshot());
-      return EncodeOkResponse(
-          ByteSpan(reinterpret_cast<const uint8_t*>(json.data()),
-                   json.size()));
-    }
-    case Op::kProfileDump: {
-      if (profiler_ == nullptr) {
-        return EncodeErrorResponse(UnimplementedError(
-            "profiling is not enabled on this provider"));
-      }
-      const bool folded =
-          !request.payload.empty() && request.payload[0] == 1;
-      const std::string text =
-          folded ? profiler_->ToCollapsed() : profiler_->ToJson();
-      return EncodeOkResponse(
-          ByteSpan(reinterpret_cast<const uint8_t*>(text.data()),
-                   text.size()));
-    }
-    case Op::kSloStatus: {
-      if (slo_ == nullptr) {
-        return EncodeErrorResponse(UnimplementedError(
-            "SLO tracking is not enabled on this provider"));
-      }
-      const std::string json = slo_->ToJson();
-      return EncodeOkResponse(
-          ByteSpan(reinterpret_cast<const uint8_t*>(json.data()),
-                   json.size()));
-    }
-    case Op::kEventDump: {
-      if (eventlog_ == nullptr) {
-        return EncodeErrorResponse(UnimplementedError(
-            "event logging is not enabled on this provider"));
-      }
-      const std::string json = obs::EventLogJson(*eventlog_);
-      return EncodeOkResponse(
-          ByteSpan(reinterpret_cast<const uint8_t*>(json.data()),
-                   json.size()));
-    }
-    case Op::kIncidentDump: {
-      if (recorder_ == nullptr) {
-        return EncodeErrorResponse(UnimplementedError(
-            "incident recording is not enabled on this provider"));
-      }
-      // Catch up on trigger edges before answering, so a dump taken
-      // right after a breach sees its bundle.
-      recorder_->Poll();
-      const bool show = !request.payload.empty() && request.payload[0] == 1;
-      std::string json;
-      if (show) {
-        json = recorder_->ShowJson(request.location);
-        if (json.empty()) {
-          return EncodeErrorResponse(
-              NotFoundError("no such incident in the store"));
-        }
-      } else {
-        json = recorder_->ListJson();
-      }
-      return EncodeOkResponse(
-          ByteSpan(reinterpret_cast<const uint8_t*>(json.data()),
-                   json.size()));
-    }
-    case Op::kControlStatus: {
-      if (!control_provider_) {
-        return EncodeErrorResponse(UnimplementedError(
-            "no privacy/cost controller attached to this provider"));
-      }
-      Result<ControlRequest> control =
-          DecodeControlRequest(request.payload);
-      if (!control.ok()) {
+    case Op::kAdmin: {
+      Result<std::string> document = ServeAdmin(admin_, request.payload);
+      if (!document.ok()) {
         if (metered()) {
           instruments_.errors->Increment();
         }
-        return EncodeErrorResponse(control.status());
+        return EncodeErrorResponse(document.status());
       }
-      Result<std::string> json = control_provider_(*control);
-      if (!json.ok()) {
-        if (metered()) {
-          instruments_.errors->Increment();
-        }
-        return EncodeErrorResponse(json.status());
-      }
-      return EncodeOkResponse(
-          ByteSpan(reinterpret_cast<const uint8_t*>(json->data()),
-                   json->size()));
-    }
-    case Op::kHealth: {
-      const std::string json = HealthJson();
-      return EncodeOkResponse(
-          ByteSpan(reinterpret_cast<const uint8_t*>(json.data()),
-                   json.size()));
-    }
-    case Op::kStats: {
-      if (metrics_ == nullptr) {
-        return EncodeErrorResponse(
-            UnimplementedError("stats are not enabled on this provider"));
-      }
-      const std::string json = obs::ToJson(metrics_->Snapshot());
-      return EncodeOkResponse(
-          ByteSpan(reinterpret_cast<const uint8_t*>(json.data()),
-                   json.size()));
+      return EncodeOkResponse(AsBytes(*document));
     }
     case Op::kGeometry: {
       Bytes payload(16);
@@ -344,13 +244,13 @@ Bytes StorageServer::Dispatch(const Request& request) {
   return EncodeErrorResponse(InternalError("unhandled op"));
 }
 
-std::string StorageServer::HealthJson() const {
-  // A storage provider is stateless, so it is ready whenever it can
-  // answer at all; "degraded" reflects a firing SLO burn rule.
+std::string StorageHealthJson(obs::SloTracker* slo,
+                              const obs::EventLog* eventlog,
+                              const obs::FlightRecorder* recorder) {
   bool degraded = false;
   std::string slo_json = "null";
-  if (slo_ != nullptr) {
-    const obs::SloTracker::Snapshot snapshot = slo_->Evaluate();
+  if (slo != nullptr) {
+    const obs::SloTracker::Snapshot snapshot = slo->Evaluate();
     for (const auto* sli : {&snapshot.availability, &snapshot.latency}) {
       for (const auto& rule : sli->rules) {
         degraded = degraded || rule.firing;
@@ -363,11 +263,11 @@ std::string StorageServer::HealthJson() const {
       << ",\"role\":\"storage\",\"build\":\""
       << obs::EscapeJsonString(obs::BuildInfoSummary())
       << "\",\"slo\":" << slo_json << ",\"eventlog_dropped\":"
-      << (eventlog_ != nullptr ? std::to_string(eventlog_->dropped())
-                               : "null")
+      << (eventlog != nullptr ? std::to_string(eventlog->dropped())
+                              : "null")
       << ",\"incidents_sealed\":"
-      << (recorder_ != nullptr ? std::to_string(recorder_->sealed())
-                               : "null")
+      << (recorder != nullptr ? std::to_string(recorder->sealed())
+                              : "null")
       << "}";
   return out.str();
 }

@@ -1,7 +1,6 @@
 #ifndef SHPIR_NET_STORAGE_SERVER_H_
 #define SHPIR_NET_STORAGE_SERVER_H_
 
-#include <functional>
 #include <string>
 
 #include "common/result.h"
@@ -23,42 +22,32 @@ namespace shpir::net {
 /// owner.
 class StorageServer {
  public:
-  /// `disk` is unowned and must outlive the server. `metrics` (optional,
-  /// unowned) enables the shpir_provider_* instruments and the kStats
-  /// wire op, which returns a JSON snapshot of the registry. The
-  /// provider is untrusted, so everything in its registry is public by
-  /// assumption; it must only ever hold volume aggregates. `tracer`
-  /// (optional, unowned) records one provider_* span per request that
-  /// arrives in a sampled kTraced envelope and enables the kTraceDump
-  /// op, which returns the buffered spans as Chrome trace JSON.
-  /// `profiler` (optional, unowned) head-samples provider requests into
-  /// provider_* folded stacks and enables the kProfileDump op; `slo`
-  /// (optional, unowned) records every request's handle latency and
-  /// outcome and enables the kSloStatus op. Both observe only wire-level
-  /// metadata the provider already sees. `eventlog` (optional, unowned)
-  /// records provider lifecycle events and enables the kEventDump op;
-  /// `recorder` (optional, unowned) enables the kIncidentDump op and is
-  /// polled on every error so trigger edges seal bundles promptly.
+  /// `disk` is unowned and must outlive the server. Every other
+  /// argument is optional and unowned. The provider is untrusted, so
+  /// everything these objects hold is public by assumption; they only
+  /// ever see wire-level metadata and volume aggregates.
+  /// - `metrics` gets the shpir_provider_* instruments.
+  /// - `tracer` records one provider_* span per request that arrives in
+  ///   a sampled kTraced envelope.
+  /// - `profiler` head-samples requests into provider_* folded stacks.
+  /// - `slo` records every request's handle latency and outcome.
+  /// - `eventlog` records provider lifecycle events.
+  /// - `recorder` is polled on every error, so trigger edges seal
+  ///   bundles promptly.
+  /// - `admin` serves the kAdmin op; without it every document answers
+  ///   NotFound.
   explicit StorageServer(storage::Disk* disk,
                          obs::MetricsRegistry* metrics = nullptr,
                          obs::Tracer* tracer = nullptr,
                          obs::Profiler* profiler = nullptr,
                          obs::SloTracker* slo = nullptr,
                          obs::EventLog* eventlog = nullptr,
-                         obs::FlightRecorder* recorder = nullptr);
+                         obs::FlightRecorder* recorder = nullptr,
+                         const obs::AdminRegistry* admin = nullptr);
 
   /// Executes one request frame and returns the response frame. Errors
   /// are encoded into the response (the transport never fails).
   Bytes Handle(ByteSpan request_frame);
-
-  /// Attaches the privacy/cost controller surface served by the
-  /// kControlStatus op. The provider takes one decoded operator verb and
-  /// returns the controller's status JSON (the post-action state) or an
-  /// error. Controller state is a public aggregate by design — k,
-  /// c-estimates, decision outcomes — never request-derived data. Until
-  /// attached, the op answers Unimplemented.
-  void SetControlProvider(
-      std::function<Result<std::string>(const ControlRequest&)> provider);
 
   /// Publishes the keyword-store manifest served by the kKeywordManifest
   /// op. The manifest is a PUBLIC artifact (the owner ships it to every
@@ -79,24 +68,25 @@ class StorageServer {
   /// profiling/SLO wrapper can observe the outcome uniformly).
   Bytes Dispatch(const Request& request);
 
-  /// Health/readiness JSON for the kHealth op (load-balancer surface).
-  std::string HealthJson() const;
-
   storage::Disk* disk_;
-  obs::MetricsRegistry* metrics_;
   obs::Tracer* tracer_;
   obs::Profiler* profiler_;
   obs::SloTracker* slo_;
   obs::EventLog* eventlog_;
   obs::FlightRecorder* recorder_;
+  const obs::AdminRegistry* admin_;
   Instruments instruments_;
   /// Published keyword manifest (empty until PublishKeywordManifest).
   KeywordManifest keyword_manifest_;
   bool keyword_manifest_published_ = false;
-  /// Controller surface (empty until SetControlProvider).
-  std::function<Result<std::string>(const ControlRequest&)>
-      control_provider_;
 };
+
+/// The storage provider's "health" document: a stateless store is ready
+/// whenever it can answer; "degraded" reflects a firing SLO burn rule.
+/// Each argument is optional.
+std::string StorageHealthJson(obs::SloTracker* slo,
+                              const obs::EventLog* eventlog,
+                              const obs::FlightRecorder* recorder);
 
 /// Transport that dispatches directly into an in-process StorageServer.
 /// Latency and bandwidth are modeled by the owner-side cost accounting,

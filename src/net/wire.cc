@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include <algorithm>
+
 namespace shpir::net {
 
 namespace {
@@ -72,15 +74,8 @@ Result<Request> DecodeRequest(ByteSpan frame) {
     case static_cast<uint8_t>(Op::kReadRun):
     case static_cast<uint8_t>(Op::kWriteRun):
     case static_cast<uint8_t>(Op::kGeometry):
-    case static_cast<uint8_t>(Op::kStats):
-    case static_cast<uint8_t>(Op::kTraceDump):
-    case static_cast<uint8_t>(Op::kProfileDump):
-    case static_cast<uint8_t>(Op::kSloStatus):
     case static_cast<uint8_t>(Op::kKeywordManifest):
-    case static_cast<uint8_t>(Op::kEventDump):
-    case static_cast<uint8_t>(Op::kIncidentDump):
-    case static_cast<uint8_t>(Op::kHealth):
-    case static_cast<uint8_t>(Op::kControlStatus):
+    case static_cast<uint8_t>(Op::kAdmin):
       request.op = static_cast<Op>(frame[0]);
       break;
     default:
@@ -180,33 +175,63 @@ Result<KeywordManifest> DecodeKeywordManifestResponse(ByteSpan payload) {
 }
 
 namespace {
-constexpr size_t kControlRequestSize = 1 + 1 + 8 + 8;
+
+bool IsAdminNameChar(uint8_t c) {
+  return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' ||
+         c == '-';
+}
+
 }  // namespace
 
-Bytes EncodeControlRequest(const ControlRequest& request) {
-  Bytes payload(kControlRequestSize);
-  payload[0] = kControlRequestVersion;
-  payload[1] = static_cast<uint8_t>(request.verb);
-  StoreLE64(request.k_min, payload.data() + 2);
-  StoreLE64(request.k_max, payload.data() + 10);
+Bytes EncodeAdminRequest(std::string_view name, std::string_view arg) {
+  Bytes payload;
+  payload.reserve(2 + name.size() + arg.size());
+  payload.push_back(kAdminRequestVersion);
+  // A name too long for the size byte is sent with size 255, which the
+  // server rejects, rather than wrapping to a shorter size that would
+  // split the name into a valid-looking name and argument.
+  payload.push_back(static_cast<uint8_t>(
+      name.size() > 0xff ? 0xff : name.size()));
+  payload.insert(payload.end(), name.begin(), name.end());
+  payload.insert(payload.end(), arg.begin(), arg.end());
   return payload;
 }
 
-Result<ControlRequest> DecodeControlRequest(ByteSpan payload) {
-  if (payload.size() != kControlRequestSize) {
-    return DataLossError("malformed control request payload");
+Result<AdminRequest> DecodeAdminRequest(ByteSpan payload) {
+  if (payload.size() < 2) {
+    return DataLossError("truncated admin request");
   }
-  if (payload[0] != kControlRequestVersion) {
-    return InvalidArgumentError("unknown control request version");
+  if (payload[0] != kAdminRequestVersion) {
+    return InvalidArgumentError("unknown admin request version");
   }
-  if (payload[1] > static_cast<uint8_t>(ControlVerb::kSetBounds)) {
-    return InvalidArgumentError("unknown control verb");
+  const size_t name_size = payload[1];
+  if (name_size == 0 || name_size > kMaxAdminNameSize ||
+      payload.size() < 2 + name_size) {
+    return InvalidArgumentError("malformed admin document name");
   }
-  ControlRequest request;
-  request.verb = static_cast<ControlVerb>(payload[1]);
-  request.k_min = LoadLE64(payload.data() + 2);
-  request.k_max = LoadLE64(payload.data() + 10);
+  const ByteSpan name = payload.subspan(2, name_size);
+  const ByteSpan arg = payload.subspan(2 + name_size);
+  if (!std::all_of(name.begin(), name.end(), IsAdminNameChar)) {
+    return InvalidArgumentError("malformed admin document name");
+  }
+  if (arg.size() > kMaxAdminArgSize ||
+      !std::all_of(arg.begin(), arg.end(),
+                   [](uint8_t c) { return c >= 0x20 && c < 0x7f; })) {
+    return InvalidArgumentError("malformed admin argument");
+  }
+  AdminRequest request;
+  request.name.assign(name.begin(), name.end());
+  request.arg.assign(arg.begin(), arg.end());
   return request;
+}
+
+Result<std::string> ServeAdmin(const obs::AdminRegistry* registry,
+                               ByteSpan payload) {
+  SHPIR_ASSIGN_OR_RETURN(AdminRequest request, DecodeAdminRequest(payload));
+  if (registry == nullptr) {
+    return NotFoundError("no admin documents on this endpoint");
+  }
+  return registry->Render(request.name, request.arg);
 }
 
 }  // namespace shpir::net

@@ -2,10 +2,13 @@
 #define SHPIR_NET_WIRE_H_
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "obs/admin.h"
 #include "obs/trace.h"
 #include "storage/page.h"
 
@@ -28,26 +31,16 @@ enum class Op : uint8_t {
   kReadRun = 3,   // Read count consecutive slots.
   kWriteRun = 4,  // Write count consecutive slots.
   kGeometry = 5,  // Query (num_slots, slot_size).
-  kStats = 6,     // Fetch the provider's metrics snapshot (JSON).
-  kTraceDump = 7, // Fetch the provider's span buffer (Chrome trace JSON).
   kTraced = 8,    // Envelope: a traced inner request (see above).
-  // Continuous-profiling dump: payload byte 0 selects the format
-  // (0 = JSON stack table, 1 = flame-graph collapsed text; absent = 0).
-  kProfileDump = 9,
-  kSloStatus = 10,  // Fetch the provider's SLO/error-budget state (JSON).
   // Fetch the public keyword-store manifest (versioned for rebuilds).
   // Payload: EncodeKeywordManifestRequest / ...Response below.
   kKeywordManifest = 11,
-  kEventDump = 12,  // Fetch the provider's event log (JSON).
-  // Incident flight-recorder dump. Payload byte 0 selects the mode
-  // (0 = list summaries, 1 = show one bundle, id in location; absent
-  // = 0).
-  kIncidentDump = 13,
-  kHealth = 14,  // Fetch the provider's health/readiness state (JSON).
-  // Privacy/cost controller status + operator verbs. Payload:
-  // EncodeControlRequest / response is the controller status JSON.
-  kControlStatus = 15,
+  // Fetch one admin document. Payload: EncodeAdminRequest below; the
+  // response payload is the document body.
+  kAdmin = 16,
 };
+// Codes 6, 7, 9, 10 and 12-15 are retired per-document admin ops: they
+// are rejected as unknown and must never be reused.
 
 struct Request {
   Op op;
@@ -103,33 +96,34 @@ Bytes EncodeKeywordManifestResponse(const KeywordManifest& manifest,
                                     bool include_body);
 Result<KeywordManifest> DecodeKeywordManifestResponse(ByteSpan payload);
 
-/// Operator verbs carried by the CONTROL_STATUS op. Every verb's
-/// response is the controller's status JSON, so an operator action
-/// always returns the post-action state.
-enum class ControlVerb : uint8_t {
-  kStatus = 0,     // Read-only status fetch.
-  kFreeze = 1,     // Stop actuating (keep observing).
-  kUnfreeze = 2,   // Resume actuating.
-  kSetBounds = 3,  // Replace [k_min, k_max]; ladders recompute.
+/// One decoded ADMIN request: which document, and its argument text
+/// ("collapsed", "7", "set-bounds 8 32"; empty for none).
+struct AdminRequest {
+  std::string name;
+  std::string arg;
 };
 
-/// One decoded control request.
-struct ControlRequest {
-  ControlVerb verb = ControlVerb::kStatus;
-  /// Bounds; meaningful only for kSetBounds (k_max 0 = unbounded).
-  uint64_t k_min = 0;
-  uint64_t k_max = 0;
-};
+/// Version of the ADMIN request payload format. Servers reject unknown
+/// versions so the payload can grow fields later.
+inline constexpr uint8_t kAdminRequestVersion = 1;
+/// Bounds on the two fields; the decoder rejects anything longer.
+inline constexpr size_t kMaxAdminNameSize = 32;
+inline constexpr size_t kMaxAdminArgSize = 256;
 
-/// Version of the CONTROL_STATUS request payload format. Servers reject
-/// unknown versions so the payload can grow fields later.
-inline constexpr uint8_t kControlRequestVersion = 1;
+/// Request payload: version(1) | name_size(1) | name | arg. The name is
+/// 1..kMaxAdminNameSize bytes of [a-z0-9_-]; the argument, the rest of
+/// the payload, is at most kMaxAdminArgSize bytes of printable ASCII.
+/// The codec is shared by the storage protocol and the sealed service
+/// protocol.
+Bytes EncodeAdminRequest(std::string_view name, std::string_view arg = {});
+Result<AdminRequest> DecodeAdminRequest(ByteSpan payload);
 
-/// Request payload: version(1) | verb(1) | k_min(8) | k_max(8) — exactly
-/// 18 bytes; both protocols reject anything else. The codec is shared by
-/// the storage protocol and the sealed service protocol.
-Bytes EncodeControlRequest(const ControlRequest& request);
-Result<ControlRequest> DecodeControlRequest(ByteSpan payload);
+/// Server side of the ADMIN op on either protocol: decodes `payload`
+/// and renders the named document from `registry` (null: the endpoint
+/// serves no documents). Every malformed request fails before a
+/// handler runs.
+Result<std::string> ServeAdmin(const obs::AdminRegistry* registry,
+                               ByteSpan payload);
 
 }  // namespace shpir::net
 

@@ -188,7 +188,7 @@ class EventLog {
   std::array<RateBucket, kNumEventLevels> rate_ GUARDED_BY(rate_mutex_);
 };
 
-/// Closed-schema JSON for the EVENT_DUMP wire op:
+/// Closed-schema JSON of the "events" admin document:
 ///   {"emitted":...,"recorded":...,"dropped":...,"rate_limited":...,
 ///    "filtered":...,"events":[{"seq":...,"ts_ns":...,"level":"info",
 ///    "name":"...","shard":...,"trace_id":"0016-hex","fields":{...}}]}

@@ -17,7 +17,7 @@ namespace shpir::obs {
 /// sample.
 std::string ToPrometheusText(const MetricsSnapshot& snapshot);
 
-/// Compact JSON snapshot — the wire format of the STATS ops:
+/// Compact JSON snapshot — the "stats" admin document:
 ///   {"counters":[{"name":...,"value":...}],
 ///    "gauges":[...],
 ///    "histograms":[{"name":...,"count":...,"sum":...,"min":...,

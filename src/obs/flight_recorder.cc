@@ -88,7 +88,8 @@ size_t FlightRecorder::Poll() {
       if (!edge || fire_reason != nullptr) {
         continue;
       }
-      if (now - last_seal_ns_ < options_.min_interval_ns) {
+      if (last_seal_ns_.has_value() &&
+          now - *last_seal_ns_ < options_.min_interval_ns) {
         debounced_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }

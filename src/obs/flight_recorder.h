@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,12 +99,12 @@ class FlightRecorder {
   /// Copies of the stored bundles, oldest first.
   std::vector<Incident> List() const;
 
-  /// Summary JSON for INCIDENT_DUMP list mode:
+  /// Summary JSON, the "incidents" admin document:
   ///   {"sealed":N,"debounced":N,"incidents":[{"id":..,"sealed_ns":..,
   ///    "reason":"..","trigger_value":..}]}
   std::string ListJson() const;
 
-  /// Full bundle JSON for show mode; empty string when `id` is not in
+  /// Full bundle JSON ("incidents ID"); empty string when `id` is not in
   /// the store (evicted or never sealed).
   std::string ShowJson(uint64_t id) const;
 
@@ -141,7 +142,10 @@ class FlightRecorder {
   std::vector<TriggerSource> triggers_ GUARDED_BY(mutex_);
   std::deque<Incident> incidents_ GUARDED_BY(mutex_);
   uint64_t next_id_ GUARDED_BY(mutex_) = 1;
-  uint64_t last_seal_ns_ GUARDED_BY(mutex_) = 0;
+  /// When the last bundle was sealed; empty until the first seal, so
+  /// the first trigger edge is never debounced, however recently the
+  /// steady clock's epoch (boot, on Linux) lies.
+  std::optional<uint64_t> last_seal_ns_ GUARDED_BY(mutex_);
   std::atomic<uint64_t> sealed_{0};
   std::atomic<uint64_t> debounced_{0};
   std::atomic<uint64_t> polls_{0};

@@ -135,7 +135,7 @@ struct SnapshotGauge {
 
 /// One retained observation with the public trace id that produced it
 /// — the handle that closes the metric → trace loop
-/// (`shpir_trace --lookup <trace-id>`). Values are aggregates and
+/// (`shpir_stats trace <trace-id>`). Values are aggregates and
 /// trace ids name sampled spans; nothing here is per-request secret
 /// state.
 struct SnapshotExemplar {

@@ -115,7 +115,7 @@ class Profiler {
   /// test pins down.
   std::string ToCollapsedShape() const;
 
-  /// Closed-schema JSON dump (what the PROFILE_DUMP wire op serves):
+  /// Closed-schema JSON dump (the "profile" admin document):
   /// backend + sampling config + the stack table.
   std::string ToJson() const;
 

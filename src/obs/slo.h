@@ -114,7 +114,7 @@ class SloTracker {
   Snapshot Evaluate();
   Snapshot EvaluateAt(uint64_t now_ns);
 
-  /// Closed-schema JSON for the SLO_STATUS wire op.
+  /// Closed-schema JSON of the "slo" admin document.
   std::string ToJson();
   std::string ToJsonAt(uint64_t now_ns);
 

@@ -129,7 +129,7 @@ class Tracer {
 
   /// Registers shpir_trace_* callback gauges on `registry`, including
   /// shpir_trace_spans_dropped_total (ring overwrites) so span loss is
-  /// observable without a TRACE_DUMP. The tracer must outlive the
+  /// observable without a trace dump. The tracer must outlive the
   /// registry's last Snapshot().
   void PublishMetrics(MetricsRegistry* registry);
 

@@ -401,7 +401,7 @@ void ShardedPirEngine::EnableSlo(const obs::SloTracker::Objectives& objectives,
     // Only the logical tracker exports gauges: per-shard trackers
     // would collide on the flat name space, and the fleet view plus
     // the worst-shard indicator below is what alerting needs. Shard
-    // detail stays on the SLO_STATUS wire op.
+    // detail stays in the "slo" admin document.
     logical_slo_->PublishMetrics(registry);
     registry->RegisterCallbackGauge("shpir_slo_shards_firing", [this] {
       double firing = 0;

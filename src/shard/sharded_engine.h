@@ -228,8 +228,8 @@ class ShardedPirEngine : public core::PirEngine {
   /// into its shard's tracker identically; admission rejections and
   /// deadline expiries count against availability. Only the logical
   /// tracker exports shpir_slo_* gauges on `registry` (may be null);
-  /// per-shard state is served by SloStatusJson() / the SLO_STATUS
-  /// wire op, keyed by public shard index.
+  /// per-shard state is served by SloStatusJson() (the "slo" admin
+  /// document), keyed by public shard index.
   void EnableSlo(const obs::SloTracker::Objectives& objectives,
                  obs::MetricsRegistry* registry = nullptr);
 
@@ -264,8 +264,9 @@ class ShardedPirEngine : public core::PirEngine {
   /// fingerprint ("shards=4 pages=4096 k=16 c=2.00 ...").
   std::string ConfigFingerprint() const;
 
-  /// Health/readiness JSON for the HEALTH op (load-balancer surface):
-  /// dispatcher liveness and depth, SLO/privacy state, build identity.
+  /// Health/readiness JSON, the "health" admin document (the
+  /// load-balancer surface): dispatcher liveness and depth, SLO/privacy
+  /// state, build identity.
   /// Aggregate-only, like every exported surface.
   std::string HealthJson();
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,9 @@ struct AesVector {
   std::string plaintext_hex;
   std::string ciphertext_hex;
 };
+
+// Keeps the discovered ctest name stable across builds (see sha256_test.cc).
+void PrintTo(const AesVector& v, std::ostream* os) { *os << v.name; }
 
 class AesKnownAnswerTest : public ::testing::TestWithParam<AesVector> {};
 

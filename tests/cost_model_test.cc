@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "core/capprox_pir.h"
 #include "crypto/secure_random.h"
@@ -24,6 +25,9 @@ struct PaperSpot {
   uint64_t page_size;
   double quoted_seconds;
 };
+
+// Keeps the discovered ctest name stable across builds (see sha256_test.cc).
+void PrintTo(const PaperSpot& s, std::ostream* os) { *os << s.name; }
 
 class PaperSpotTest : public ::testing::TestWithParam<PaperSpot> {};
 

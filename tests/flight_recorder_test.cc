@@ -71,7 +71,7 @@ TEST(FlightRecorder, DebounceWindowCountsEdgeButSealsNothing) {
   recorder.AddTrigger("dispatcher_overload",
                       [&overloads] { return overloads; });
 
-  // First seal passes (last_seal_ns starts at 0, far in the past).
+  // First seal passes: nothing has been sealed yet.
   overloads = 1;
   EXPECT_EQ(recorder.Poll(), 1u);
   // Second edge lands inside the window: debounced, not sealed.
@@ -79,6 +79,19 @@ TEST(FlightRecorder, DebounceWindowCountsEdgeButSealsNothing) {
   EXPECT_EQ(recorder.Poll(), 0u);
   EXPECT_EQ(recorder.sealed(), 1u);
   EXPECT_EQ(recorder.debounced(), 1u);
+
+  // A window longer than any uptime: the first edge still seals, so the
+  // debounce cannot depend on how long ago the steady clock started.
+  options.min_interval_ns = UINT64_MAX;
+  FlightRecorder fresh(options);
+  fresh.AddTrigger("dispatcher_overload", [&overloads] { return overloads; });
+  overloads = 3;
+  EXPECT_EQ(fresh.Poll(), 1u);
+  EXPECT_EQ(fresh.sealed(), 1u);
+  EXPECT_EQ(fresh.debounced(), 0u);
+  overloads = 4;
+  EXPECT_EQ(fresh.Poll(), 0u);
+  EXPECT_EQ(fresh.debounced(), 1u);
 }
 
 TEST(FlightRecorder, ManualTriggerIgnoresDebounce) {

@@ -7,6 +7,7 @@
 // these comparisons would break.
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "net/pir_service.h"
 #include "net/service_hub.h"
 #include "net/wire.h"
+#include "obs/admin.h"
 #include "obs/eventlog.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -142,21 +144,25 @@ TEST(IncidentShape, HealthJsonIsTargetIndependentAndTracksDraining) {
   EXPECT_NE(drained.find("\"ready\":false"), std::string::npos) << drained;
 }
 
-// --- Wire coverage: the new ops round-trip the storage envelope and
-// --- are served end to end through the sealed-session hub.
+// --- Wire coverage: the documents' ADMIN requests round-trip the
+// --- storage envelope and are served end to end through the hub.
 
 TEST(IncidentShape, NewStorageOpsRoundTripTheWire) {
-  for (const net::Op op :
-       {net::Op::kEventDump, net::Op::kIncidentDump, net::Op::kHealth}) {
+  for (const auto& [name, arg] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"events", ""}, {"incidents", "7"}, {"health", ""}}) {
     net::Request request;
-    request.op = op;
-    request.location = 7;
-    request.payload = {1};
+    request.op = net::Op::kAdmin;
+    request.payload = net::EncodeAdminRequest(name, arg);
     const Result<net::Request> back =
         net::DecodeRequest(net::EncodeRequest(request));
     ASSERT_TRUE(back.ok()) << back.status();
-    EXPECT_EQ(back->op, op);
-    EXPECT_EQ(back->location, 7u);
+    EXPECT_EQ(back->op, net::Op::kAdmin);
+    const Result<net::AdminRequest> admin =
+        net::DecodeAdminRequest(back->payload);
+    ASSERT_TRUE(admin.ok()) << admin.status();
+    EXPECT_EQ(admin->name, name);
+    EXPECT_EQ(admin->arg, arg);
   }
 }
 
@@ -165,35 +171,15 @@ TEST(IncidentShape, HubServesEventIncidentAndHealthOps) {
   rig.Drive({5});
 
   const Bytes psk{'t', 'e', 's', 't'};
-  EventLog* log = rig.log.get();
-  FlightRecorder* recorder = rig.recorder.get();
   shard::ShardedPirEngine* engine = rig.engine.get();
-  net::ServiceHub hub(
-      rig.engine.get(), psk, /*rng_seed=*/3, /*metrics=*/nullptr,
-      /*tracer=*/nullptr, /*profile_dump=*/nullptr, /*slo_status=*/nullptr,
-      /*keyword_manifest=*/nullptr,
-      /*event_dump=*/
-      [log] {
-        const std::string json = EventLogJson(*log);
-        return Bytes(json.begin(), json.end());
-      },
-      /*incident_dump=*/
-      [recorder](bool show, uint64_t id) -> Result<Bytes> {
-        if (show) {
-          const std::string json = recorder->ShowJson(id);
-          if (json.empty()) {
-            return NotFoundError("no such incident in the store");
-          }
-          return Bytes(json.begin(), json.end());
-        }
-        const std::string json = recorder->ListJson();
-        return Bytes(json.begin(), json.end());
-      },
-      /*health=*/
-      [engine] {
-        const std::string json = engine->HealthJson();
-        return Bytes(json.begin(), json.end());
-      });
+  AdminSources sources;
+  sources.eventlog = rig.log.get();
+  sources.recorder = rig.recorder.get();
+  sources.health = [engine] { return engine->HealthJson(); };
+  AdminRegistry admin;
+  RegisterStandardDocuments(sources, &admin);
+  net::ServiceHub hub(rig.engine.get(), psk, /*rng_seed=*/3,
+                      /*metrics=*/nullptr, /*tracer=*/nullptr, &admin);
 
   // Handshake, as any tool client would.
   const uint64_t client_id = 5;
@@ -211,35 +197,30 @@ TEST(IncidentShape, HubServesEventIncidentAndHealthOps) {
         return hub.HandleFrame(net::ServiceHub::MakeData(client_id, record));
       });
 
-  const Result<Bytes> events = client.EventDump();
+  const Result<std::string> events = client.Admin("events");
   ASSERT_TRUE(events.ok()) << events.status();
-  const std::string events_json(events->begin(), events->end());
-  EXPECT_NE(events_json.find("\"events\":["), std::string::npos);
-  EXPECT_NE(events_json.find("fanout_complete"), std::string::npos);
+  EXPECT_NE(events->find("\"events\":["), std::string::npos);
+  EXPECT_NE(events->find("fanout_complete"), std::string::npos);
 
   // No incidents yet: list is empty, show is NotFound.
-  Result<Bytes> list = client.IncidentList();
+  Result<std::string> list = client.Admin("incidents");
   ASSERT_TRUE(list.ok()) << list.status();
-  EXPECT_NE(std::string(list->begin(), list->end()).find("\"sealed\":0"),
-            std::string::npos);
-  EXPECT_FALSE(client.IncidentShow(1).ok());
+  EXPECT_NE(list->find("\"sealed\":0"), std::string::npos);
+  EXPECT_FALSE(client.Admin("incidents", "1").ok());
 
   const uint64_t incident_id = rig.recorder->Trigger("manual");
-  list = client.IncidentList();
+  list = client.Admin("incidents");
   ASSERT_TRUE(list.ok());
-  EXPECT_NE(std::string(list->begin(), list->end()).find("\"sealed\":1"),
-            std::string::npos);
-  const Result<Bytes> show = client.IncidentShow(incident_id);
-  ASSERT_TRUE(show.ok()) << show.status();
-  const std::string bundle(show->begin(), show->end());
-  EXPECT_NE(bundle.find("\"reason\":\"manual\""), std::string::npos);
-  EXPECT_NE(bundle.find("\"shape\":\"reason:manual"), std::string::npos);
+  EXPECT_NE(list->find("\"sealed\":1"), std::string::npos);
+  const Result<std::string> bundle =
+      client.Admin("incidents", std::to_string(incident_id));
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+  EXPECT_NE(bundle->find("\"reason\":\"manual\""), std::string::npos);
+  EXPECT_NE(bundle->find("\"shape\":\"reason:manual"), std::string::npos);
 
-  const Result<Bytes> health = client.Health();
+  const Result<std::string> health = client.Admin("health");
   ASSERT_TRUE(health.ok()) << health.status();
-  EXPECT_NE(std::string(health->begin(), health->end())
-                .find("\"ready\":true"),
-            std::string::npos);
+  EXPECT_NE(health->find("\"ready\":true"), std::string::npos);
 }
 
 }  // namespace

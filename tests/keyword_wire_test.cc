@@ -202,8 +202,8 @@ struct ServiceRig {
     }
     SHPIR_CHECK_OK(rig.engine->Initialize(pages));
     rig.hub = std::make_unique<ServiceHub>(
-        rig.engine.get(), rig.psk, seed + 1, nullptr, nullptr, nullptr,
-        nullptr, std::move(provider));
+        rig.engine.get(), rig.psk, seed + 1, /*metrics=*/nullptr,
+        /*tracer=*/nullptr, /*admin=*/nullptr, std::move(provider));
     return rig;
   }
 };
@@ -276,8 +276,8 @@ TEST(KeywordManifestServiceTest, RejectsMalformedSealedPayloads) {
   ASSERT_TRUE(client_session.ok());
   ASSERT_TRUE(server_session.ok());
   PirServiceServer server(rig.engine.get(),
-                          std::move(server_session).value(), nullptr,
-                          nullptr, nullptr, nullptr, nullptr,
+                          std::move(server_session).value(),
+                          /*tracer=*/nullptr, /*admin=*/nullptr,
                           [published]() { return published; });
 
   constexpr uint8_t kOpKeywordManifest = 10;

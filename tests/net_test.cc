@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -49,103 +50,106 @@ TEST(WireTest, ResponseRoundTrip) {
 }
 
 TEST(WireTest, ControlRequestRoundTrip) {
-  ControlRequest request;
-  request.verb = ControlVerb::kSetBounds;
-  request.k_min = 32;
-  request.k_max = 128;
-  Result<ControlRequest> back =
-      DecodeControlRequest(EncodeControlRequest(request));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->verb, ControlVerb::kSetBounds);
-  EXPECT_EQ(back->k_min, 32u);
-  EXPECT_EQ(back->k_max, 128u);
-  for (ControlVerb verb : {ControlVerb::kStatus, ControlVerb::kFreeze,
-                           ControlVerb::kUnfreeze}) {
-    ControlRequest probe;
-    probe.verb = verb;
-    Result<ControlRequest> echoed =
-        DecodeControlRequest(EncodeControlRequest(probe));
-    ASSERT_TRUE(echoed.ok());
-    EXPECT_EQ(echoed->verb, verb);
+  // Operator verbs ride the ADMIN op as the "control" document's
+  // argument text.
+  for (const std::string arg :
+       {"", "freeze", "unfreeze", "set-bounds 32 128"}) {
+    Result<AdminRequest> back =
+        DecodeAdminRequest(EncodeAdminRequest("control", arg));
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(back->name, "control");
+    EXPECT_EQ(back->arg, arg);
   }
+  Request request;
+  request.op = Op::kAdmin;
+  request.payload = EncodeAdminRequest("control", "set-bounds 32 128");
+  Result<Request> frame = DecodeRequest(EncodeRequest(request));
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(frame->op, Op::kAdmin);
+  EXPECT_EQ(frame->payload, request.payload);
 }
 
 TEST(WireTest, ControlRequestRejectsMalformedPayloads) {
-  const Bytes good = EncodeControlRequest(ControlRequest{});
-  ASSERT_EQ(good.size(), 18u);
+  const Bytes good = EncodeAdminRequest("control", "freeze");
+  ASSERT_EQ(good.size(), 2u + 7u + 6u);
+  ASSERT_TRUE(DecodeAdminRequest(good).ok());
 
-  Bytes truncated(good.begin(), good.end() - 1);
-  EXPECT_FALSE(DecodeControlRequest(truncated).ok());
-  Bytes oversize = good;
-  oversize.push_back(0);
-  EXPECT_FALSE(DecodeControlRequest(oversize).ok());
+  EXPECT_FALSE(DecodeAdminRequest(Bytes{}).ok());
+  EXPECT_FALSE(DecodeAdminRequest(Bytes{kAdminRequestVersion}).ok());
+  // The size byte promising more name than the payload holds.
+  EXPECT_FALSE(DecodeAdminRequest(Bytes(good.begin(), good.begin() + 8)).ok());
 
   Bytes future_version = good;
-  future_version[0] = kControlRequestVersion + 1;
-  EXPECT_FALSE(DecodeControlRequest(future_version).ok());
+  future_version[0] = kAdminRequestVersion + 1;
+  EXPECT_FALSE(DecodeAdminRequest(future_version).ok());
 
-  Bytes unknown_verb = good;
-  unknown_verb[1] = 99;
-  EXPECT_FALSE(DecodeControlRequest(unknown_verb).ok());
+  // Names: non-empty, at most kMaxAdminNameSize of [a-z0-9_-].
+  EXPECT_FALSE(DecodeAdminRequest(EncodeAdminRequest("")).ok());
+  EXPECT_FALSE(DecodeAdminRequest(
+                   EncodeAdminRequest(std::string(kMaxAdminNameSize + 1, 'c')))
+                   .ok());
+  EXPECT_FALSE(
+      DecodeAdminRequest(EncodeAdminRequest(std::string(300, 'c'))).ok());
+  EXPECT_FALSE(DecodeAdminRequest(EncodeAdminRequest("Control")).ok());
+  EXPECT_FALSE(DecodeAdminRequest(EncodeAdminRequest("con trol")).ok());
+
+  // Arguments: at most kMaxAdminArgSize printable ASCII bytes.
+  EXPECT_FALSE(DecodeAdminRequest(
+                   EncodeAdminRequest("control",
+                                      std::string(kMaxAdminArgSize + 1, 'f')))
+                   .ok());
+  EXPECT_FALSE(DecodeAdminRequest(EncodeAdminRequest("control", "a\nb")).ok());
+  EXPECT_FALSE(
+      DecodeAdminRequest(EncodeAdminRequest("control", "\x7f")).ok());
 }
 
 TEST(StorageControlTest, ControlOpRoutesVerbsToTheProvider) {
   storage::MemoryDisk disk(4, 8);
-  StorageServer server(&disk);
 
-  Request request;
-  request.op = Op::kControlStatus;
-  request.payload = EncodeControlRequest(ControlRequest{});
-
-  // Until a provider is attached the op answers Unimplemented.
-  Result<Bytes> unattached =
-      DecodeResponse(server.Handle(EncodeRequest(request)));
+  // Without a registry every document answers NotFound.
+  StorageServer bare(&disk);
+  DirectTransport bare_link(&bare);
+  Result<std::string> unattached = FetchAdmin(bare_link, "control");
   EXPECT_FALSE(unattached.ok());
-  EXPECT_NE(unattached.status().message().find("no privacy/cost controller"),
+  EXPECT_NE(unattached.status().message().find("no admin documents"),
             std::string::npos);
 
-  std::vector<ControlRequest> seen;
-  server.SetControlProvider(
-      [&seen](const ControlRequest& verb) -> Result<std::string> {
-        seen.push_back(verb);
-        if (verb.verb == ControlVerb::kSetBounds && verb.k_min > verb.k_max) {
-          return InvalidArgumentError("no feasible block size");
-        }
-        return std::string("{\"frozen\":false}");
-      });
+  std::vector<std::string> seen;
+  obs::AdminRegistry admin;
+  admin.AddWithArg("control",
+                   [&seen](std::string_view arg) -> Result<std::string> {
+                     seen.emplace_back(arg);
+                     if (arg == "set-bounds 64 16") {
+                       return InvalidArgumentError("no feasible block size");
+                     }
+                     return std::string("{\"frozen\":false}");
+                   });
+  StorageServer server(&disk, nullptr, nullptr, nullptr, nullptr, nullptr,
+                       nullptr, &admin);
+  DirectTransport link(&server);
 
-  Result<Bytes> status = DecodeResponse(server.Handle(EncodeRequest(request)));
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(std::string(status->begin(), status->end()),
-            "{\"frozen\":false}");
+  Result<std::string> status = FetchAdmin(link, "control");
+  ASSERT_TRUE(status.ok()) << status.status();
+  EXPECT_EQ(*status, "{\"frozen\":false}");
+  ASSERT_TRUE(FetchAdmin(link, "control", "set-bounds 16 64").ok());
 
-  ControlRequest bounds;
-  bounds.verb = ControlVerb::kSetBounds;
-  bounds.k_min = 16;
-  bounds.k_max = 64;
-  request.payload = EncodeControlRequest(bounds);
-  ASSERT_TRUE(DecodeResponse(server.Handle(EncodeRequest(request))).ok());
-
-  // A provider rejection surfaces as the wire error, verbatim.
-  bounds.k_min = 64;
-  bounds.k_max = 16;
-  request.payload = EncodeControlRequest(bounds);
-  Result<Bytes> rejected =
-      DecodeResponse(server.Handle(EncodeRequest(request)));
+  // A handler rejection surfaces as the wire error, verbatim.
+  Result<std::string> rejected =
+      FetchAdmin(link, "control", "set-bounds 64 16");
   EXPECT_FALSE(rejected.ok());
   EXPECT_NE(rejected.status().message().find("no feasible block size"),
             std::string::npos);
 
-  // A malformed payload is rejected before the provider ever runs.
+  // A malformed payload is rejected before the handler ever runs.
+  Request request;
+  request.op = Op::kAdmin;
   request.payload = Bytes{1, 2, 3};
   EXPECT_FALSE(DecodeResponse(server.Handle(EncodeRequest(request))).ok());
 
   ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0].verb, ControlVerb::kStatus);
-  EXPECT_EQ(seen[1].verb, ControlVerb::kSetBounds);
-  EXPECT_EQ(seen[1].k_min, 16u);
-  EXPECT_EQ(seen[1].k_max, 64u);
-  EXPECT_EQ(seen[2].verb, ControlVerb::kSetBounds);
+  EXPECT_EQ(seen[0], "");
+  EXPECT_EQ(seen[1], "set-bounds 16 64");
+  EXPECT_EQ(seen[2], "set-bounds 64 16");
 }
 
 TEST(RemoteDiskTest, GeometryAndBasicIo) {

@@ -121,7 +121,7 @@ TEST(ProfilerTest, OverDeepPushesCountAsDroppedFramesAndExport) {
     profiler.Pop();
   }
   // Exactly the frames beyond the stack bound were dropped, and the
-  // loss is visible on the metrics surface without a PROFILE_DUMP.
+  // loss is visible on the metrics surface without a profile dump.
   EXPECT_EQ(profiler.frames_dropped(), 4u);
   double exported = -1;
   for (const SnapshotGauge& gauge : registry.Snapshot().gauges) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "net/tcp_transport.h"
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
+#include "obs/admin.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "storage/disk.h"
@@ -30,7 +32,10 @@ struct Rig {
   std::unique_ptr<ServiceHub> hub;
   Bytes psk = Bytes(32, 0x66);
 
-  static Rig Make(uint64_t seed, obs::MetricsRegistry* metrics = nullptr) {
+  /// With `admin` (which must outlive the rig), the hub serves
+  /// `metrics` as its "stats" document.
+  static Rig Make(uint64_t seed, obs::MetricsRegistry* metrics = nullptr,
+                  obs::AdminRegistry* admin = nullptr) {
     core::CApproxPir::Options options;
     options.num_pages = 40;
     options.page_size = kPageSize;
@@ -57,8 +62,14 @@ struct Rig {
       rig.cpu->AttachMetrics(metrics);
       rig.engine->EnableMetrics(metrics);
     }
+    if (admin != nullptr) {
+      obs::AdminSources sources;
+      sources.metrics = metrics;
+      obs::RegisterStandardDocuments(sources, admin);
+    }
     rig.hub = std::make_unique<ServiceHub>(rig.engine.get(), rig.psk,
-                                           seed + 1, metrics);
+                                           seed + 1, metrics,
+                                           /*tracer=*/nullptr, admin);
     return rig;
   }
 };
@@ -215,12 +226,13 @@ TEST(ServiceHubTest, RehandshakeReplacesSession) {
 
 TEST(ServiceHubTest, StatsOpReturnsParseableSnapshot) {
   obs::MetricsRegistry metrics;
-  Rig rig = Rig::Make(30, &metrics);
+  obs::AdminRegistry admin;
+  Rig rig = Rig::Make(30, &metrics, &admin);
   PirServiceClient client = MakeClient(rig, 44, 31);
   for (uint64_t id = 0; id < 5; ++id) {
     ASSERT_TRUE(client.Retrieve(id).ok());
   }
-  Result<Bytes> payload = client.Stats();
+  Result<std::string> payload = client.Admin("stats");
   ASSERT_TRUE(payload.ok()) << payload.status();
   Result<obs::MetricsSnapshot> snapshot = obs::ParseJsonSnapshot(
       std::string(payload->begin(), payload->end()));
@@ -254,9 +266,9 @@ TEST(ServiceHubTest, StatsOpReturnsParseableSnapshot) {
 }
 
 TEST(ServiceHubTest, StatsWithoutRegistryIsAnError) {
-  Rig rig = Rig::Make(33);  // No metrics registry attached.
+  Rig rig = Rig::Make(33);  // No admin registry attached.
   PirServiceClient client = MakeClient(rig, 9, 34);
-  EXPECT_FALSE(client.Stats().ok());
+  EXPECT_FALSE(client.Admin("stats").ok());
 }
 
 // Trust-boundary assertion (docs/OBSERVABILITY.md): everything that
@@ -265,11 +277,12 @@ TEST(ServiceHubTest, StatsWithoutRegistryIsAnError) {
 // in names or as high-cardinality name suffixes.
 TEST(ServiceHubTest, StatsPayloadStaysInsideTrustBoundary) {
   obs::MetricsRegistry metrics;
-  Rig rig = Rig::Make(40, &metrics);
+  obs::AdminRegistry admin;
+  Rig rig = Rig::Make(40, &metrics, &admin);
   PirServiceClient client = MakeClient(rig, 5, 41);
   ASSERT_TRUE(client.Retrieve(1).ok());
   ASSERT_TRUE(client.Modify(2, Bytes(4, 0xAA)).ok());
-  Result<Bytes> payload = client.Stats();
+  Result<std::string> payload = client.Admin("stats");
   ASSERT_TRUE(payload.ok()) << payload.status();
   Result<obs::MetricsSnapshot> snapshot = obs::ParseJsonSnapshot(
       std::string(payload->begin(), payload->end()));
@@ -309,45 +322,37 @@ TEST(ServiceHubTest, StatsPayloadStaysInsideTrustBoundary) {
 
 TEST(ServiceHubTest, ControlVerbsRideTheSealedSession) {
   Rig rig = Rig::Make(77);
-  std::vector<ControlRequest> seen;
-  rig.hub = std::make_unique<ServiceHub>(
-      rig.engine.get(), rig.psk, /*rng_seed=*/78, /*metrics=*/nullptr,
-      /*tracer=*/nullptr, /*profile_dump=*/nullptr, /*slo_status=*/nullptr,
-      /*keyword_manifest=*/nullptr, /*event_dump=*/nullptr,
-      /*incident_dump=*/nullptr, /*health=*/nullptr,
-      [&seen](const ControlRequest& request) -> Result<Bytes> {
-        seen.push_back(request);
-        const std::string json = request.verb == ControlVerb::kFreeze
-                                     ? "{\"frozen\":true}"
-                                     : "{\"frozen\":false}";
-        return Bytes(json.begin(), json.end());
-      });
+  std::vector<std::string> seen;
+  obs::AdminRegistry admin;
+  admin.AddWithArg("control",
+                   [&seen](std::string_view arg) -> Result<std::string> {
+                     seen.emplace_back(arg);
+                     return std::string(arg == "freeze"
+                                            ? "{\"frozen\":true}"
+                                            : "{\"frozen\":false}");
+                   });
+  rig.hub = std::make_unique<ServiceHub>(rig.engine.get(), rig.psk,
+                                         /*rng_seed=*/78, /*metrics=*/nullptr,
+                                         /*tracer=*/nullptr, &admin);
   PirServiceClient client = MakeClient(rig, 1, 900);
 
-  Result<Bytes> status = client.ControlStatus();
+  Result<std::string> status = client.Admin("control");
   ASSERT_TRUE(status.ok());
-  EXPECT_EQ(std::string(status->begin(), status->end()),
-            "{\"frozen\":false}");
-  Result<Bytes> frozen = client.ControlFreeze();
+  EXPECT_EQ(*status, "{\"frozen\":false}");
+  Result<std::string> frozen = client.Admin("control", "freeze");
   ASSERT_TRUE(frozen.ok());
-  EXPECT_EQ(std::string(frozen->begin(), frozen->end()),
-            "{\"frozen\":true}");
-  ASSERT_TRUE(client.ControlUnfreeze().ok());
-  ASSERT_TRUE(client.ControlSetBounds(32, 128).ok());
+  EXPECT_EQ(*frozen, "{\"frozen\":true}");
+  ASSERT_TRUE(client.Admin("control", "unfreeze").ok());
+  ASSERT_TRUE(client.Admin("control", "set-bounds 32 128").ok());
 
-  ASSERT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen[0].verb, ControlVerb::kStatus);
-  EXPECT_EQ(seen[1].verb, ControlVerb::kFreeze);
-  EXPECT_EQ(seen[2].verb, ControlVerb::kUnfreeze);
-  EXPECT_EQ(seen[3].verb, ControlVerb::kSetBounds);
-  EXPECT_EQ(seen[3].k_min, 32u);
-  EXPECT_EQ(seen[3].k_max, 128u);
+  EXPECT_EQ(seen, (std::vector<std::string>{"", "freeze", "unfreeze",
+                                            "set-bounds 32 128"}));
 }
 
 TEST(ServiceHubTest, ControlWithoutControllerIsAnError) {
   Rig rig = Rig::Make(79);
   PirServiceClient client = MakeClient(rig, 1, 901);
-  Result<Bytes> status = client.ControlStatus();
+  Result<std::string> status = client.Admin("control");
   EXPECT_FALSE(status.ok());
 }
 

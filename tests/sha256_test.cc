@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "common/bytes.h"
@@ -21,6 +22,11 @@ struct ShaVector {
   std::string input;
   std::string digest_hex;
 };
+
+// gtest prints an unprintable parameter as its raw bytes, which hold heap
+// and image addresses; that text becomes part of the discovered ctest name,
+// so the name would change with every build. Print the vector's name.
+void PrintTo(const ShaVector& v, std::ostream* os) { *os << v.name; }
 
 class Sha256KnownAnswerTest : public ::testing::TestWithParam<ShaVector> {};
 

@@ -1,18 +1,20 @@
 // End-to-end integration of the deployment CLIs: launches the real
 // shpir_provider binary, drives it with the real shpir_owner binary
 // (two-party) or an in-process PirServiceClient (three-party hub), and
-// checks data survives restarts and that the observability CLIs
-// (shpir_stats, shpir_trace, shpir_profile, shpir_benchdiff) speak the
-// wire protocols end to end.
+// checks data survives restarts and that the admin CLI (shpir_stats)
+// and shpir_benchdiff work end to end.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "crypto/secure_random.h"
 #include "net/pir_service.h"
@@ -64,40 +66,57 @@ bool ParseGeometry(const std::string& output, uint64_t* slots,
 class ToolsIntegrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    disk_ = ::testing::TempDir() + "/shpir_tools_disk.bin";
-    state_ = ::testing::TempDir() + "/shpir_tools.state";
-    std::remove(disk_.c_str());
-    std::remove(state_.c_str());
-    port_ = 19800 + (::getpid() % 150);
+    // Per-test-case directory, and providers on ephemeral ports: ctest
+    // runs each case as its own process, concurrently, so nothing may
+    // be shared between cases.
+    dir_ = ::testing::TempDir() + "/shpir_tools_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    RunShell("rm -rf " + dir_ + " && mkdir -p " + dir_);
+    disk_ = dir_ + "/disk.bin";
+    state_ = dir_ + "/owner.state";
   }
 
   void TearDown() override {
     StopProvider();
-    std::remove(disk_.c_str());
-    std::remove(state_.c_str());
+    RunShell("rm -rf " + dir_);
   }
 
-  void StartProvider(uint64_t slots, uint64_t slot_size,
-                     const std::string& extra_args = "") {
-    const std::string command =
-        BinDir() + "/shpir_provider " + disk_ + " " +
-        std::to_string(slots) + " " + std::to_string(slot_size) + " " +
-        std::to_string(port_) + " " + extra_args +
-        " > /dev/null 2>&1 & echo $!";
-    const CommandResult result = RunShell(command);
-    provider_pid_ = std::stoi(result.output);
-    // Give it a moment to bind.
-    RunShell("sleep 0.3");
+  /// Runs `shpir_provider ARGS` in the background on port 0 and waits,
+  /// for at most 10 s, for its "serving on 127.0.0.1:PORT" line.
+  ::testing::AssertionResult Launch(const std::string& args) {
+    const std::string out = dir_ + "/provider.out";
+    const CommandResult launched =
+        RunShell(BinDir() + "/shpir_provider " + args + " > " + out +
+                 " 2>&1 & echo $!");
+    provider_pid_ = std::stoi(launched.output);
+    const std::string marker = "serving on 127.0.0.1:";
+    std::string text;
+    for (int attempt = 0; attempt < 200; ++attempt) {
+      std::ifstream in(out);
+      text.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+      const size_t at = text.find(marker);
+      if (at != std::string::npos && text.find('\n', at) != std::string::npos) {
+        port_ = static_cast<uint16_t>(
+            std::stoul(text.substr(at + marker.size())));
+        return ::testing::AssertionSuccess();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return ::testing::AssertionFailure()
+           << "provider never reported its port; output: " << text;
   }
 
-  void StartHub(const std::string& extra_args = "") {
-    const std::string command =
-        BinDir() + "/shpir_provider hub --pages 64 --page-size 128 "
-        "--cache 8 --port " + std::to_string(port_) +
-        " --psk testpsk " + extra_args + " > /dev/null 2>&1 & echo $!";
-    const CommandResult result = RunShell(command);
-    provider_pid_ = std::stoi(result.output);
-    RunShell("sleep 0.5");
+  ::testing::AssertionResult StartProvider(uint64_t slots,
+                                           uint64_t slot_size,
+                                           const std::string& extra_args = "") {
+    return Launch(disk_ + " " + std::to_string(slots) + " " +
+                  std::to_string(slot_size) + " " + extra_args);
+  }
+
+  ::testing::AssertionResult StartHub(const std::string& extra_args = "") {
+    return Launch("hub --pages 64 --page-size 128 --cache 8 --psk testpsk " +
+                  extra_args);
   }
 
   /// Three-party client: handshakes with the live hub binary and
@@ -135,22 +154,62 @@ class ToolsIntegrationTest : public ::testing::Test {
   }
 
   void StopProvider() {
-    if (provider_pid_ > 0) {
-      RunShell("kill " + std::to_string(provider_pid_) + " 2>/dev/null");
-      provider_pid_ = 0;
-      RunShell("sleep 0.1");
+    if (provider_pid_ <= 0) {
+      return;
+    }
+    const std::string pid = std::to_string(provider_pid_);
+    RunShell("kill " + pid + " 2>/dev/null");
+    provider_pid_ = 0;
+    // Bounded wait for the process to go (it is not our child, so it
+    // cannot be waited for).
+    for (int attempt = 0; attempt < 40; ++attempt) {
+      if (RunShell("kill -0 " + pid + " 2>/dev/null").exit_code != 0) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
     }
   }
 
   CommandResult Owner(const std::string& args) {
     return RunShell(BinDir() + "/shpir_owner " + args + " --port " +
-               std::to_string(port_) + " --state " + state_ +
-               " --passphrase testpass");
+                    std::to_string(port_) + " --state " + state_ +
+                    " --passphrase testpass");
   }
 
+  /// Runs shpir_stats against the running provider; `args` starts with
+  /// `hub` for the three-party model.
+  CommandResult Stats(const std::string& args) {
+    return RunShell(BinDir() + "/shpir_stats " + args + " --port " +
+                    std::to_string(port_));
+  }
+
+  /// Runs shpir_stats, expects success and `needle` in the output, and
+  /// returns the output.
+  std::string Document(const std::string& args, const std::string& needle) {
+    const CommandResult result = Stats(args);
+    EXPECT_EQ(result.exit_code, 0) << args << ": " << result.output;
+    EXPECT_NE(result.output.find(needle), std::string::npos)
+        << args << ": " << result.output;
+    return result.output;
+  }
+
+  /// The owner's geometry for `pages` x 128B pages, cache 8, c=2: init
+  /// prints the numbers even when no provider runs.
+  ::testing::AssertionResult Geometry(uint64_t pages, uint64_t* slots,
+                                      uint64_t* slot_size) {
+    const CommandResult probe = Owner("init --pages " +
+                                      std::to_string(pages) +
+                                      " --page-size 128 --cache 8");
+    if (!ParseGeometry(probe.output, slots, slot_size)) {
+      return ::testing::AssertionFailure() << probe.output;
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  std::string dir_;
   std::string disk_;
   std::string state_;
-  uint16_t port_;
+  uint16_t port_ = 0;
   int provider_pid_ = 0;
 };
 
@@ -163,7 +222,7 @@ TEST_F(ToolsIntegrationTest, FullLifecycle) {
   ASSERT_TRUE(ParseGeometry(probe.output, &slots, &slot_size))
       << probe.output;
 
-  StartProvider(slots, slot_size);
+  ASSERT_TRUE(StartProvider(slots, slot_size));
   const CommandResult init =
       Owner("init --pages 200 --page-size 256 --cache 16");
   ASSERT_EQ(init.exit_code, 0) << init.output;
@@ -193,7 +252,7 @@ TEST_F(ToolsIntegrationTest, FullLifecycle) {
   // Restart the provider: the file-backed disk plus sealed state must
   // carry everything across.
   StopProvider();
-  StartProvider(slots, slot_size);
+  ASSERT_TRUE(StartProvider(slots, slot_size));
   CommandResult after = Owner("get --id 42");
   ASSERT_EQ(after.exit_code, 0) << after.output;
   EXPECT_NE(after.output.find("secret-report"), std::string::npos);
@@ -202,118 +261,122 @@ TEST_F(ToolsIntegrationTest, FullLifecycle) {
 }
 
 TEST_F(ToolsIntegrationTest, WrongPassphraseRejected) {
-  const CommandResult probe =
-      Owner("init --pages 50 --page-size 128 --cache 8");
   uint64_t slots = 0, slot_size = 0;
-  ASSERT_TRUE(ParseGeometry(probe.output, &slots, &slot_size))
-      << probe.output;
-  StartProvider(slots, slot_size);
+  ASSERT_TRUE(Geometry(50, &slots, &slot_size));
+  ASSERT_TRUE(StartProvider(slots, slot_size));
   ASSERT_EQ(Owner("init --pages 50 --page-size 128 --cache 8").exit_code,
             0);
   ASSERT_EQ(Owner("put --id 1 --data x").exit_code, 0);
   // Same state file, wrong passphrase.
   const CommandResult wrong =
       RunShell(BinDir() + "/shpir_owner get --id 1 --port " +
-          std::to_string(port_) + " --state " + state_ +
-          " --passphrase wrongpass");
+               std::to_string(port_) + " --state " + state_ +
+               " --passphrase wrongpass");
   EXPECT_NE(wrong.exit_code, 0);
   EXPECT_NE(wrong.output.find("MAC"), std::string::npos) << wrong.output;
 }
 
 TEST_F(ToolsIntegrationTest, StatsCliPollsRunningProvider) {
-  const CommandResult probe =
-      Owner("init --pages 50 --page-size 128 --cache 8");
   uint64_t slots = 0, slot_size = 0;
-  ASSERT_TRUE(ParseGeometry(probe.output, &slots, &slot_size))
-      << probe.output;
-  StartProvider(slots, slot_size);
+  ASSERT_TRUE(Geometry(50, &slots, &slot_size));
+  ASSERT_TRUE(StartProvider(slots, slot_size));
   ASSERT_EQ(Owner("init --pages 50 --page-size 128 --cache 8").exit_code,
             0);
   ASSERT_EQ(Owner("put --id 3 --data hello").exit_code, 0);
 
-  const std::string stats_cmd =
-      BinDir() + "/shpir_stats --port " + std::to_string(port_);
-  // Default table rendering: provider-side counters moved by the owner's
-  // traffic show up.
-  const CommandResult table = RunShell(stats_cmd);
-  ASSERT_EQ(table.exit_code, 0) << table.output;
-  EXPECT_NE(table.output.find("shpir_provider_requests_total"),
-            std::string::npos)
-      << table.output;
-  EXPECT_NE(table.output.find("shpir_disk_reads_total"), std::string::npos);
-  EXPECT_NE(table.output.find("shpir_tcp_frames_total"), std::string::npos);
-
-  // JSON mode emits the closed-schema wire payload.
-  const CommandResult json = RunShell(stats_cmd + " --json");
-  ASSERT_EQ(json.exit_code, 0) << json.output;
-  EXPECT_EQ(json.output.rfind("{\"counters\":[", 0), 0u) << json.output;
-
-  // Prometheus mode re-exports with type annotations.
-  const CommandResult prom = RunShell(stats_cmd + " --prometheus");
-  ASSERT_EQ(prom.exit_code, 0) << prom.output;
-  EXPECT_NE(prom.output.find("# TYPE shpir_provider_requests_total counter"),
-            std::string::npos)
-      << prom.output;
-
+  // Default table rendering, headed by the build identity: provider-side
+  // counters moved by the owner's traffic show up.
+  const std::string table = Document("", "shpir_provider_requests_total");
+  EXPECT_NE(table.find("build:"), std::string::npos);
+  EXPECT_NE(table.find("shpir_disk_reads_total"), std::string::npos);
+  EXPECT_NE(table.find("shpir_tcp_frames_total"), std::string::npos);
   // The provider's registry never carries per-request identifiers.
-  EXPECT_EQ(table.output.find("page_id"), std::string::npos);
-  EXPECT_EQ(table.output.find("request_index"), std::string::npos);
+  EXPECT_EQ(table.find("page_id"), std::string::npos);
+  EXPECT_EQ(table.find("request_index"), std::string::npos);
+
+  // JSON mode emits the closed-schema document; Prometheus mode
+  // re-exports it with type annotations.
+  EXPECT_EQ(Document("stats --json", "").rfind("{\"counters\":[", 0), 0u);
+  Document("--prometheus", "# TYPE shpir_provider_requests_total counter");
+
+  // --watch re-polls, separating successive tables.
+  const CommandResult watch = RunShell(
+      "timeout 2.5 " + BinDir() + "/shpir_stats --watch 1 --port " +
+      std::to_string(port_));
+  EXPECT_NE(watch.output.find("shpir_provider_requests_total"),
+            std::string::npos);
+  EXPECT_NE(watch.output.find("---\n"), std::string::npos) << watch.output;
+
+  // Bad usage: --prometheus renders only stats; flags are closed.
+  EXPECT_EQ(Stats("health --prometheus").exit_code, 2);
+  EXPECT_EQ(Stats("--no-such-flag").exit_code, 2);
 }
 
 TEST_F(ToolsIntegrationTest, ProfileAndSloCliAgainstStorageProvider) {
-  const CommandResult probe =
-      Owner("init --pages 50 --page-size 128 --cache 8");
   uint64_t slots = 0, slot_size = 0;
-  ASSERT_TRUE(ParseGeometry(probe.output, &slots, &slot_size))
-      << probe.output;
-  StartProvider(slots, slot_size, "--profile-sample 1 --slo-latency-ms 50");
+  ASSERT_TRUE(Geometry(50, &slots, &slot_size));
+  ASSERT_TRUE(StartProvider(slots, slot_size,
+                            "--profile-sample 1 --slo-latency-ms 50 "
+                            "--trace-buffer 256 --eventlog 64 "
+                            "--incidents 4"));
   ASSERT_EQ(Owner("init --pages 50 --page-size 128 --cache 8").exit_code,
             0);
   ASSERT_EQ(Owner("put --id 3 --data hello").exit_code, 0);
-  ASSERT_EQ(Owner("get --id 3").exit_code, 0);
+  // A traced read, so the provider's span buffer holds a trace.
+  ASSERT_EQ(Owner("get --id 3 --trace-sample 1").exit_code, 0);
 
-  // PROFILE_DUMP, JSON schema: sampling config plus a stack table fed
-  // by the owner's traffic.
-  const std::string profile_cmd =
-      BinDir() + "/shpir_profile --port " + std::to_string(port_);
-  const CommandResult json = RunShell(profile_cmd);
-  ASSERT_EQ(json.exit_code, 0) << json.output;
-  EXPECT_NE(json.output.find("\"sample_every\":1"), std::string::npos)
-      << json.output;
-  EXPECT_NE(json.output.find("provider_handle"), std::string::npos)
-      << json.output;
+  // profile: the JSON schema (sampling config plus a stack table fed by
+  // the owner's traffic) and the collapsed flame-graph text. Frame
+  // names come from a closed vocabulary, so no page id can appear.
+  const std::string json = Document("profile", "\"sample_every\":1");
+  EXPECT_NE(json.find("provider_handle"), std::string::npos) << json;
+  EXPECT_EQ(json.find("page_id"), std::string::npos);
+  Document("profile collapsed", "provider_handle;");
 
-  // PROFILE_DUMP, collapsed flame-graph text.
-  const CommandResult folded = RunShell(profile_cmd + " --format collapsed");
-  ASSERT_EQ(folded.exit_code, 0) << folded.output;
-  EXPECT_NE(folded.output.find("provider_handle;"), std::string::npos)
-      << folded.output;
+  // slo: taken before any failing request below, so every request so
+  // far succeeded: the budget is intact and nothing fires.
+  const std::string slo = Document("slo", "\"availability\":");
+  EXPECT_NE(slo.find("\"budget_remaining\":1"), std::string::npos) << slo;
+  EXPECT_NE(slo.find("\"alert_transitions\":0"), std::string::npos) << slo;
 
-  // Profiles are aggregate-only: frame names come from a closed
-  // vocabulary, so no page id or request index can appear.
-  EXPECT_EQ(json.output.find("page_id"), std::string::npos);
+  // trace: the provider's spans of the traced read; with a trace id,
+  // only that trace's.
+  const std::string trace = Document("trace", "provider_read");
+  const std::string key = "\"trace_id\":\"";
+  const size_t at = trace.find(key);
+  ASSERT_NE(at, std::string::npos) << trace;
+  const std::string trace_id = trace.substr(at + key.size(), 16);
+  const std::string one = Document("trace " + trace_id, key + trace_id);
+  for (size_t pos = one.find(key); pos != std::string::npos;
+       pos = one.find(key, pos + 1)) {
+    EXPECT_EQ(one.compare(pos + key.size(), 16, trace_id), 0) << one;
+  }
+  EXPECT_EQ(Stats("trace 0x" + trace_id).output, one);
+  EXPECT_NE(Stats("trace not-hex").exit_code, 0);
 
-  // SLO_STATUS via shpir_stats --slo: the owner's requests all
-  // succeeded, so the budget is intact and nothing fires.
-  const CommandResult slo = RunShell(
-      BinDir() + "/shpir_stats --port " + std::to_string(port_) + " --slo");
-  ASSERT_EQ(slo.exit_code, 0) << slo.output;
-  EXPECT_NE(slo.output.find("\"availability\":"), std::string::npos)
-      << slo.output;
-  EXPECT_NE(slo.output.find("\"budget_remaining\":1"), std::string::npos)
-      << slo.output;
-  EXPECT_NE(slo.output.find("\"alert_transitions\":0"), std::string::npos)
-      << slo.output;
+  Document("events", "provider_started");
+  Document("incidents", "\"sealed\":");
+  EXPECT_NE(Stats("incidents 99").exit_code, 0);
+  Document("health", "\"role\":\"storage\"");
+  EXPECT_NE(Stats("health now").exit_code, 0);
+
+  // The storage provider has no controller, and so no "control".
+  const CommandResult control = Stats("control");
+  EXPECT_NE(control.exit_code, 0);
+  EXPECT_NE(control.output.find("NOT_FOUND"), std::string::npos)
+      << control.output;
 }
 
 TEST_F(ToolsIntegrationTest, ObservabilityCliSuiteAgainstLiveHub) {
-  StartHub("--trace-buffer 256 --profile-sample 1 --slo-latency-ms 50");
+  ASSERT_TRUE(StartHub("--trace-buffer 256 --profile-sample 1 "
+                       "--slo-latency-ms 50 --eventlog 64 --incidents 4 "
+                       "--control-c-bound 4 --control-interval-ms 60000"));
 
   // Drive real queries through the sealed session so the hub's
   // profiler, tracer, and SLO tracker all see traffic. The listener
   // serves one connection at a time, so all in-process client work —
-  // including the sealed SLO_STATUS fetch — happens before the CLIs
-  // connect, and the transport is closed in between.
+  // including the sealed slo fetch — happens before the CLIs connect,
+  // and the transport is closed in between.
   std::string slo_json;
   {
     std::unique_ptr<net::TcpTransport> transport;
@@ -324,46 +387,42 @@ TEST_F(ToolsIntegrationTest, ObservabilityCliSuiteAgainstLiveHub) {
       Result<Bytes> page = (*client)->Retrieve(id);
       ASSERT_TRUE(page.ok()) << page.status().ToString();
     }
-    Result<Bytes> slo = (*client)->SloStatus();
+    Result<std::string> slo = (*client)->Admin("slo");
     ASSERT_TRUE(slo.ok()) << slo.status().ToString();
-    slo_json.assign(slo->begin(), slo->end());
+    slo_json = *slo;
   }
-
-  // SLO_STATUS through the sealed session: per-shard documents under
-  // the fleet rollup, all healthy.
+  // Per-shard documents under the fleet rollup, all healthy.
+  EXPECT_NE(slo_json.find("\"logical\":"), std::string::npos) << slo_json;
   EXPECT_NE(slo_json.find("\"availability\":"), std::string::npos)
       << slo_json;
   EXPECT_NE(slo_json.find("\"alert_transitions\":0"), std::string::npos)
       << slo_json;
 
-  // shpir_profile hub: authenticated PROFILE_DUMP through the
-  // handshake, both formats.
-  const std::string hub_args = " --port " + std::to_string(port_) +
-                               " --psk testpsk";
-  const CommandResult json =
-      RunShell(BinDir() + "/shpir_profile hub" + hub_args);
-  ASSERT_EQ(json.exit_code, 0) << json.output;
-  EXPECT_NE(json.output.find("\"stacks\":["), std::string::npos)
-      << json.output;
-  const CommandResult folded = RunShell(
-      BinDir() + "/shpir_profile hub" + hub_args + " --format collapsed");
-  ASSERT_EQ(folded.exit_code, 0) << folded.output;
-  EXPECT_NE(folded.output.find("engine_round"), std::string::npos)
-      << folded.output;
+  // shpir_stats hub: every document through the handshake.
+  const std::string hub = "hub --psk testpsk ";
+  Document(hub + "stats", "shpir_net_hellos_total");
+  Document(hub + "profile", "\"stacks\":[");
+  Document(hub + "profile collapsed", "engine_round");
+  Document(hub + "trace", "\"traceEvents\"");
+  Document(hub + "slo", "\"availability\":");
+  Document(hub + "events", "shard_runtime_started");
+  Document(hub + "incidents", "\"sealed\":");
+  Document(hub + "health", "\"ready\":true");
 
-  // shpir_trace hub: the span buffer renders as Chrome trace JSON.
-  const CommandResult trace =
-      RunShell(BinDir() + "/shpir_trace hub" + hub_args);
-  ASSERT_EQ(trace.exit_code, 0) << trace.output;
-  EXPECT_NE(trace.output.find("\"traceEvents\""), std::string::npos)
-      << trace.output;
+  // control: the per-shard table, then an operator verb that answers
+  // with the post-action state.
+  const std::string status = Document(hub + "control", "c_estimate");
+  EXPECT_NE(status.find("controller: frozen=false"), std::string::npos)
+      << status;
+  Document(hub + "control freeze", "controller: frozen=true");
+  EXPECT_EQ(Document(hub + "control --json", "").rfind("{\"frozen\":true", 0),
+            0u);
+  EXPECT_NE(Stats(hub + "control set-bounds 8").exit_code, 0);
 
-  // A wrong key cannot read profiles: the handshake fails before the
-  // op is ever decoded.
-  const CommandResult denied =
-      RunShell(BinDir() + "/shpir_profile hub --port " +
-               std::to_string(port_) + " --psk wrongpsk");
-  EXPECT_NE(denied.exit_code, 0);
+  // A wrong key cannot read or steer anything: the sealed record fails
+  // to authenticate before the document is ever looked up.
+  EXPECT_NE(Stats("hub --psk wrongpsk control unfreeze").exit_code, 0);
+  Document(hub + "control", "controller: frozen=true");
 }
 
 class BenchDiffTest : public ::testing::Test {

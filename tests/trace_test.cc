@@ -13,6 +13,7 @@
 #include "net/pir_service.h"
 #include "net/service_hub.h"
 #include "net/wire.h"
+#include "obs/admin.h"
 #include "obs/export.h"
 #include "shard/sharded_engine.h"
 
@@ -165,11 +166,21 @@ TEST(WireEnvelopeTest, RejectsUnknownEnvelopeFlags) {
 }
 
 TEST(WireEnvelopeTest, TraceDumpIsAKnownOp) {
+  // The trace dump is the "trace" document of the ADMIN op; a traced
+  // ADMIN request unwraps like any other.
   net::Request request;
-  request.op = net::Op::kTraceDump;
+  request.op = net::Op::kAdmin;
+  request.payload = net::EncodeAdminRequest("trace", "00000000000000ab");
+  request.trace.trace_id = 5;
+  request.trace.span_id = 6;
   Result<net::Request> back = net::DecodeRequest(net::EncodeRequest(request));
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->op, net::Op::kTraceDump);
+  EXPECT_EQ(back->op, net::Op::kAdmin);
+  EXPECT_EQ(back->trace.trace_id, 5u);
+  Result<net::AdminRequest> admin = net::DecodeAdminRequest(back->payload);
+  ASSERT_TRUE(admin.ok());
+  EXPECT_EQ(admin->name, "trace");
+  EXPECT_EQ(admin->arg, "00000000000000ab");
 }
 
 // --- Sampler --------------------------------------------------------------
@@ -288,7 +299,7 @@ TEST(TracerTest, PublishMetricsExportsRingDropCounter) {
     tracer.Record(span);
   }
   // Ring saturation is observable on the metrics surface without a
-  // TRACE_DUMP: 10 recorded into 4 slots leaves 6 overwritten.
+  // trace dump: 10 recorded into 4 slots leaves 6 overwritten.
   double recorded = -1;
   double dropped = -1;
   for (const SnapshotGauge& gauge : registry.Snapshot().gauges) {
@@ -381,6 +392,7 @@ TEST(JsonEscapeTest, SnapshotRoundTripsEscapedNames) {
 
 struct HubRig {
   std::unique_ptr<shard::ShardedPirEngine> engine;
+  std::unique_ptr<AdminRegistry> admin;
   std::unique_ptr<net::ServiceHub> hub;
   Bytes psk;
 
@@ -400,9 +412,13 @@ struct HubRig {
     SHPIR_CHECK_OK(rig.engine->Initialize({}));
     rig.engine->EnableTracing(tracer);
     rig.psk = Bytes{'t', 'e', 's', 't'};
+    AdminSources sources;
+    sources.tracer = tracer;
+    rig.admin = std::make_unique<AdminRegistry>();
+    RegisterStandardDocuments(sources, rig.admin.get());
     rig.hub = std::make_unique<net::ServiceHub>(rig.engine.get(), rig.psk,
                                                 /*rng_seed=*/3, nullptr,
-                                                tracer);
+                                                tracer, rig.admin.get());
     return rig;
   }
 
@@ -522,9 +538,9 @@ TEST(EndToEndTraceTest, TraceDumpReturnsChromeJsonThroughTheService) {
   net::PirServiceClient client = rig.MakeClient(7, &tracer);
   ASSERT_TRUE(client.Retrieve(3).ok());
   rig.engine->WaitIdle();
-  Result<Bytes> dump = client.TraceDump();
+  Result<std::string> dump = client.Admin("trace");
   ASSERT_TRUE(dump.ok()) << dump.status();
-  const std::string json(dump->begin(), dump->end());
+  const std::string& json = *dump;
   EXPECT_NE(json.find("traceEvents"), std::string::npos);
   EXPECT_NE(json.find("shard_query"), std::string::npos);
   EXPECT_NE(json.find("client_query"), std::string::npos);

@@ -17,11 +17,11 @@
 //               --trace-sample N (head-sample 1-in-N commands; 0 = off)
 //               --trace-out FILE (dump the owner-side spans as Chrome
 //                 trace JSON after the command; provider-side spans are
-//                 fetched separately with shpir_trace)
+//                 fetched separately with `shpir_stats trace`)
 //               --profile-sample N (profile 1-in-N engine rounds; 0 =
 //                 off) and --profile-out FILE (write the owner-side
 //                 collapsed flame-graph profile after the command;
-//                 provider-side profiles come from shpir_profile)
+//                 provider-side profiles come from `shpir_stats profile`)
 //
 // Example session:
 //   slots=$(...)                         # printed by `init`

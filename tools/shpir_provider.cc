@@ -3,13 +3,9 @@
 // only ever sees sealed pages.
 //
 //   shpir_provider <disk-file> <slots> <slot-size> [port]
-//                  [--trace-buffer SPANS]
 //
-// Creates the disk file if it does not exist. Prints the bound port and
-// serves until killed. --trace-buffer enables distributed tracing with
-// a bounded span buffer: requests arriving in a sampled TRACED envelope
-// (an owner run with --trace-sample) record provider-side spans,
-// retrievable with shpir_trace via the TRACE_DUMP op.
+// Creates the disk file if it does not exist. Prints the bound port
+// (port 0, the default, picks a free one) and serves until killed.
 //
 // Hub mode instead runs the full three-party service in-process over
 // the sharded serving runtime (src/shard/): S independent c-approximate
@@ -21,37 +17,38 @@
 //   shpir_provider hub --pages N [--page-size B] [--cache M] [--c C]
 //                      [--shards S] [--queue-depth D] [--deadline-ms T]
 //                      [--port P] [--psk STR] [--seed X]
-//                      [--trace-buffer SPANS] [--profile-sample N]
-//                      [--slo-latency-ms T]
 //
 // --cache is the per-shard (per-device) cache m; see docs/SHARDING.md.
-// --trace-buffer enables tracing across the hub and every shard; fetch
-// dumps with `shpir_trace hub` (authenticated TRACE_DUMP op).
 //
-// Both modes accept --profile-sample N (continuous profiling, 1-in-N
-// head sampling; fetch with shpir_profile / the PROFILE_DUMP op) and
-// --slo-latency-ms T (SLO tracking with latency threshold T; fetch with
-// `shpir_stats --slo 1` / the SLO_STATUS op). Profiles and SLO state
-// are aggregate and target-independent by construction (see
-// docs/OBSERVABILITY.md).
-//
-// Both modes also accept --eventlog N (structured event log with an
-// N-event ring; fetch with the EVENT_DUMP op) and --incidents K
-// (flight recorder keeping the last K incident bundles; fetch with
-// shpir_incident / the INCIDENT_DUMP op; bundles also spill to
-// $SHPIR_INCIDENT_DIR when set). The HEALTH op is always answered.
+// Both modes serve their admin documents through the ADMIN op; read
+// them with shpir_stats (`shpir_stats [hub] DOC`). "stats" and "health"
+// are always served. The other documents need a flag:
+//   --trace-buffer SPANS  "trace": a bounded buffer of the spans of
+//                         requests that arrive traced (an owner or
+//                         client run with --trace-sample)
+//   --profile-sample N    "profile": continuous profiling, 1-in-N head
+//                         sampling
+//   --slo-latency-ms T    "slo": SLO tracking with latency threshold T
+//   --eventlog N          "events": structured event log, N-event ring
+//   --incidents K         "incidents": flight recorder keeping the last
+//                         K bundles (also spilled to $SHPIR_INCIDENT_DIR
+//                         when set)
+// Every document is aggregate and target-independent by construction
+// (see docs/OBSERVABILITY.md).
 //
 // Hub mode additionally accepts --control-c-bound C: runs the
 // privacy/cost controller (src/control/), which retunes each shard's
 // block size k online between [--control-kmin, --control-kmax] to hold
 // latency while keeping Eq. 5 c below C. --control-interval-ms sets the
 // tick period (default 1000); --control-frozen 1 starts it frozen
-// (observe only). Inspect and steer with shpir_ctl / `shpir_stats
-// --control` (CONTROL_STATUS op).
+// (observe only). Inspect and steer it through the "control" document
+// (`shpir_stats hub control [freeze|unfreeze|set-bounds KMIN KMAX]`),
+// which only the hub's authenticated session serves.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -61,6 +58,7 @@
 #include "net/service_hub.h"
 #include "net/storage_server.h"
 #include "net/tcp_transport.h"
+#include "obs/admin.h"
 #include "obs/build_info.h"
 #include "obs/eventlog.h"
 #include "obs/flight_recorder.h"
@@ -76,52 +74,131 @@ namespace {
 
 using namespace shpir;
 
-struct Flags {
-  std::map<std::string, std::string> values;
+/// The command line: `--key value` flags and the positional arguments
+/// between them.
+struct Args {
+  std::vector<std::string> positional;
+  std::map<std::string, std::string> flags;
 
   std::string Get(const std::string& key,
                   const std::string& fallback = "") const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
+    auto it = flags.find(key);
+    return it == flags.end() ? fallback : it->second;
   }
   uint64_t GetU64(const std::string& key, uint64_t fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback
-                              : std::strtoull(it->second.c_str(), nullptr,
-                                              10);
+    auto it = flags.find(key);
+    return it == flags.end() ? fallback
+                             : std::strtoull(it->second.c_str(), nullptr,
+                                             10);
   }
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback
-                              : std::strtod(it->second.c_str(), nullptr);
+    auto it = flags.find(key);
+    return it == flags.end() ? fallback
+                             : std::strtod(it->second.c_str(), nullptr);
   }
 };
 
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i + 1 < argc; i += 2) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) == 0) {
-      flags.values[arg + 2] = argv[i + 1];
+Args ParseArgs(int argc, char** argv, int first) {
+  Args args;
+  for (int i = first; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) == 0 && i + 1 < argc) {
+      args.flags[argv[i] + 2] = argv[i + 1];
+      ++i;
+    } else {
+      args.positional.emplace_back(argv[i]);
     }
   }
-  return flags;
+  return args;
 }
 
-int ServeHub(int argc, char** argv) {
-  const Flags flags = ParseFlags(argc, argv, 2);
+int Fail(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return 1;
+}
+
+/// The observability objects both modes build from the same flags, and
+/// the registry that serves their documents.
+struct Observability {
+  std::unique_ptr<obs::Tracer> tracer;
+  std::unique_ptr<obs::Profiler> profiler;
+  std::unique_ptr<obs::EventLog> eventlog;
+  std::unique_ptr<obs::FlightRecorder> recorder;
+  obs::AdminRegistry admin;
+
+  /// Registers the standard documents over these objects; `slo` (null
+  /// when SLO tracking is off) and `health` render the mode's own.
+  void RegisterDocuments(obs::MetricsRegistry* metrics,
+                         std::function<std::string()> slo,
+                         std::function<std::string()> health) {
+    obs::AdminSources sources;
+    sources.metrics = metrics;
+    sources.tracer = tracer.get();
+    sources.profiler = profiler.get();
+    sources.slo = std::move(slo);
+    sources.eventlog = eventlog.get();
+    sources.recorder = recorder.get();
+    sources.health = std::move(health);
+    obs::RegisterStandardDocuments(sources, &admin);
+  }
+};
+
+/// Builds what --trace-buffer, --profile-sample, --eventlog and
+/// --incidents ask for, publishing each one's metrics on `metrics`. The
+/// flight recorder captures whichever of the others exist.
+Observability WireObservability(const Args& args,
+                                obs::MetricsRegistry* metrics) {
+  Observability o;
+  // Sampling is decided by clients (head sampling at the root span);
+  // the server-side tracer only buffers spans for propagated contexts.
+  if (const uint64_t spans = args.GetU64("trace-buffer", 0); spans > 0) {
+    obs::Tracer::Options options;
+    options.buffer_capacity = spans;
+    o.tracer = std::make_unique<obs::Tracer>(options);
+  }
+  if (const uint64_t every = args.GetU64("profile-sample", 0); every > 0) {
+    obs::Profiler::Options options;
+    options.sample_every = every;
+    o.profiler = std::make_unique<obs::Profiler>(options);
+    o.profiler->PublishMetrics(metrics);
+  }
+  if (const uint64_t events = args.GetU64("eventlog", 0); events > 0) {
+    obs::EventLog::Options options;
+    options.capacity = events;
+    o.eventlog = std::make_unique<obs::EventLog>(options);
+    o.eventlog->PublishMetrics(metrics);
+  }
+  if (const uint64_t incidents = args.GetU64("incidents", 0); incidents > 0) {
+    obs::FlightRecorder::Options options;
+    options.max_incidents = incidents;
+    o.recorder = std::make_unique<obs::FlightRecorder>(options);
+    o.recorder->AttachEventLog(o.eventlog.get());
+    o.recorder->AttachTracer(o.tracer.get());
+    o.recorder->AttachMetrics(metrics);
+    o.recorder->AttachProfiler(o.profiler.get());
+    o.recorder->PublishMetrics(metrics);
+  }
+  return o;
+}
+
+obs::SloTracker::Objectives SloObjectives(uint64_t latency_ms) {
+  obs::SloTracker::Objectives objectives;
+  objectives.latency_threshold_ns = latency_ms * 1'000'000;
+  return objectives;
+}
+
+int ServeHub(const Args& args) {
   shard::ShardedPirEngine::Options options;
-  options.num_pages = flags.GetU64("pages", 0);
-  options.page_size = flags.GetU64("page-size", 1024);
-  options.cache_pages = flags.GetU64("cache", 64);
-  options.privacy_c = flags.GetDouble("c", 2.0);
-  options.shards = flags.GetU64("shards", 1);
-  options.queue_depth = flags.GetU64("queue-depth", 64);
-  const uint64_t deadline_ms = flags.GetU64("deadline-ms", 0);
+  options.num_pages = args.GetU64("pages", 0);
+  options.page_size = args.GetU64("page-size", 1024);
+  options.cache_pages = args.GetU64("cache", 64);
+  options.privacy_c = args.GetDouble("c", 2.0);
+  options.shards = args.GetU64("shards", 1);
+  options.queue_depth = args.GetU64("queue-depth", 64);
+  const uint64_t deadline_ms = args.GetU64("deadline-ms", 0);
   if (deadline_ms > 0) {
     options.deadline = std::chrono::milliseconds(deadline_ms);
   }
-  const uint64_t seed = flags.GetU64("seed", 0);
+  const uint64_t seed = args.GetU64("seed", 0);
   if (seed != 0) {
     options.seed = seed;
   }
@@ -129,184 +206,84 @@ int ServeHub(int argc, char** argv) {
     std::fprintf(stderr, "error: hub mode requires --pages\n");
     return 2;
   }
-  const uint16_t port =
-      static_cast<uint16_t>(flags.GetU64("port", 0));
-  const std::string psk_text = flags.Get("psk", "shpir");
+  const uint16_t port = static_cast<uint16_t>(args.GetU64("port", 0));
+  const std::string psk_text = args.Get("psk", "shpir");
   Bytes psk(psk_text.begin(), psk_text.end());
 
-  Result<std::unique_ptr<shard::ShardedPirEngine>> engine =
+  Result<std::unique_ptr<shard::ShardedPirEngine>> created =
       shard::ShardedPirEngine::Create(options);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 engine.status().ToString().c_str());
-    return 1;
+  if (!created.ok()) {
+    return Fail(created.status());
   }
-  Status loaded = (*engine)->Initialize({});
+  shard::ShardedPirEngine* engine = created->get();
+  const Status loaded = engine->Initialize({});
   if (!loaded.ok()) {
-    std::fprintf(stderr, "error: %s\n", loaded.ToString().c_str());
-    return 1;
+    return Fail(loaded);
   }
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   obs::PublishBuildInfo(&metrics);
-  (*engine)->EnableMetrics(&metrics);
+  engine->EnableMetrics(&metrics);
 
-  // Sampling is decided by clients (head sampling at the root span);
-  // the hub-side tracer only buffers spans for propagated contexts.
-  std::unique_ptr<obs::Tracer> tracer;
-  const uint64_t trace_buffer = flags.GetU64("trace-buffer", 0);
-  if (trace_buffer > 0) {
-    obs::Tracer::Options trace_options;
-    trace_options.buffer_capacity = trace_buffer;
-    tracer = std::make_unique<obs::Tracer>(trace_options);
-    (*engine)->EnableTracing(tracer.get());
+  Observability o = WireObservability(args, &metrics);
+  if (o.tracer != nullptr) {
+    engine->EnableTracing(o.tracer.get());
   }
-
-  std::unique_ptr<obs::Profiler> profiler;
-  net::PirServiceServer::ProfileProvider profile_dump;
-  const uint64_t profile_sample = flags.GetU64("profile-sample", 0);
-  if (profile_sample > 0) {
-    obs::Profiler::Options profile_options;
-    profile_options.sample_every = profile_sample;
-    profiler = std::make_unique<obs::Profiler>(profile_options);
-    profiler->PublishMetrics(&metrics);
-    (*engine)->EnableProfiling(profiler.get());
-    obs::Profiler* p = profiler.get();
-    profile_dump = [p](bool folded) {
-      const std::string body = folded ? p->ToCollapsed() : p->ToJson();
-      return Bytes(body.begin(), body.end());
-    };
+  if (o.profiler != nullptr) {
+    engine->EnableProfiling(o.profiler.get());
   }
-
-  net::PirServiceServer::SloProvider slo_status;
-  const uint64_t slo_latency_ms = flags.GetU64("slo-latency-ms", 0);
-  if (slo_latency_ms > 0) {
-    obs::SloTracker::Objectives objectives;
-    objectives.latency_threshold_ns = slo_latency_ms * 1'000'000;
-    (*engine)->EnableSlo(objectives, &metrics);
-    shard::ShardedPirEngine* e = engine->get();
-    slo_status = [e] {
-      const std::string body = e->SloStatusJson();
-      return Bytes(body.begin(), body.end());
-    };
+  std::function<std::string()> slo;
+  if (const uint64_t ms = args.GetU64("slo-latency-ms", 0); ms > 0) {
+    engine->EnableSlo(SloObjectives(ms), &metrics);
+    slo = [engine] { return engine->SloStatusJson(); };
   }
-
-  std::unique_ptr<obs::EventLog> eventlog;
-  net::PirServiceServer::EventProvider event_dump;
-  const uint64_t eventlog_capacity = flags.GetU64("eventlog", 0);
-  if (eventlog_capacity > 0) {
-    obs::EventLog::Options elopts;
-    elopts.capacity = eventlog_capacity;
-    eventlog = std::make_unique<obs::EventLog>(elopts);
-    eventlog->PublishMetrics(&metrics);
-    (*engine)->EnableEventLog(eventlog.get());
-    event_dump = [log = eventlog.get()] {
-      const std::string body = obs::EventLogJson(*log);
-      return Bytes(body.begin(), body.end());
-    };
+  if (o.eventlog != nullptr) {
+    engine->EnableEventLog(o.eventlog.get());
   }
-
-  std::unique_ptr<obs::FlightRecorder> recorder;
-  net::PirServiceServer::IncidentProvider incident_dump;
-  const uint64_t incidents = flags.GetU64("incidents", 0);
-  if (incidents > 0) {
-    obs::FlightRecorder::Options fropts;
-    fropts.max_incidents = incidents;
-    recorder = std::make_unique<obs::FlightRecorder>(fropts);
-    recorder->AttachEventLog(eventlog.get());
-    recorder->AttachTracer(tracer.get());
-    recorder->AttachMetrics(&metrics);
-    recorder->AttachProfiler(profiler.get());
-    recorder->PublishMetrics(&metrics);
+  if (o.recorder != nullptr) {
     // Registers the runtime's triggers (privacy breach, SLO burn,
     // dispatcher overload) and the config fingerprint. Must follow
     // EnableSlo so the SLO trigger sees the logical tracker.
-    (*engine)->EnableFlightRecorder(recorder.get());
-    incident_dump = [r = recorder.get()](bool show,
-                                         uint64_t id) -> Result<Bytes> {
-      r->Poll();
-      if (show) {
-        const std::string body = r->ShowJson(id);
-        if (body.empty()) {
-          return NotFoundError("no such incident in the store");
-        }
-        return Bytes(body.begin(), body.end());
-      }
-      const std::string body = r->ListJson();
-      return Bytes(body.begin(), body.end());
-    };
+    engine->EnableFlightRecorder(o.recorder.get());
   }
+  o.RegisterDocuments(&metrics, std::move(slo),
+                      [engine] { return engine->HealthJson(); });
 
-  net::PirServiceServer::HealthProvider health = [e = engine->get()] {
-    const std::string body = e->HealthJson();
-    return Bytes(body.begin(), body.end());
-  };
-
-  control::ShardedEnginePlant plant(engine->get());
+  control::ShardedEnginePlant plant(engine);
   std::unique_ptr<control::PrivacyCostController> controller;
-  net::PirServiceServer::ControlProvider control_provider;
-  const double control_c_bound = flags.GetDouble("control-c-bound", 0.0);
+  const double control_c_bound = args.GetDouble("control-c-bound", 0.0);
   if (control_c_bound > 0.0) {
     control::PrivacyCostController::Options copts;
     copts.c_bound = control_c_bound;
-    copts.k_min = flags.GetU64("control-kmin", 1);
-    copts.k_max = flags.GetU64("control-kmax", 0);
+    copts.k_min = args.GetU64("control-kmin", 1);
+    copts.k_max = args.GetU64("control-kmax", 0);
     copts.tick_interval = std::chrono::milliseconds(
-        flags.GetU64("control-interval-ms", 1000));
-    copts.start_frozen = flags.GetU64("control-frozen", 0) != 0;
-    Result<std::unique_ptr<control::PrivacyCostController>> created =
+        args.GetU64("control-interval-ms", 1000));
+    copts.start_frozen = args.GetU64("control-frozen", 0) != 0;
+    Result<std::unique_ptr<control::PrivacyCostController>> made =
         control::PrivacyCostController::Create(copts, &plant);
-    if (!created.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   created.status().ToString().c_str());
-      return 1;
+    if (!made.ok()) {
+      return Fail(made.status());
     }
-    controller = std::move(*created);
+    controller = std::move(*made);
     controller->EnableMetrics(&metrics);
-    controller->EnableEventLog(eventlog.get());
-    controller->EnableTracing(tracer.get());
-    if (recorder != nullptr) {
-      controller->EnableFlightRecorder(recorder.get());
+    controller->EnableEventLog(o.eventlog.get());
+    controller->EnableTracing(o.tracer.get());
+    if (o.recorder != nullptr) {
+      controller->EnableFlightRecorder(o.recorder.get());
     }
-    control_provider = [c = controller.get()](
-                           const net::ControlRequest& request)
-        -> Result<Bytes> {
-      switch (request.verb) {
-        case net::ControlVerb::kStatus:
-          break;
-        case net::ControlVerb::kFreeze:
-          c->Freeze();
-          break;
-        case net::ControlVerb::kUnfreeze:
-          c->Unfreeze();
-          break;
-        case net::ControlVerb::kSetBounds: {
-          const Status set = c->SetBounds(request.k_min, request.k_max);
-          if (!set.ok()) {
-            return set;
-          }
-          break;
-        }
-      }
-      const std::string body = c->StatusJson();
-      return Bytes(body.begin(), body.end());
-    };
+    control::RegisterControlDocument(controller.get(), &o.admin);
     controller->Start();
   }
 
-  net::ServiceHub hub(engine->get(), std::move(psk), /*rng_seed=*/0,
-                      &metrics, tracer.get(), std::move(profile_dump),
-                      std::move(slo_status), /*keyword_manifest=*/nullptr,
-                      std::move(event_dump), std::move(incident_dump),
-                      std::move(health), std::move(control_provider));
+  net::ServiceHub hub(engine, std::move(psk), /*rng_seed=*/0, &metrics,
+                      o.tracer.get(), &o.admin);
   Result<std::unique_ptr<net::TcpFrameListener>> listener =
       net::TcpFrameListener::Listen(
           [&hub](ByteSpan frame) { return hub.HandleFrame(frame); }, port);
   if (!listener.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 listener.status().ToString().c_str());
-    return 1;
+    return Fail(listener.status());
   }
-  const shard::ShardPlan& plan = (*engine)->plan();
+  const shard::ShardPlan& plan = engine->plan();
   std::printf("sharded hub: %llu pages x %zuB over %llu shard(s), "
               "per-shard k = %llu, worst c = %.4f, queue depth %zu\n",
               (unsigned long long)plan.total_pages(), options.page_size,
@@ -319,45 +296,23 @@ int ServeHub(int argc, char** argv) {
   if (controller != nullptr) {
     controller->Stop();
   }
-  (*engine)->Drain();
+  engine->Drain();
   return 0;
 }
 
-int ServeStorage(int argc, char** argv) {
-  std::vector<std::string> positional;
-  uint64_t trace_buffer = 0;
-  uint64_t profile_sample = 0;
-  uint64_t slo_latency_ms = 0;
-  uint64_t eventlog_capacity = 0;
-  uint64_t incidents = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-buffer") == 0 && i + 1 < argc) {
-      trace_buffer = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--profile-sample") == 0 &&
-               i + 1 < argc) {
-      profile_sample = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--slo-latency-ms") == 0 &&
-               i + 1 < argc) {
-      slo_latency_ms = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--eventlog") == 0 && i + 1 < argc) {
-      eventlog_capacity = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--incidents") == 0 && i + 1 < argc) {
-      incidents = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      positional.emplace_back(argv[i]);
-    }
-  }
-  if (positional.size() < 3 || positional.size() > 4) {
+int ServeStorage(const Args& args) {
+  if (args.positional.size() < 3 || args.positional.size() > 4) {
     return 2;
   }
-  const std::string path = positional[0];
-  const uint64_t slots = std::strtoull(positional[1].c_str(), nullptr, 10);
+  const std::string& path = args.positional[0];
+  const uint64_t slots =
+      std::strtoull(args.positional[1].c_str(), nullptr, 10);
   const uint64_t slot_size =
-      std::strtoull(positional[2].c_str(), nullptr, 10);
+      std::strtoull(args.positional[2].c_str(), nullptr, 10);
   const uint16_t port =
-      positional.size() == 4
+      args.positional.size() == 4
           ? static_cast<uint16_t>(
-                std::strtoul(positional[3].c_str(), nullptr, 10))
+                std::strtoul(args.positional[3].c_str(), nullptr, 10))
           : 0;
   if (slots == 0 || slot_size == 0) {
     std::fprintf(stderr, "error: slots and slot-size must be positive\n");
@@ -370,8 +325,7 @@ int ServeStorage(int argc, char** argv) {
   if (!disk.ok()) {
     disk = storage::FileDisk::Create(path, slots, slot_size);
     if (!disk.ok()) {
-      std::fprintf(stderr, "error: %s\n", disk.status().ToString().c_str());
-      return 1;
+      return Fail(disk.status());
     }
     std::printf("created %s (%llu x %llu bytes)\n", path.c_str(),
                 (unsigned long long)slots, (unsigned long long)slot_size);
@@ -380,67 +334,43 @@ int ServeStorage(int argc, char** argv) {
   }
 
   // Everything the provider observes is public by assumption (it is the
-  // untrusted party), so its process-wide registry may be served to any
-  // client via the kStats wire op and the shpir_stats tool.
+  // untrusted party), so its documents may be served to any client.
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   obs::PublishBuildInfo(&metrics);
   storage::MeteredDisk metered(disk->get(), &metrics);
-  std::unique_ptr<obs::Tracer> tracer;
-  if (trace_buffer > 0) {
-    obs::Tracer::Options trace_options;
-    trace_options.buffer_capacity = trace_buffer;
-    tracer = std::make_unique<obs::Tracer>(trace_options);
-  }
-  std::unique_ptr<obs::Profiler> profiler;
-  if (profile_sample > 0) {
-    obs::Profiler::Options profile_options;
-    profile_options.sample_every = profile_sample;
-    profiler = std::make_unique<obs::Profiler>(profile_options);
-    profiler->PublishMetrics(&metrics);
-  }
+  Observability o = WireObservability(args, &metrics);
   std::unique_ptr<obs::SloTracker> slo;
-  if (slo_latency_ms > 0) {
-    obs::SloTracker::Objectives objectives;
-    objectives.latency_threshold_ns = slo_latency_ms * 1'000'000;
-    slo = std::make_unique<obs::SloTracker>(objectives);
+  if (const uint64_t ms = args.GetU64("slo-latency-ms", 0); ms > 0) {
+    slo = std::make_unique<obs::SloTracker>(SloObjectives(ms));
     slo->PublishMetrics(&metrics);
   }
-  std::unique_ptr<obs::EventLog> eventlog;
-  if (eventlog_capacity > 0) {
-    obs::EventLog::Options elopts;
-    elopts.capacity = eventlog_capacity;
-    eventlog = std::make_unique<obs::EventLog>(elopts);
-    eventlog->PublishMetrics(&metrics);
-  }
-  std::unique_ptr<obs::FlightRecorder> recorder;
-  if (incidents > 0) {
-    obs::FlightRecorder::Options fropts;
-    fropts.max_incidents = incidents;
-    recorder = std::make_unique<obs::FlightRecorder>(fropts);
-    recorder->AttachEventLog(eventlog.get());
-    recorder->AttachTracer(tracer.get());
-    recorder->AttachMetrics(&metrics);
-    recorder->AttachProfiler(profiler.get());
-    recorder->PublishMetrics(&metrics);
-    recorder->SetConfigFingerprint(
+  if (o.recorder != nullptr) {
+    o.recorder->SetConfigFingerprint(
         "slots=" + std::to_string(slots) +
         " slot_size=" + std::to_string(slot_size) + " | " +
         obs::BuildInfoSummary());
     if (slo != nullptr) {
-      recorder->AddTrigger("slo_burn_alert", [s = slo.get()] {
+      o.recorder->AddTrigger("slo_burn_alert", [s = slo.get()] {
         return s->Evaluate().alert_transitions;
       });
     }
   }
-  net::StorageServer server(&metered, &metrics, tracer.get(),
-                            profiler.get(), slo.get(), eventlog.get(),
-                            recorder.get());
+  std::function<std::string()> slo_document;
+  if (slo != nullptr) {
+    slo_document = [s = slo.get()] { return s->ToJson(); };
+  }
+  o.RegisterDocuments(&metrics, std::move(slo_document),
+                      [s = slo.get(), l = o.eventlog.get(),
+                       r = o.recorder.get()] {
+                        return net::StorageHealthJson(s, l, r);
+                      });
+  net::StorageServer server(&metered, &metrics, o.tracer.get(),
+                            o.profiler.get(), slo.get(), o.eventlog.get(),
+                            o.recorder.get(), &o.admin);
   Result<std::unique_ptr<net::TcpStorageListener>> listener =
       net::TcpStorageListener::Listen(&server, port);
   if (!listener.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 listener.status().ToString().c_str());
-    return 1;
+    return Fail(listener.status());
   }
   std::printf("serving on 127.0.0.1:%u\n", (*listener)->port());
   std::fflush(stdout);
@@ -452,9 +382,9 @@ int ServeStorage(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "hub") == 0) {
-    return ServeHub(argc, argv);
+    return ServeHub(ParseArgs(argc, argv, 2));
   }
-  const int code = ServeStorage(argc, argv);
+  const int code = ServeStorage(ParseArgs(argc, argv, 1));
   if (code == 2) {
     std::fprintf(
         stderr,

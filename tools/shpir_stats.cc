@@ -1,64 +1,104 @@
-// Observability CLI for the two-party model: polls a running
-// shpir_provider for its metrics snapshot over the kStats wire op and
-// renders it. The snapshot is aggregate-only by construction — the
-// provider's registry never holds per-request data.
+// Admin CLI: fetches one admin document from a running shpir endpoint
+// and prints it. Every document is aggregate and target-independent by
+// construction (see docs/OBSERVABILITY.md).
 //
-//   shpir_stats [--host H] [--port P]
-//               [--json | --prometheus | --slo | --health | --events |
-//                --control]
-//               [--watch SECONDS]
+//   shpir_stats [hub] [DOC [ARG...]] [--host H] [--port P] [--psk STR]
+//               [--watch SECONDS] [--json | --prometheus]
 //
-// Default output is a human-readable table (headed by a build-identity
-// line when the provider publishes shpir_build_info); --json dumps the
-// raw wire payload; --prometheus re-exports it in Prometheus text
-// format (for scraping through a sidecar); --slo fetches the provider's
-// SLO/error-budget status document instead (SLO_STATUS op, JSON —
-// requires the provider to run with --slo-latency-ms); --health fetches
-// the readiness document (HEALTH op, JSON) and exits nonzero unless the
-// endpoint reports "ready":true; --events fetches the structured
-// event-log dump (EVENT_DUMP op, JSON — recent events plus the log's
-// own emit/drop/rate-limit counters). --watch re-polls
-// every SECONDS seconds until interrupted; transient poll failures
-// (provider restarting, connection refused) are reported and retried,
-// and the tool only gives up after several consecutive failures.
-// --control fetches the privacy/cost controller status (CONTROL_STATUS
-// op) and renders a per-shard table — current k, pending k, theoretical
-// and live-estimated c, cooldown — plus the controller state line;
-// combined with --watch it is a live controller dashboard.
+// Without `hub` it speaks the storage protocol to a shpir_provider; the
+// provider is the untrusted party, so its documents are public. With
+// `hub` it performs the hub handshake with the pre-shared key --psk
+// (default "shpir") and fetches through the sealed session, so only
+// key holders can read, or steer, a hub.
+//
+// DOC defaults to `stats`; the words after it are its argument:
+//   stats                  metrics table, headed by the build identity;
+//                          --json prints the raw snapshot, --prometheus
+//                          re-exports it as Prometheus text
+//   trace [TRACE_ID]       span buffer as Chrome trace JSON; with a
+//                          16-hex trace id (from span args or metric
+//                          exemplars), only that trace's spans
+//   profile [collapsed]    JSON stack table, or flame-graph text
+//   slo                    SLO/error-budget state
+//   events                 structured event log
+//   incidents [ID]         flight-recorder summaries, or one bundle
+//   health                 readiness; exits 1 unless "ready":true
+//   control [freeze | unfreeze | set-bounds KMIN KMAX]
+//                          hub only: the privacy/cost controller's
+//                          per-shard table after the action (--json
+//                          prints its status JSON)
+// Other documents print verbatim.
+//
+// --watch re-fetches every SECONDS seconds until interrupted; transient
+// failures (endpoint restarting, connection refused) are reported and
+// retried, and the tool gives up after 5 consecutive failures.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "crypto/secure_random.h"
+#include "net/pir_service.h"
+#include "net/remote_disk.h"
+#include "net/service_hub.h"
 #include "net/tcp_transport.h"
-#include "net/wire.h"
 #include "obs/export.h"
 
 namespace {
 
 using namespace shpir;
 
+enum class Format { kDefault, kJson, kPrometheus };
+
+struct Options {
+  bool hub = false;
+  std::string document = "stats";
+  std::string arg;
+  std::string host = "127.0.0.1";
+  uint16_t port = 9000;
+  std::string psk = "shpir";
+  uint64_t watch_seconds = 0;
+  Format format = Format::kDefault;
+};
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
 }
 
-enum class Format {
-  kTable,
-  kJson,
-  kPrometheus,
-  kSlo,
-  kHealth,
-  kEvents,
-  kControl
-};
+/// Fetches the document once, on a fresh connection. `client_id` names
+/// this process's hub session: each fetch re-handshakes under it, which
+/// replaces the session instead of adding one.
+Result<std::string> Fetch(const Options& options, uint64_t client_id) {
+  SHPIR_ASSIGN_OR_RETURN(
+      std::unique_ptr<net::TcpTransport> transport,
+      net::TcpTransport::Connect(options.host, options.port));
+  if (!options.hub) {
+    return net::FetchAdmin(*transport, options.document, options.arg);
+  }
+  Bytes nonce(net::SecureSession::kNonceSize);
+  crypto::SecureRandom().Fill(nonce);
+  SHPIR_ASSIGN_OR_RETURN(
+      Bytes hello,
+      transport->RoundTrip(net::ServiceHub::MakeHello(client_id, nonce)));
+  const Bytes psk(options.psk.begin(), options.psk.end());
+  SHPIR_ASSIGN_OR_RETURN(
+      net::SecureSession session,
+      net::ServiceHub::CompleteHandshake(hello, psk, client_id, nonce));
+  net::TcpTransport* wire = transport.get();
+  net::PirServiceClient client(
+      std::move(session), [wire, client_id](ByteSpan record) {
+        return wire->RoundTrip(net::ServiceHub::MakeData(client_id, record));
+      });
+  return client.Admin(options.document, options.arg);
+}
 
 /// Extracts the numeric/boolean token following `"key":` inside
-/// `json[from..)`. Returns the empty string when absent. Good enough
+/// `json[from..to)`. Returns the empty string when absent. Good enough
 /// for the controller's closed status schema; not a general parser.
 std::string FieldToken(const std::string& json, const std::string& key,
                        size_t from, size_t to) {
@@ -116,110 +156,122 @@ void RenderControlTable(const std::string& json) {
   }
 }
 
-int PollOnce(const std::string& host, uint16_t port, Format format) {
-  Result<std::unique_ptr<net::TcpTransport>> transport =
-      net::TcpTransport::Connect(host, port);
-  if (!transport.ok()) {
-    return Fail(transport.status());
-  }
-  net::Request request;
-  request.op = format == Format::kSlo       ? net::Op::kSloStatus
-               : format == Format::kHealth  ? net::Op::kHealth
-               : format == Format::kEvents  ? net::Op::kEventDump
-               : format == Format::kControl ? net::Op::kControlStatus
-                                            : net::Op::kStats;
-  if (format == Format::kControl) {
-    net::ControlRequest control;  // Read-only status verb.
-    request.payload = net::EncodeControlRequest(control);
-  }
-  Result<Bytes> reply =
-      (*transport)->RoundTrip(net::EncodeRequest(request));
-  if (!reply.ok()) {
-    return Fail(reply.status());
-  }
-  Result<Bytes> payload = net::DecodeResponse(*reply);
-  if (!payload.ok()) {
-    return Fail(payload.status());
-  }
-  const std::string json(payload->begin(), payload->end());
-  if (format == Format::kHealth) {
-    std::printf("%s\n", json.c_str());
-    // Load-balancer convention: nonzero exit when the endpoint does
-    // not report itself ready.
-    return json.find("\"ready\":true") != std::string::npos ? 0 : 1;
-  }
-  if (format == Format::kJson || format == Format::kSlo ||
-      format == Format::kEvents) {
-    std::printf("%s\n", json.c_str());
-    return 0;
-  }
-  if (format == Format::kControl) {
-    RenderControlTable(json);
-    return 0;
-  }
+/// Renders the metrics snapshot as a table or as Prometheus text.
+int RenderStats(const std::string& json, Format format) {
   Result<obs::MetricsSnapshot> snapshot = obs::ParseJsonSnapshot(json);
   if (!snapshot.ok()) {
     return Fail(snapshot.status());
   }
   if (format == Format::kPrometheus) {
     std::fputs(obs::ToPrometheusText(*snapshot).c_str(), stdout);
-  } else {
-    // Identity header first: which binary produced these numbers.
-    for (const obs::SnapshotInfo& info : snapshot->infos) {
-      if (info.name != "shpir_build_info") {
-        continue;
-      }
-      std::fputs("build:", stdout);
-      for (const auto& [key, value] : info.labels) {
-        std::printf(" %s=%s", key.c_str(), value.c_str());
-      }
-      std::fputc('\n', stdout);
+    return 0;
+  }
+  // Identity header first: which binary produced these numbers.
+  for (const obs::SnapshotInfo& info : snapshot->infos) {
+    if (info.name != "shpir_build_info") {
+      continue;
     }
-    std::fputs(obs::RenderTable(*snapshot).c_str(), stdout);
+    std::fputs("build:", stdout);
+    for (const auto& [key, value] : info.labels) {
+      std::printf(" %s=%s", key.c_str(), value.c_str());
+    }
+    std::fputc('\n', stdout);
+  }
+  std::fputs(obs::RenderTable(*snapshot).c_str(), stdout);
+  return 0;
+}
+
+bool RendersTable(const Options& options) {
+  return options.format == Format::kDefault &&
+         (options.document == "stats" || options.document == "control");
+}
+
+int PollOnce(const Options& options, uint64_t client_id) {
+  Result<std::string> body = Fetch(options, client_id);
+  if (!body.ok()) {
+    return Fail(body.status());
+  }
+  if (options.format != Format::kJson) {
+    if (options.document == "stats") {
+      return RenderStats(*body, options.format);
+    }
+    if (options.document == "control") {
+      RenderControlTable(*body);
+      return 0;
+    }
+  }
+  std::fwrite(body->data(), 1, body->size(), stdout);
+  if (body->empty() || body->back() != '\n') {
+    std::fputc('\n', stdout);
+  }
+  if (options.document == "health") {
+    // Load-balancer convention: nonzero exit when the endpoint does
+    // not report itself ready.
+    return body->find("\"ready\":true") != std::string::npos ? 0 : 1;
   }
   return 0;
+}
+
+int Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [hub] [DOC [ARG...]] [--host H] [--port P] "
+               "[--psk STR]\n"
+               "          [--watch SECONDS] [--json | --prometheus]\n"
+               "documents: stats, trace [TRACE_ID], profile [collapsed], "
+               "slo, events,\n"
+               "           incidents [ID], health, control [freeze | "
+               "unfreeze |\n"
+               "           set-bounds KMIN KMAX] (hub only)\n",
+               argv0);
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string host = "127.0.0.1";
-  uint16_t port = 9000;
-  Format format = Format::kTable;
-  uint64_t watch_seconds = 0;
-  for (int i = 1; i < argc; ++i) {
+  Options options;
+  int i = 1;
+  if (i < argc && std::string(argv[i]) == "hub") {
+    options.hub = true;
+    ++i;
+  }
+  std::vector<std::string> words;
+  for (; i < argc; ++i) {
     const std::string arg = argv[i];
+    const bool has_value = i + 1 < argc;
     if (arg == "--json") {
-      format = Format::kJson;
+      options.format = Format::kJson;
     } else if (arg == "--prometheus") {
-      format = Format::kPrometheus;
-    } else if (arg == "--slo") {
-      format = Format::kSlo;
-    } else if (arg == "--health") {
-      format = Format::kHealth;
-    } else if (arg == "--events") {
-      format = Format::kEvents;
-    } else if (arg == "--control") {
-      format = Format::kControl;
-    } else if (arg == "--host" && i + 1 < argc) {
-      host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--watch" && i + 1 < argc) {
-      watch_seconds = std::strtoull(argv[++i], nullptr, 10);
+      options.format = Format::kPrometheus;
+    } else if (arg == "--host" && has_value) {
+      options.host = argv[++i];
+    } else if (arg == "--port" && has_value) {
+      options.port =
+          static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+    } else if (arg == "--psk" && has_value) {
+      options.psk = argv[++i];
+    } else if (arg == "--watch" && has_value) {
+      options.watch_seconds = std::strtoull(argv[++i], nullptr, 10);
+    } else if (arg.rfind("--", 0) == 0) {
+      return Usage(argv[0]);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--host H] [--port P] [--json | "
-                   "--prometheus | --slo | --health | --events | "
-                   "--control] [--watch SECONDS]\n",
-                   argv[0]);
-      return 2;
+      words.push_back(arg);
     }
   }
-  if (watch_seconds == 0) {
-    return PollOnce(host, port, format);
+  if (!words.empty()) {
+    options.document = words[0];
+    for (size_t w = 1; w < words.size(); ++w) {
+      options.arg += (w > 1 ? " " : "") + words[w];
+    }
   }
-  // Watch mode rides out transient failures: a provider mid-restart
+  if (options.format == Format::kPrometheus && options.document != "stats") {
+    return Usage(argv[0]);
+  }
+  const uint64_t client_id = crypto::SecureRandom().NextUint64();
+  if (options.watch_seconds == 0) {
+    return PollOnce(options, client_id);
+  }
+  // Watch mode rides out transient failures: an endpoint mid-restart
   // should not kill the watcher, but a dead endpoint should not spin
   // forever either.
   constexpr int kMaxConsecutiveFailures = 5;
@@ -227,13 +279,11 @@ int main(int argc, char** argv) {
   bool first = true;
   while (true) {
     // Separate successive tables; error lines separate themselves.
-    if (!first && consecutive_failures == 0 &&
-        (format == Format::kTable || format == Format::kControl)) {
+    if (!first && consecutive_failures == 0 && RendersTable(options)) {
       std::printf("---\n");
-      std::fflush(stdout);
     }
     first = false;
-    const int rc = PollOnce(host, port, format);
+    const int rc = PollOnce(options, client_id);
     if (rc != 0) {
       if (++consecutive_failures >= kMaxConsecutiveFailures) {
         std::fprintf(stderr, "giving up after %d consecutive failures\n",
@@ -244,6 +294,6 @@ int main(int argc, char** argv) {
       consecutive_failures = 0;
     }
     std::fflush(stdout);
-    std::this_thread::sleep_for(std::chrono::seconds(watch_seconds));
+    std::this_thread::sleep_for(std::chrono::seconds(options.watch_seconds));
   }
 }
