@@ -35,6 +35,8 @@ ServiceHub::ServiceHub(
         metrics->FindOrCreateCounter("shpir_net_frame_bytes_in_total");
     instruments_.frame_bytes_out =
         metrics->FindOrCreateCounter("shpir_net_frame_bytes_out_total");
+    instruments_.sessions_evicted =
+        metrics->FindOrCreateCounter("shpir_net_sessions_evicted_total");
     instruments_.sessions = metrics->FindOrCreateGauge("shpir_net_sessions");
     instruments_.sessions->Set(0.0);
   }
@@ -77,6 +79,19 @@ Bytes ServiceHub::MakeData(uint64_t client_id, ByteSpan record) {
   return frame;
 }
 
+void ServiceHub::EvictOne() {
+  auto victim = servers_.begin();
+  for (auto it = servers_.begin(); it != servers_.end(); ++it) {
+    if (it->second.last_data < victim->second.last_data) {
+      victim = it;
+    }
+  }
+  servers_.erase(victim);
+  if (metered()) {
+    instruments_.sessions_evicted->Increment();
+  }
+}
+
 Result<Bytes> ServiceHub::HandleFrame(ByteSpan frame) {
   // Arrival timestamp for the queue-wait span: taken before the hub
   // lock, so the measured gap covers lock contention (the hub's queue).
@@ -116,11 +131,14 @@ Result<Bytes> ServiceHub::HandleFrame(ByteSpan frame) {
       }
       return session.status();
     }
+    if (servers_.size() >= kMaxSessions && !servers_.contains(client_id)) {
+      EvictOne();
+    }
     // ADMIN travels inside the sealed session, so only authenticated
     // clients reach the registry's documents.
-    servers_[client_id] = std::make_unique<PirServiceServer>(
+    servers_[client_id] = Session{std::make_unique<PirServiceServer>(
         engine_, std::move(session).value(), tracer_, admin_,
-        keyword_manifest_);
+        keyword_manifest_)};
     if (metered()) {
       instruments_.sessions->Set(static_cast<double>(servers_.size()));
     }
@@ -150,8 +168,13 @@ Result<Bytes> ServiceHub::HandleFrame(ByteSpan frame) {
       timing.dequeue_ns = obs::Tracer::NowNs();  // Past the hub lock.
       timing_ptr = &timing;
     }
-    Result<Bytes> reply = it->second->HandleRecord(
+    Result<Bytes> reply = it->second.server->HandleRecord(
         ByteSpan(frame.data() + 9, frame.size() - 9), timing_ptr);
+    if (reply.ok()) {
+      // The record opened under the session's keys: only a key holder
+      // keeps a session from eviction.
+      it->second.last_data = ++data_clock_;
+    }
     if (metered()) {
       if (reply.ok()) {
         instruments_.frame_bytes_out->Increment(reply->size());

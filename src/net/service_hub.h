@@ -29,8 +29,16 @@ namespace shpir::net {
 /// derived from the pre-shared key, both nonces *and* the client id, so
 /// clients cannot impersonate each other's streams. Requests are
 /// serialized onto the engine (the coprocessor serves one at a time).
+///
+/// HELLO proves nothing, so any peer can open sessions. The table holds
+/// at most kMaxSessions; a HELLO for a new id when it is full evicts the
+/// session whose last authenticated DATA record is oldest, and sessions
+/// that never sent one go first. An evicted client's DATA frames answer
+/// FailedPrecondition until it handshakes again.
 class ServiceHub {
  public:
+  static constexpr size_t kMaxSessions = 256;
+
   /// `engine` is unowned; `pre_shared_key` is the key clients hold.
   /// Any PirEngine serves: the single paper engine (requests serialize
   /// on the coprocessor) or the sharded runtime in src/shard/ (requests
@@ -88,8 +96,19 @@ class ServiceHub {
     obs::Counter* frames_rejected = nullptr;
     obs::Counter* frame_bytes_in = nullptr;
     obs::Counter* frame_bytes_out = nullptr;
+    obs::Counter* sessions_evicted = nullptr;
     obs::Gauge* sessions = nullptr;
   };
+  struct Session {
+    std::unique_ptr<PirServiceServer> server;
+    /// Value of data_clock_ at the session's last authenticated DATA
+    /// record; 0 until it sends one.
+    uint64_t last_data = 0;
+  };
+
+  /// Drops the session whose last authenticated DATA record is oldest.
+  /// The table must not be empty.
+  void EvictOne() REQUIRES(mutex_);
   bool metered() const { return instruments_.hellos != nullptr; }
 
   core::PirEngine* engine_;
@@ -101,8 +120,9 @@ class ServiceHub {
   mutable common::Mutex mutex_;
   /// Server-nonce generator; drawn from under mutex_ in HandleFrame.
   crypto::SecureRandom rng_ GUARDED_BY(mutex_);
-  std::unordered_map<uint64_t, std::unique_ptr<PirServiceServer>> servers_
-      GUARDED_BY(mutex_);
+  std::unordered_map<uint64_t, Session> servers_ GUARDED_BY(mutex_);
+  /// Counts authenticated DATA records; orders sessions for eviction.
+  uint64_t data_clock_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace shpir::net

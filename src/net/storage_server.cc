@@ -101,7 +101,9 @@ Bytes StorageServer::Handle(ByteSpan request_frame) {
         ProviderSpanName(request.op));
     response = Dispatch(request);
   }
-  if (slo_ != nullptr) {
+  // Admin fetches are operator traffic, not the data path the SLO
+  // covers: a malformed one must not spend the data path's budget.
+  if (slo_ != nullptr && request.op != Op::kAdmin) {
     // Response byte 0 is the wire status (0 = OK).
     const bool ok = !response.empty() && response[0] == 0;
     slo_->Record(

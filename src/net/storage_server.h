@@ -30,7 +30,9 @@ class StorageServer {
   /// - `tracer` records one provider_* span per request that arrives in
   ///   a sampled kTraced envelope.
   /// - `profiler` head-samples requests into provider_* folded stacks.
-  /// - `slo` records every request's handle latency and outcome.
+  /// - `slo` records every data request's handle latency and outcome,
+  ///   and every undecodable frame as a failure; ADMIN requests are
+  ///   not recorded.
   /// - `eventlog` records provider lifecycle events.
   /// - `recorder` is polled on every error, so trigger edges seal
   ///   bundles promptly.

@@ -29,6 +29,23 @@ Result<uint64_t> ParseTraceId(std::string_view text) {
   return id;
 }
 
+/// The "stats table" view: the build identity, so an operator knows
+/// which binary produced the numbers, then the metrics table.
+std::string StatsTable(const MetricsSnapshot& snapshot) {
+  std::string out;
+  for (const SnapshotInfo& info : snapshot.infos) {
+    if (info.name != "shpir_build_info") {
+      continue;
+    }
+    out += "build:";
+    for (const auto& [key, value] : info.labels) {
+      out += " " + key + "=" + value;
+    }
+    out += "\n";
+  }
+  return out + RenderTable(snapshot);
+}
+
 }  // namespace
 
 bool ParseAdminNumber(std::string_view text, uint64_t* value, int base) {
@@ -72,7 +89,20 @@ Result<std::string> AdminRegistry::Render(std::string_view name,
 void RegisterStandardDocuments(const AdminSources& sources,
                                AdminRegistry* registry) {
   if (const MetricsRegistry* metrics = sources.metrics) {
-    registry->Add("stats", [metrics] { return ToJson(metrics->Snapshot()); });
+    registry->AddWithArg(
+        "stats", [metrics](std::string_view arg) -> Result<std::string> {
+          if (arg.empty() || arg == "json") {
+            return ToJson(metrics->Snapshot());
+          }
+          if (arg == "table") {
+            return StatsTable(metrics->Snapshot());
+          }
+          if (arg == "prometheus") {
+            return ToPrometheusText(metrics->Snapshot());
+          }
+          return InvalidArgumentError("stats format must be json, table or "
+                                      "prometheus");
+        });
   }
   if (const Tracer* tracer = sources.tracer) {
     registry->AddWithArg(

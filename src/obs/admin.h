@@ -62,7 +62,7 @@ bool ParseAdminNumber(std::string_view text, uint64_t* value,
 /// The observability objects a process may have, each optional. A
 /// standard document is registered only when its source is present.
 struct AdminSources {
-  const MetricsRegistry* metrics = nullptr;  // "stats"
+  const MetricsRegistry* metrics = nullptr;  // "stats [json|table|prometheus]"
   const Tracer* tracer = nullptr;            // "trace [TRACE_ID]"
   const Profiler* profiler = nullptr;        // "profile [json|collapsed]"
   std::function<std::string()> slo;          // "slo"
@@ -72,7 +72,9 @@ struct AdminSources {
 };
 
 /// Registers the standard documents on `registry`:
-///   stats      the metrics snapshot (obs::ToJson schema)
+///   stats      the metrics snapshot as obs::ToJson; with `table`, a
+///              build line then obs::RenderTable; with `prometheus`,
+///              obs::ToPrometheusText
 ///   trace      the span buffer as Chrome trace JSON; with a trace id
 ///              (1-16 hex digits, optional 0x) only that trace's spans
 ///   profile    the profiler's JSON stack table, or with `collapsed`

@@ -1,6 +1,5 @@
 #include "obs/export.h"
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -209,328 +208,6 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
   }
   out << "}";
   return out.str();
-}
-
-namespace {
-
-/// Tiny recursive-descent parser for the closed snapshot schema.
-/// Strings decode the escape sequences ToJson can emit (remote peers
-/// are not trusted to stick to registry-legal names).
-class SnapshotParser {
- public:
-  explicit SnapshotParser(const std::string& text) : text_(text) {}
-
-  Result<MetricsSnapshot> Parse() {
-    MetricsSnapshot snapshot;
-    SHPIR_RETURN_IF_ERROR(Expect('{'));
-    SHPIR_RETURN_IF_ERROR(ExpectKey("counters"));
-    SHPIR_RETURN_IF_ERROR(ParseArray([&]() -> Status {
-      SnapshotCounter counter;
-      SHPIR_RETURN_IF_ERROR(Expect('{'));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("name"));
-      SHPIR_ASSIGN_OR_RETURN(counter.name, ParseString());
-      SHPIR_RETURN_IF_ERROR(Expect(','));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("value"));
-      SHPIR_ASSIGN_OR_RETURN(counter.value, ParseU64());
-      SHPIR_RETURN_IF_ERROR(Expect('}'));
-      snapshot.counters.push_back(std::move(counter));
-      return OkStatus();
-    }));
-    SHPIR_RETURN_IF_ERROR(Expect(','));
-    SHPIR_RETURN_IF_ERROR(ExpectKey("gauges"));
-    SHPIR_RETURN_IF_ERROR(ParseArray([&]() -> Status {
-      SnapshotGauge gauge;
-      SHPIR_RETURN_IF_ERROR(Expect('{'));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("name"));
-      SHPIR_ASSIGN_OR_RETURN(gauge.name, ParseString());
-      SHPIR_RETURN_IF_ERROR(Expect(','));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("value"));
-      SHPIR_ASSIGN_OR_RETURN(gauge.value, ParseDouble());
-      SHPIR_RETURN_IF_ERROR(Expect('}'));
-      snapshot.gauges.push_back(std::move(gauge));
-      return OkStatus();
-    }));
-    SHPIR_RETURN_IF_ERROR(Expect(','));
-    SHPIR_RETURN_IF_ERROR(ExpectKey("histograms"));
-    SHPIR_RETURN_IF_ERROR(ParseArray([&]() -> Status {
-      SnapshotHistogram h;
-      SHPIR_RETURN_IF_ERROR(Expect('{'));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("name"));
-      SHPIR_ASSIGN_OR_RETURN(h.name, ParseString());
-      SHPIR_RETURN_IF_ERROR(Expect(','));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("count"));
-      SHPIR_ASSIGN_OR_RETURN(h.count, ParseU64());
-      SHPIR_RETURN_IF_ERROR(Expect(','));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("sum"));
-      SHPIR_ASSIGN_OR_RETURN(h.sum, ParseU64());
-      SHPIR_RETURN_IF_ERROR(Expect(','));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("min"));
-      SHPIR_ASSIGN_OR_RETURN(h.min, ParseU64());
-      SHPIR_RETURN_IF_ERROR(Expect(','));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("max"));
-      SHPIR_ASSIGN_OR_RETURN(h.max, ParseU64());
-      SHPIR_RETURN_IF_ERROR(Expect(','));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("p50"));
-      SHPIR_ASSIGN_OR_RETURN(h.p50, ParseDouble());
-      SHPIR_RETURN_IF_ERROR(Expect(','));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("p95"));
-      SHPIR_ASSIGN_OR_RETURN(h.p95, ParseDouble());
-      SHPIR_RETURN_IF_ERROR(Expect(','));
-      SHPIR_RETURN_IF_ERROR(ExpectKey("p99"));
-      SHPIR_ASSIGN_OR_RETURN(h.p99, ParseDouble());
-      if (ConsumeCommaIfPresent()) {
-        SHPIR_RETURN_IF_ERROR(ExpectKey("exemplars"));
-        SHPIR_RETURN_IF_ERROR(ParseArray([&]() -> Status {
-          SnapshotExemplar exemplar;
-          SHPIR_RETURN_IF_ERROR(Expect('{'));
-          SHPIR_RETURN_IF_ERROR(ExpectKey("value"));
-          SHPIR_ASSIGN_OR_RETURN(exemplar.value, ParseU64());
-          SHPIR_RETURN_IF_ERROR(Expect(','));
-          SHPIR_RETURN_IF_ERROR(ExpectKey("trace_id"));
-          SHPIR_ASSIGN_OR_RETURN(exemplar.trace_id, ParseTraceIdHex());
-          SHPIR_RETURN_IF_ERROR(Expect(','));
-          SHPIR_RETURN_IF_ERROR(ExpectKey("ts_ns"));
-          SHPIR_ASSIGN_OR_RETURN(exemplar.ts_ns, ParseU64());
-          SHPIR_RETURN_IF_ERROR(Expect('}'));
-          h.exemplars.push_back(exemplar);
-          return OkStatus();
-        }));
-      }
-      SHPIR_RETURN_IF_ERROR(Expect('}'));
-      snapshot.histograms.push_back(std::move(h));
-      return OkStatus();
-    }));
-    if (ConsumeCommaIfPresent()) {
-      SHPIR_RETURN_IF_ERROR(ExpectKey("infos"));
-      SHPIR_RETURN_IF_ERROR(ParseArray([&]() -> Status {
-        SnapshotInfo info;
-        SHPIR_RETURN_IF_ERROR(Expect('{'));
-        SHPIR_RETURN_IF_ERROR(ExpectKey("name"));
-        SHPIR_ASSIGN_OR_RETURN(info.name, ParseString());
-        SHPIR_RETURN_IF_ERROR(Expect(','));
-        SHPIR_RETURN_IF_ERROR(ExpectKey("labels"));
-        SHPIR_RETURN_IF_ERROR(Expect('{'));
-        SkipSpace();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-          ++pos_;
-        } else {
-          while (true) {
-            std::pair<std::string, std::string> label;
-            SHPIR_ASSIGN_OR_RETURN(label.first, ParseString());
-            SHPIR_RETURN_IF_ERROR(Expect(':'));
-            SHPIR_ASSIGN_OR_RETURN(label.second, ParseString());
-            info.labels.push_back(std::move(label));
-            if (ConsumeCommaIfPresent()) {
-              continue;
-            }
-            SHPIR_RETURN_IF_ERROR(Expect('}'));
-            break;
-          }
-        }
-        SHPIR_RETURN_IF_ERROR(Expect('}'));
-        snapshot.infos.push_back(std::move(info));
-        return OkStatus();
-      }));
-    }
-    SHPIR_RETURN_IF_ERROR(Expect('}'));
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return DataLossError("trailing bytes after snapshot JSON");
-    }
-    return snapshot;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  /// Consumes a ',' when it is the next token; used for the optional
-  /// trailing keys ("exemplars", "infos") that older snapshots omit.
-  bool ConsumeCommaIfPresent() {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ',') {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  /// A 1..16 lowercase-hex-digit string, as TraceIdHex produces.
-  Result<uint64_t> ParseTraceIdHex() {
-    SHPIR_ASSIGN_OR_RETURN(const std::string hex, ParseString());
-    if (hex.empty() || hex.size() > 16) {
-      return DataLossError("snapshot JSON: bad trace id length");
-    }
-    uint64_t value = 0;
-    for (const char c : hex) {
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<uint64_t>(c - 'a' + 10);
-      } else {
-        return DataLossError("snapshot JSON: bad trace id digit");
-      }
-    }
-    return value;
-  }
-
-  Status Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return DataLossError(std::string("snapshot JSON: expected '") + c +
-                           "' at offset " + std::to_string(pos_));
-    }
-    ++pos_;
-    return OkStatus();
-  }
-
-  Status ExpectKey(const std::string& key) {
-    SHPIR_ASSIGN_OR_RETURN(const std::string got, ParseString());
-    if (got != key) {
-      return DataLossError("snapshot JSON: expected key \"" + key +
-                           "\", got \"" + got + "\"");
-    }
-    return Expect(':');
-  }
-
-  Result<std::string> ParseString() {
-    SHPIR_RETURN_IF_ERROR(Expect('"'));
-    std::string value;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_];
-      if (c != '\\') {
-        value += c;
-        ++pos_;
-        continue;
-      }
-      ++pos_;  // Backslash.
-      if (pos_ >= text_.size()) {
-        break;  // Unterminated; fall through to the error below.
-      }
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"':
-          value += '"';
-          break;
-        case '\\':
-          value += '\\';
-          break;
-        case '/':
-          value += '/';
-          break;
-        case 'b':
-          value += '\b';
-          break;
-        case 'f':
-          value += '\f';
-          break;
-        case 'n':
-          value += '\n';
-          break;
-        case 'r':
-          value += '\r';
-          break;
-        case 't':
-          value += '\t';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return DataLossError("snapshot JSON: truncated \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_ + static_cast<size_t>(i)];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return DataLossError("snapshot JSON: bad \\u escape");
-            }
-          }
-          pos_ += 4;
-          if (code > 0x7f) {
-            // ToJson only \u-escapes control characters; anything wider
-            // is outside the closed schema.
-            return DataLossError(
-                "snapshot JSON: non-ASCII \\u escape not supported");
-          }
-          value += static_cast<char>(code);
-          break;
-        }
-        default:
-          return DataLossError("snapshot JSON: unknown escape");
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return DataLossError("snapshot JSON: unterminated string");
-    }
-    ++pos_;  // Closing quote.
-    return value;
-  }
-
-  Result<uint64_t> ParseU64() {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return DataLossError("snapshot JSON: expected integer at offset " +
-                           std::to_string(start));
-    }
-    return std::strtoull(text_.c_str() + start, nullptr, 10);
-  }
-
-  Result<double> ParseDouble() {
-    SkipSpace();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) {
-      return DataLossError("snapshot JSON: expected number at offset " +
-                           std::to_string(pos_));
-    }
-    pos_ += static_cast<size_t>(end - begin);
-    return value;
-  }
-
-  template <typename ElementFn>
-  Status ParseArray(ElementFn element) {
-    SHPIR_RETURN_IF_ERROR(Expect('['));
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return OkStatus();
-    }
-    while (true) {
-      SHPIR_RETURN_IF_ERROR(element());
-      SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      return Expect(']');
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-Result<MetricsSnapshot> ParseJsonSnapshot(const std::string& json) {
-  return SnapshotParser(json).Parse();
 }
 
 std::string RenderTable(const MetricsSnapshot& snapshot) {

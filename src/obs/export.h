@@ -4,7 +4,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/result.h"
 #include "obs/metrics.h"
 
 namespace shpir::obs {
@@ -27,15 +26,11 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot);
 ///    "infos":[{"name":...,"labels":{...}}]}          // when non-empty
 std::string ToJson(const MetricsSnapshot& snapshot);
 
-/// Parses a snapshot produced by ToJson (unknown keys are rejected; the
-/// format is a closed schema, not general JSON).
-Result<MetricsSnapshot> ParseJsonSnapshot(const std::string& json);
-
 /// Escapes `value` for embedding inside a JSON string literal: quotes,
 /// backslashes, and control characters become their escape sequences.
 /// Registry names are already [a-z0-9_]-restricted, but values that
-/// originate elsewhere (trace span names, remote snapshots) must not be
-/// able to break the produced JSON.
+/// originate elsewhere (trace span names) must not be able to break
+/// the produced JSON.
 std::string EscapeJsonString(std::string_view value);
 
 /// Escapes `value` for a Prometheus/OpenMetrics label value position:
@@ -44,7 +39,7 @@ std::string EscapeJsonString(std::string_view value);
 /// metric labels (compiler strings, build flags) and exemplar labels.
 std::string EscapePrometheusLabelValue(std::string_view value);
 
-/// Human-readable table for the shpir_stats CLI.
+/// Human-readable table; the body of the "stats table" admin document.
 std::string RenderTable(const MetricsSnapshot& snapshot);
 
 }  // namespace shpir::obs

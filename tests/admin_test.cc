@@ -23,6 +23,7 @@
 #include "net/wire.h"
 #include "obs/admin.h"
 #include "obs/eventlog.h"
+#include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -74,6 +75,9 @@ struct AdminRig {
   std::unique_ptr<shard::ShardedPirEngine> engine;
   std::unique_ptr<control::ShardedEnginePlant> plant;
   std::unique_ptr<control::PrivacyCostController> controller;
+  // The "stats" source. Nothing records into it, and neither endpoint
+  // below meters itself, so it holds still while it is served.
+  obs::MetricsRegistry metrics;
   obs::AdminRegistry admin;
   int probes = 0;  // Calls of the "probe" document's handler.
 
@@ -126,8 +130,19 @@ struct AdminRig {
     SHPIR_CHECK(controller.ok());
     rig->controller = std::move(*controller);
 
+    rig->metrics.FindOrCreateCounter("shpir_test_requests_total")
+        ->Increment(7);
+    rig->metrics.FindOrCreateGauge("shpir_test_ratio")->Set(0.25);
+    obs::Histogram* latency =
+        rig->metrics.FindOrCreateHistogram("shpir_test_latency_ns");
+    latency->Record(100);
+    latency->RecordWithExemplar(300, /*trace_id=*/0xabc);
+    rig->metrics.RegisterInfo("shpir_build_info",
+                              {{"version", "1.2"}, {"compiler", "gcc x"}});
+
     shard::ShardedPirEngine* e = rig->engine.get();
     obs::AdminSources sources;
+    sources.metrics = &rig->metrics;
     sources.tracer = rig->tracer.get();
     sources.profiler = rig->profiler.get();
     sources.slo = [e] { return e->SloStatusJson(); };
@@ -227,12 +242,26 @@ TEST(AdminDocuments, EveryDocumentIsByteIdenticalOverBothProtocols) {
   std::snprintf(hex_id, sizeof(hex_id), "%016llx",
                 static_cast<unsigned long long>(trace_id));
 
+  const obs::MetricsSnapshot snapshot = rig->metrics.Snapshot();
+  const std::string json = obs::ToJson(snapshot);
+  const std::string table = obs::RenderTable(snapshot);
+  const std::string prometheus = obs::ToPrometheusText(snapshot);
+  EXPECT_NE(json.find("\"exemplars\":[{\"value\":300,"), std::string::npos)
+      << json;
+  EXPECT_NE(prometheus.find("# TYPE shpir_test_requests_total counter\n"),
+            std::string::npos)
+      << prometheus;
+
   struct Case {
     std::string name;
     std::string arg;
     std::string direct;
   };
   const std::vector<Case> cases = {
+      {"stats", "", json},
+      {"stats", "json", json},
+      {"stats", "table", "build: version=1.2 compiler=gcc x\n" + table},
+      {"stats", "prometheus", prometheus},
       {"health", "", rig->engine->HealthJson()},
       {"slo", "", rig->engine->SloStatusJson()},
       {"control", "", rig->controller->StatusJson()},
@@ -262,6 +291,34 @@ TEST(AdminDocuments, EveryDocumentIsByteIdenticalOverBothProtocols) {
   // An evicted or unknown bundle is NotFound on both protocols.
   EXPECT_FALSE(net::FetchAdmin(*rig->storage_link, "incidents", "99").ok());
   EXPECT_FALSE(sealed.Admin("incidents", "99").ok());
+  // The registry held still: every stats view above saw one snapshot.
+  EXPECT_EQ(obs::ToJson(rig->metrics.Snapshot()), json);
+}
+
+TEST(AdminDocuments, AdminFetchesSpendNoDataPathSloBudget) {
+  obs::SloTracker slo(obs::SloTracker::Objectives{});
+  obs::AdminRegistry admin;
+  admin.Add("probe", [] { return std::string("probed"); });
+  storage::MemoryDisk disk(4, 8);
+  net::StorageServer server(&disk, nullptr, nullptr, nullptr, &slo, nullptr,
+                            nullptr, &admin);
+  net::DirectTransport link(&server);
+  // Served, refused and unknown documents alike stay off the SLO.
+  ASSERT_TRUE(net::FetchAdmin(link, "probe").ok());
+  EXPECT_FALSE(net::FetchAdmin(link, "probe", "stray").ok());
+  EXPECT_FALSE(net::FetchAdmin(link, "trace", "not-hex").ok());
+  EXPECT_EQ(slo.Evaluate().requests_total, 0u);
+
+  // Data requests and undecodable frames still count.
+  net::Request read;
+  read.op = net::Op::kRead;
+  read.location = 1;
+  ASSERT_TRUE(
+      net::DecodeResponse(server.Handle(net::EncodeRequest(read))).ok());
+  EXPECT_FALSE(net::DecodeResponse(server.Handle(Bytes{0xff})).ok());
+  const obs::SloTracker::Snapshot counted = slo.Evaluate();
+  EXPECT_EQ(counted.requests_total, 2u);
+  EXPECT_EQ(counted.errors_total, 1u);
 }
 
 TEST(AdminDocuments, StorageHealthIsServedVerbatim) {
@@ -301,6 +358,8 @@ TEST(AdminDocuments, MalformedRequestsRunNoHandlerOnEitherProtocol) {
       net::EncodeAdminRequest("control", "set-bounds -8 32"),
       net::EncodeAdminRequest("control", "freeze now"),
       net::EncodeAdminRequest("control", "FREEZE"),
+      net::EncodeAdminRequest("stats", "xml"),
+      net::EncodeAdminRequest("stats", "table json"),
   };
   net::SecureSession session = rig->Handshake(3);
   for (const Bytes& payload : malformed) {

@@ -15,7 +15,6 @@
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
 #include "obs/admin.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
 #include "storage/disk.h"
 
@@ -234,12 +233,20 @@ TEST(ServiceHubTest, StatsOpReturnsParseableSnapshot) {
   }
   Result<std::string> payload = client.Admin("stats");
   ASSERT_TRUE(payload.ok()) << payload.status();
-  Result<obs::MetricsSnapshot> snapshot = obs::ParseJsonSnapshot(
-      std::string(payload->begin(), payload->end()));
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  // The document is the registry rendered by obs::ToJson; the fetch
+  // itself moves only the hub's frame counters.
+  EXPECT_EQ(payload->rfind("{\"counters\":[", 0), 0u) << *payload;
+  for (const char* sample :
+       {"{\"name\":\"shpir_engine_queries_total\",\"value\":5}",
+        "{\"name\":\"shpir_engine_evictions_total\",\"value\":5}",
+        "{\"name\":\"shpir_net_hellos_total\",\"value\":1}",
+        "{\"name\":\"shpir_engine_query_latency_ns\",\"count\":5,"}) {
+    EXPECT_NE(payload->find(sample), std::string::npos) << sample;
+  }
 
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
   auto counter = [&](const std::string& name) -> uint64_t {
-    for (const auto& c : snapshot->counters) {
+    for (const auto& c : snapshot.counters) {
       if (c.name == name) {
         return c.value;
       }
@@ -247,14 +254,11 @@ TEST(ServiceHubTest, StatsOpReturnsParseableSnapshot) {
     ADD_FAILURE() << "missing counter " << name;
     return 0;
   };
-  EXPECT_EQ(counter("shpir_engine_queries_total"), 5u);
-  EXPECT_EQ(counter("shpir_engine_evictions_total"), 5u);
   EXPECT_GE(counter("shpir_hw_seeks_total"), 5u * 4);
   EXPECT_GE(counter("shpir_net_data_frames_total"), 5u);
-  EXPECT_EQ(counter("shpir_net_hellos_total"), 1u);
 
   bool found_latency = false;
-  for (const auto& h : snapshot->histograms) {
+  for (const auto& h : snapshot.histograms) {
     if (h.name == "shpir_engine_query_latency_ns") {
       found_latency = true;
       EXPECT_EQ(h.count, 5u);
@@ -284,9 +288,8 @@ TEST(ServiceHubTest, StatsPayloadStaysInsideTrustBoundary) {
   ASSERT_TRUE(client.Modify(2, Bytes(4, 0xAA)).ok());
   Result<std::string> payload = client.Admin("stats");
   ASSERT_TRUE(payload.ok()) << payload.status();
-  Result<obs::MetricsSnapshot> snapshot = obs::ParseJsonSnapshot(
-      std::string(payload->begin(), payload->end()));
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  // The payload names exactly the in-process registry's instruments.
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
 
   const std::vector<std::string> allowed_prefixes = {
       "shpir_engine_", "shpir_hw_",       "shpir_net_",  "shpir_disk_",
@@ -294,18 +297,26 @@ TEST(ServiceHubTest, StatsPayloadStaysInsideTrustBoundary) {
   const std::vector<std::string> forbidden = {"page_id", "request_index",
                                               "client_id"};
   std::vector<std::string> names;
-  for (const auto& c : snapshot->counters) {
+  for (const auto& c : snapshot.counters) {
     names.push_back(c.name);
   }
-  for (const auto& g : snapshot->gauges) {
+  for (const auto& g : snapshot.gauges) {
     names.push_back(g.name);
   }
-  for (const auto& h : snapshot->histograms) {
+  for (const auto& h : snapshot.histograms) {
     names.push_back(h.name);
   }
   EXPECT_FALSE(names.empty());
+  size_t served = 0;
+  for (size_t at = payload->find("\"name\":"); at != std::string::npos;
+       at = payload->find("\"name\":", at + 1)) {
+    ++served;
+  }
+  EXPECT_EQ(served, names.size()) << *payload;
   for (const std::string& name : names) {
     EXPECT_TRUE(obs::MetricsRegistry::IsValidName(name)) << name;
+    EXPECT_NE(payload->find("\"name\":\"" + name + "\""), std::string::npos)
+        << name;
     bool prefixed = false;
     for (const std::string& prefix : allowed_prefixes) {
       if (name.rfind(prefix, 0) == 0) {
@@ -379,6 +390,71 @@ TEST(ServiceHubTest, SessionsIsSafeAgainstConcurrentHandshakes) {
   done.store(true);
   reader.join();
   EXPECT_EQ(rig.hub->sessions(), 64u);
+}
+
+/// Sends HELLOs for `count` fresh client ids starting at `first_id`.
+void HelloFlood(Rig& rig, uint64_t first_id, size_t count) {
+  crypto::SecureRandom rng(first_id);
+  Bytes nonce(SecureSession::kNonceSize);
+  for (uint64_t id = first_id; id < first_id + count; ++id) {
+    rng.Fill(nonce);
+    SHPIR_CHECK(rig.hub->HandleFrame(ServiceHub::MakeHello(id, nonce)).ok());
+  }
+}
+
+TEST(ServiceHubTest, SessionTableStopsAtItsLimit) {
+  obs::MetricsRegistry metrics;
+  Rig rig = Rig::Make(60, &metrics);
+  HelloFlood(rig, 1000, ServiceHub::kMaxSessions + 1);
+  EXPECT_EQ(rig.hub->sessions(), ServiceHub::kMaxSessions);
+  EXPECT_EQ(metrics.FindOrCreateCounter("shpir_net_sessions_evicted_total")
+                ->Value(),
+            1u);
+  EXPECT_EQ(metrics.FindOrCreateGauge("shpir_net_sessions")->Value(),
+            static_cast<double>(ServiceHub::kMaxSessions));
+  // A re-handshake under a live id replaces its session; nothing goes.
+  HelloFlood(rig, 1000 + ServiceHub::kMaxSessions, 1);
+  EXPECT_EQ(rig.hub->sessions(), ServiceHub::kMaxSessions);
+}
+
+TEST(ServiceHubTest, ActiveClientOutlivesAHelloFlood) {
+  Rig rig = Rig::Make(61);
+  PirServiceClient client = MakeClient(rig, 7, 62);
+  ASSERT_TRUE(client.Retrieve(0).ok());
+  for (int wave = 0; wave < 3; ++wave) {
+    HelloFlood(rig, 10000 * (wave + 1), ServiceHub::kMaxSessions);
+    Result<Bytes> page = client.Retrieve(static_cast<uint64_t>(wave + 1));
+    ASSERT_TRUE(page.ok()) << "wave " << wave << ": " << page.status();
+    EXPECT_EQ(*page, Bytes(kPageSize, static_cast<uint8_t>(wave + 2)));
+  }
+  EXPECT_EQ(rig.hub->sessions(), ServiceHub::kMaxSessions);
+}
+
+TEST(ServiceHubTest, EvictedClientMustHandshakeAgain) {
+  Rig rig = Rig::Make(63);
+  PirServiceClient stale = MakeClient(rig, 1, 64);
+  ASSERT_TRUE(stale.Retrieve(0).ok());
+  // Every other session sends a DATA record later, so the stale one
+  // holds the oldest and is the one a new HELLO evicts.
+  std::vector<PirServiceClient> active;
+  for (uint64_t id = 2; id <= ServiceHub::kMaxSessions; ++id) {
+    active.push_back(MakeClient(rig, id, 100 + id));
+    ASSERT_TRUE(active.back().Retrieve(id % 40).ok());
+  }
+  ASSERT_EQ(rig.hub->sessions(), ServiceHub::kMaxSessions);
+  PirServiceClient newcomer = MakeClient(rig, 5000, 65);
+  ASSERT_TRUE(newcomer.Retrieve(1).ok());
+
+  const Result<Bytes> refused = stale.Retrieve(2);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  for (PirServiceClient& client : active) {
+    EXPECT_TRUE(client.Retrieve(3).ok());
+  }
+  PirServiceClient again = MakeClient(rig, 1, 66);
+  Result<Bytes> page = again.Retrieve(2);
+  ASSERT_TRUE(page.ok()) << page.status();
+  EXPECT_EQ(*page, Bytes(kPageSize, 3));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "crypto/secure_random.h"
 #include "net/pir_service.h"
@@ -193,6 +194,38 @@ class ToolsIntegrationTest : public ::testing::Test {
     return result.output;
   }
 
+  /// Checks every view of "stats" that `prefix` (empty, or `hub` and
+  /// its key) reaches, each rendered by the endpoint.
+  void ExpectStatsViews(const std::string& prefix) {
+    // The default table is headed by the build identity.
+    const std::string table = Document(prefix, "shpir_tcp_frames_total");
+    EXPECT_EQ(table.rfind("build: version=", 0), 0u) << table;
+    // The registry never carries per-request identifiers.
+    EXPECT_EQ(table.find("page_id"), std::string::npos);
+    EXPECT_EQ(table.find("request_index"), std::string::npos);
+    EXPECT_EQ(Document(prefix + "--json", "").rfind("{\"counters\":[", 0),
+              0u);
+    EXPECT_EQ(Document(prefix + "stats json", "").rfind("{\"counters\":[", 0),
+              0u);
+    Document(prefix + "stats prometheus",
+             "# TYPE shpir_tcp_frames_total counter");
+
+    // --watch re-polls, separating successive tables.
+    const CommandResult watch =
+        RunShell("timeout 2.5 " + BinDir() + "/shpir_stats " + prefix +
+                 "--watch 1 --port " + std::to_string(port_));
+    EXPECT_NE(watch.output.find("shpir_tcp_frames_total"), std::string::npos);
+    EXPECT_NE(watch.output.find("---\n"), std::string::npos) << watch.output;
+
+    // The views are document arguments; flags are closed.
+    const CommandResult xml = Stats(prefix + "stats xml");
+    EXPECT_EQ(xml.exit_code, 1) << xml.output;
+    EXPECT_NE(xml.output.find("INVALID_ARGUMENT"), std::string::npos)
+        << xml.output;
+    EXPECT_EQ(Stats(prefix + "--prometheus").exit_code, 2);
+    EXPECT_EQ(Stats(prefix + "--no-such-flag").exit_code, 2);
+  }
+
   /// The owner's geometry for `pages` x 128B pages, cache 8, c=2: init
   /// prints the numbers even when no provider runs.
   ::testing::AssertionResult Geometry(uint64_t pages, uint64_t* slots,
@@ -284,32 +317,10 @@ TEST_F(ToolsIntegrationTest, StatsCliPollsRunningProvider) {
             0);
   ASSERT_EQ(Owner("put --id 3 --data hello").exit_code, 0);
 
-  // Default table rendering, headed by the build identity: provider-side
-  // counters moved by the owner's traffic show up.
+  // Provider-side counters moved by the owner's traffic show up.
   const std::string table = Document("", "shpir_provider_requests_total");
-  EXPECT_NE(table.find("build:"), std::string::npos);
   EXPECT_NE(table.find("shpir_disk_reads_total"), std::string::npos);
-  EXPECT_NE(table.find("shpir_tcp_frames_total"), std::string::npos);
-  // The provider's registry never carries per-request identifiers.
-  EXPECT_EQ(table.find("page_id"), std::string::npos);
-  EXPECT_EQ(table.find("request_index"), std::string::npos);
-
-  // JSON mode emits the closed-schema document; Prometheus mode
-  // re-exports it with type annotations.
-  EXPECT_EQ(Document("stats --json", "").rfind("{\"counters\":[", 0), 0u);
-  Document("--prometheus", "# TYPE shpir_provider_requests_total counter");
-
-  // --watch re-polls, separating successive tables.
-  const CommandResult watch = RunShell(
-      "timeout 2.5 " + BinDir() + "/shpir_stats --watch 1 --port " +
-      std::to_string(port_));
-  EXPECT_NE(watch.output.find("shpir_provider_requests_total"),
-            std::string::npos);
-  EXPECT_NE(watch.output.find("---\n"), std::string::npos) << watch.output;
-
-  // Bad usage: --prometheus renders only stats; flags are closed.
-  EXPECT_EQ(Stats("health --prometheus").exit_code, 2);
-  EXPECT_EQ(Stats("--no-such-flag").exit_code, 2);
+  ExpectStatsViews("");
 }
 
 TEST_F(ToolsIntegrationTest, ProfileAndSloCliAgainstStorageProvider) {
@@ -355,7 +366,9 @@ TEST_F(ToolsIntegrationTest, ProfileAndSloCliAgainstStorageProvider) {
   EXPECT_NE(Stats("trace not-hex").exit_code, 0);
 
   Document("events", "provider_started");
-  Document("incidents", "\"sealed\":");
+  // Admin fetches stay off the data path's SLO: the failed ones above
+  // fired no burn alert, so nothing was sealed.
+  Document("incidents", "{\"sealed\":0,");
   EXPECT_NE(Stats("incidents 99").exit_code, 0);
   Document("health", "\"role\":\"storage\"");
   EXPECT_NE(Stats("health now").exit_code, 0);
@@ -400,6 +413,7 @@ TEST_F(ToolsIntegrationTest, ObservabilityCliSuiteAgainstLiveHub) {
 
   // shpir_stats hub: every document through the handshake.
   const std::string hub = "hub --psk testpsk ";
+  ExpectStatsViews(hub);
   Document(hub + "stats", "shpir_net_hellos_total");
   Document(hub + "profile", "\"stacks\":[");
   Document(hub + "profile collapsed", "engine_round");
@@ -423,6 +437,37 @@ TEST_F(ToolsIntegrationTest, ObservabilityCliSuiteAgainstLiveHub) {
   // to authenticate before the document is ever looked up.
   EXPECT_NE(Stats("hub --psk wrongpsk control unfreeze").exit_code, 0);
   Document(hub + "control", "controller: frozen=true");
+}
+
+// Every CLI refuses a misspelled flag, a non-numeric number and a
+// negative one as a usage error (exit 2), before it does anything: no
+// provider is needed, and nothing is created.
+TEST_F(ToolsIntegrationTest, UsageErrorsExitTwoOnEveryCli) {
+  const std::string missing = dir_ + "/missing";
+  const std::vector<std::string> commands = {
+      // A misspelled --passphrase would seal under the default one.
+      "shpir_owner init --pages 8 --pasphrase X --port 1 --state " + state_,
+      "shpir_owner init --pages abc --port 1 --state " + state_,
+      "shpir_owner init --pages -5 --port 1 --state " + state_,
+      "shpir_kv get --store " + missing + " --key k --cahce 8",
+      "shpir_kv get --store " + missing + " --key k --cache x",
+      "shpir_kv get --store " + missing + " --key k --cache -5",
+      "shpir_provider " + missing + "/d.bin 10 100 --trace-bufer 8",
+      "shpir_provider " + missing + "/d.bin 10 100 --eventlog x",
+      "shpir_provider " + missing + "/d.bin 10 100 --eventlog -5",
+      "shpir_provider " + missing + "/d.bin 10 100 70000",
+      "shpir_provider hub --pages 8 --shards 0 --psk-typo x",
+      "shpir_provider hub --pages 8 --shards 0 --c -1",
+      "shpir_stats --port 1 --jsn",
+      "shpir_stats --port 1 --watch x",
+      "shpir_stats --port -1",
+      "shpir_stats --port 70000",
+  };
+  for (const std::string& command : commands) {
+    const CommandResult result = RunShell(BinDir() + "/" + command);
+    EXPECT_EQ(result.exit_code, 2) << command << ": " << result.output;
+  }
+  EXPECT_FALSE(std::ifstream(state_).good());
 }
 
 class BenchDiffTest : public ::testing::Test {

@@ -27,14 +27,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "core/capprox_pir.h"
 #include "hardware/coprocessor.h"
 #include "keyword/keyword_client.h"
@@ -47,33 +46,32 @@
 namespace {
 
 using namespace shpir;
+using cli::Flags;
+using cli::Kind;
 
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  std::string Get(const std::string& key,
-                  const std::string& fallback = "") const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-  uint64_t GetU64(const std::string& key, uint64_t fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::strtoull(
-                                               it->second.c_str(), nullptr, 10);
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback
-                              : std::strtod(it->second.c_str(), nullptr);
-  }
-};
-
-Flags ParseFlags(int argc, char** argv, int start) {
-  Flags flags;
-  for (int i = start; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) == 0) {
-      flags.values[argv[i] + 2] = argv[i + 1];
-    }
+/// The flags `mode` accepts; empty for an unknown mode. BuildStore's
+/// flags serve both build and bench.
+std::vector<cli::Flag> AcceptedFlags(const std::string& mode) {
+  const std::vector<cli::Flag> store = {{"kind", Kind::kText},
+                                        {"page-size", Kind::kCount},
+                                        {"value-size", Kind::kCount},
+                                        {"seed", Kind::kCount},
+                                        {"build-version", Kind::kCount}};
+  std::vector<cli::Flag> flags;
+  if (mode == "build") {
+    flags = store;
+    flags.insert(flags.end(), {{"in", Kind::kText}, {"store", Kind::kText}});
+  } else if (mode == "get") {
+    flags = {{"store", Kind::kText},
+             {"key", Kind::kText},
+             {"cache", Kind::kCount},
+             {"c", Kind::kReal},
+             {"seed", Kind::kCount}};
+  } else if (mode == "bench") {
+    flags = store;
+    flags.insert(flags.end(), {{"keys", Kind::kCount},
+                               {"queries", Kind::kCount},
+                               {"hit-ratio", Kind::kReal}});
   }
   return flags;
 }
@@ -403,19 +401,18 @@ int RunBench(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const std::string mode = argc < 2 ? "" : argv[1];
+  const std::vector<cli::Flag> accepted = AcceptedFlags(mode);
+  const std::optional<Flags> flags =
+      accepted.empty() ? std::nullopt : Flags::Parse(argc, argv, 2, accepted);
+  if (!flags || !flags->positional().empty()) {
     return Usage();
   }
-  const std::string mode = argv[1];
-  const Flags flags = ParseFlags(argc, argv, 2);
   if (mode == "build") {
-    return RunBuild(flags);
+    return RunBuild(*flags);
   }
   if (mode == "get") {
-    return RunGet(flags);
+    return RunGet(*flags);
   }
-  if (mode == "bench") {
-    return RunBench(flags);
-  }
-  return Usage();
+  return RunBench(*flags);
 }

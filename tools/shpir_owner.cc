@@ -36,13 +36,13 @@
 // checks). A production deployment would journal state updates.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "cli_flags.h"
 #include "common/check.h"
 #include "core/capprox_pir.h"
 #include "crypto/blob_cipher.h"
@@ -58,27 +58,38 @@
 namespace {
 
 using namespace shpir;
+using cli::Flags;
+using cli::Kind;
 
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  std::string Get(const std::string& key,
-                  const std::string& fallback = "") const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
+/// The flags `command` accepts: its own plus the common ones. Empty for
+/// an unknown command.
+std::vector<cli::Flag> AcceptedFlags(const std::string& command) {
+  std::vector<cli::Flag> flags;
+  if (command == "init") {
+    flags = {{"pages", Kind::kCount},
+             {"page-size", Kind::kCount},
+             {"cache", Kind::kCount},
+             {"c", Kind::kReal},
+             {"reserve", Kind::kCount}};
+  } else if (command == "get" || command == "remove") {
+    flags = {{"id", Kind::kCount}};
+  } else if (command == "put") {
+    flags = {{"id", Kind::kCount}, {"data", Kind::kText}};
+  } else if (command == "insert") {
+    flags = {{"data", Kind::kText}};
+  } else if (command != "stats") {
+    return {};
   }
-  uint64_t GetU64(const std::string& key, uint64_t fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback
-                              : std::strtoull(it->second.c_str(), nullptr,
-                                              10);
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback
-                              : std::strtod(it->second.c_str(), nullptr);
-  }
-};
+  flags.insert(flags.end(), {{"host", Kind::kText},
+                             {"port", Kind::kPort},
+                             {"state", Kind::kText},
+                             {"passphrase", Kind::kText},
+                             {"trace-sample", Kind::kCount},
+                             {"trace-out", Kind::kText},
+                             {"profile-sample", Kind::kCount},
+                             {"profile-out", Kind::kText}});
+  return flags;
+}
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -170,9 +181,8 @@ Result<std::unique_ptr<Session>> Connect(
   session->state_path = flags.Get("state", "shpir_owner.state");
   SHPIR_ASSIGN_OR_RETURN(
       session->transport,
-      net::TcpTransport::Connect(
-          flags.Get("host", "127.0.0.1"),
-          static_cast<uint16_t>(flags.GetU64("port", 9000))));
+      net::TcpTransport::Connect(flags.Get("host", "127.0.0.1"),
+                                 flags.GetPort("port", 9000)));
   SHPIR_ASSIGN_OR_RETURN(session->disk,
                          net::RemoteDisk::Connect(session->transport.get()));
   SHPIR_ASSIGN_OR_RETURN(
@@ -323,9 +333,6 @@ int RunCommand(const std::string& command, const Flags& flags,
     std::fputs(
         obs::RenderTable(obs::MetricsRegistry::Global().Snapshot()).c_str(),
         stdout);
-  } else {
-    std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-    return 2;
   }
   return 0;
 }
@@ -386,24 +393,19 @@ int CmdOp(const std::string& command, const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const std::string command = argc < 2 ? "" : argv[1];
+  const std::vector<cli::Flag> accepted = AcceptedFlags(command);
+  const std::optional<Flags> flags =
+      accepted.empty() ? std::nullopt : Flags::Parse(argc, argv, 2, accepted);
+  if (!flags || !flags->positional().empty()) {
     std::fprintf(stderr,
                  "usage: %s init|get|put|insert|remove|stats [--flag "
                  "value]...\n",
                  argv[0]);
     return 2;
   }
-  const std::string command = argv[1];
-  Flags flags;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) {
-      std::fprintf(stderr, "bad flag: %s\n", argv[i]);
-      return 2;
-    }
-    flags.values[argv[i] + 2] = argv[i + 1];
-  }
   if (command == "init") {
-    return CmdInit(flags);
+    return CmdInit(*flags);
   }
-  return CmdOp(command, flags);
+  return CmdOp(command, *flags);
 }

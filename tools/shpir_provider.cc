@@ -46,14 +46,14 @@
 // which only the hub's authenticated session serves.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "control/controller.h"
 #include "net/service_hub.h"
 #include "net/storage_server.h"
@@ -73,42 +73,35 @@
 namespace {
 
 using namespace shpir;
+using cli::Flags;
+using cli::Kind;
 
-/// The command line: `--key value` flags and the positional arguments
-/// between them.
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> flags;
-
-  std::string Get(const std::string& key,
-                  const std::string& fallback = "") const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
+/// The flags a mode accepts: the observability flags both modes share,
+/// plus hub mode's own.
+std::vector<cli::Flag> AcceptedFlags(bool hub) {
+  std::vector<cli::Flag> flags = {
+      {"trace-buffer", Kind::kCount}, {"profile-sample", Kind::kCount},
+      {"slo-latency-ms", Kind::kCount}, {"eventlog", Kind::kCount},
+      {"incidents", Kind::kCount}};
+  if (hub) {
+    flags.insert(flags.end(),
+                 {{"pages", Kind::kCount},
+                  {"page-size", Kind::kCount},
+                  {"cache", Kind::kCount},
+                  {"c", Kind::kReal},
+                  {"shards", Kind::kCount},
+                  {"queue-depth", Kind::kCount},
+                  {"deadline-ms", Kind::kCount},
+                  {"port", Kind::kPort},
+                  {"psk", Kind::kText},
+                  {"seed", Kind::kCount},
+                  {"control-c-bound", Kind::kReal},
+                  {"control-kmin", Kind::kCount},
+                  {"control-kmax", Kind::kCount},
+                  {"control-interval-ms", Kind::kCount},
+                  {"control-frozen", Kind::kCount}});
   }
-  uint64_t GetU64(const std::string& key, uint64_t fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : std::strtoull(it->second.c_str(), nullptr,
-                                             10);
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : std::strtod(it->second.c_str(), nullptr);
-  }
-};
-
-Args ParseArgs(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) == 0 && i + 1 < argc) {
-      args.flags[argv[i] + 2] = argv[i + 1];
-      ++i;
-    } else {
-      args.positional.emplace_back(argv[i]);
-    }
-  }
-  return args;
+  return flags;
 }
 
 int Fail(const Status& status) {
@@ -145,7 +138,7 @@ struct Observability {
 /// Builds what --trace-buffer, --profile-sample, --eventlog and
 /// --incidents ask for, publishing each one's metrics on `metrics`. The
 /// flight recorder captures whichever of the others exist.
-Observability WireObservability(const Args& args,
+Observability WireObservability(const Flags& args,
                                 obs::MetricsRegistry* metrics) {
   Observability o;
   // Sampling is decided by clients (head sampling at the root span);
@@ -186,7 +179,7 @@ obs::SloTracker::Objectives SloObjectives(uint64_t latency_ms) {
   return objectives;
 }
 
-int ServeHub(const Args& args) {
+int ServeHub(const Flags& args) {
   shard::ShardedPirEngine::Options options;
   options.num_pages = args.GetU64("pages", 0);
   options.page_size = args.GetU64("page-size", 1024);
@@ -206,7 +199,7 @@ int ServeHub(const Args& args) {
     std::fprintf(stderr, "error: hub mode requires --pages\n");
     return 2;
   }
-  const uint16_t port = static_cast<uint16_t>(args.GetU64("port", 0));
+  const uint16_t port = args.GetPort("port", 0);
   const std::string psk_text = args.Get("psk", "shpir");
   Bytes psk(psk_text.begin(), psk_text.end());
 
@@ -300,20 +293,22 @@ int ServeHub(const Args& args) {
   return 0;
 }
 
-int ServeStorage(const Args& args) {
-  if (args.positional.size() < 3 || args.positional.size() > 4) {
+int ServeStorage(const Flags& args) {
+  const std::vector<std::string>& positional = args.positional();
+  if (positional.size() < 3 || positional.size() > 4) {
     return 2;
   }
-  const std::string& path = args.positional[0];
-  const uint64_t slots =
-      std::strtoull(args.positional[1].c_str(), nullptr, 10);
-  const uint64_t slot_size =
-      std::strtoull(args.positional[2].c_str(), nullptr, 10);
-  const uint16_t port =
-      args.positional.size() == 4
-          ? static_cast<uint16_t>(
-                std::strtoul(args.positional[3].c_str(), nullptr, 10))
-          : 0;
+  const std::string& path = positional[0];
+  uint64_t slots = 0;
+  uint64_t slot_size = 0;
+  uint16_t port = 0;
+  if (!obs::ParseAdminNumber(positional[1], &slots) ||
+      !obs::ParseAdminNumber(positional[2], &slot_size) ||
+      (positional.size() == 4 && !cli::ParsePort(positional[3], &port))) {
+    std::fprintf(stderr, "error: slots, slot-size and port must be "
+                         "numbers\n");
+    return 2;
+  }
   if (slots == 0 || slot_size == 0) {
     std::fprintf(stderr, "error: slots and slot-size must be positive\n");
     return 2;
@@ -381,10 +376,15 @@ int ServeStorage(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "hub") == 0) {
-    return ServeHub(ParseArgs(argc, argv, 2));
+  const bool hub = argc >= 2 && std::strcmp(argv[1], "hub") == 0;
+  const std::optional<Flags> flags =
+      Flags::Parse(argc, argv, hub ? 2 : 1, AcceptedFlags(hub));
+  int code = 2;
+  if (flags && hub && flags->positional().empty()) {
+    code = ServeHub(*flags);
+  } else if (flags && !hub) {
+    code = ServeStorage(*flags);
   }
-  const int code = ServeStorage(ParseArgs(argc, argv, 1));
   if (code == 2) {
     std::fprintf(
         stderr,

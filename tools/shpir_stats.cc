@@ -3,7 +3,7 @@
 // construction (see docs/OBSERVABILITY.md).
 //
 //   shpir_stats [hub] [DOC [ARG...]] [--host H] [--port P] [--psk STR]
-//               [--watch SECONDS] [--json | --prometheus]
+//               [--watch SECONDS] [--json]
 //
 // Without `hub` it speaks the storage protocol to a shpir_provider; the
 // provider is the untrusted party, so its documents are public. With
@@ -11,10 +11,13 @@
 // (default "shpir") and fetches through the sealed session, so only
 // key holders can read, or steer, a hub.
 //
-// DOC defaults to `stats`; the words after it are its argument:
-//   stats                  metrics table, headed by the build identity;
-//                          --json prints the raw snapshot, --prometheus
-//                          re-exports it as Prometheus text
+// DOC defaults to `stats`; the words after it are its argument. Every
+// document is rendered by the endpoint; the CLI prints it verbatim,
+// except the controller table.
+//   stats [json | table | prometheus]
+//                          metrics snapshot; the table, headed by the
+//                          build identity, unless --json asks for the
+//                          JSON
 //   trace [TRACE_ID]       span buffer as Chrome trace JSON; with a
 //                          16-hex trace id (from span args or metric
 //                          exemplars), only that trace's spans
@@ -27,7 +30,6 @@
 //                          hub only: the privacy/cost controller's
 //                          per-shard table after the action (--json
 //                          prints its status JSON)
-// Other documents print verbatim.
 //
 // --watch re-fetches every SECONDS seconds until interrupted; transient
 // failures (endpoint restarting, connection refused) are reported and
@@ -35,24 +37,22 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
 #include "crypto/secure_random.h"
 #include "net/pir_service.h"
 #include "net/remote_disk.h"
 #include "net/service_hub.h"
 #include "net/tcp_transport.h"
-#include "obs/export.h"
 
 namespace {
 
 using namespace shpir;
-
-enum class Format { kDefault, kJson, kPrometheus };
 
 struct Options {
   bool hub = false;
@@ -62,7 +62,7 @@ struct Options {
   uint16_t port = 9000;
   std::string psk = "shpir";
   uint64_t watch_seconds = 0;
-  Format format = Format::kDefault;
+  bool json = false;
 };
 
 int Fail(const Status& status) {
@@ -156,34 +156,13 @@ void RenderControlTable(const std::string& json) {
   }
 }
 
-/// Renders the metrics snapshot as a table or as Prometheus text.
-int RenderStats(const std::string& json, Format format) {
-  Result<obs::MetricsSnapshot> snapshot = obs::ParseJsonSnapshot(json);
-  if (!snapshot.ok()) {
-    return Fail(snapshot.status());
-  }
-  if (format == Format::kPrometheus) {
-    std::fputs(obs::ToPrometheusText(*snapshot).c_str(), stdout);
-    return 0;
-  }
-  // Identity header first: which binary produced these numbers.
-  for (const obs::SnapshotInfo& info : snapshot->infos) {
-    if (info.name != "shpir_build_info") {
-      continue;
-    }
-    std::fputs("build:", stdout);
-    for (const auto& [key, value] : info.labels) {
-      std::printf(" %s=%s", key.c_str(), value.c_str());
-    }
-    std::fputc('\n', stdout);
-  }
-  std::fputs(obs::RenderTable(*snapshot).c_str(), stdout);
-  return 0;
+bool RendersControlTable(const Options& options) {
+  return options.document == "control" && !options.json;
 }
 
 bool RendersTable(const Options& options) {
-  return options.format == Format::kDefault &&
-         (options.document == "stats" || options.document == "control");
+  return RendersControlTable(options) ||
+         (options.document == "stats" && options.arg == "table");
 }
 
 int PollOnce(const Options& options, uint64_t client_id) {
@@ -191,14 +170,9 @@ int PollOnce(const Options& options, uint64_t client_id) {
   if (!body.ok()) {
     return Fail(body.status());
   }
-  if (options.format != Format::kJson) {
-    if (options.document == "stats") {
-      return RenderStats(*body, options.format);
-    }
-    if (options.document == "control") {
-      RenderControlTable(*body);
-      return 0;
-    }
+  if (RendersControlTable(options)) {
+    RenderControlTable(*body);
+    return 0;
   }
   std::fwrite(body->data(), 1, body->size(), stdout);
   if (body->empty() || body->back() != '\n') {
@@ -216,12 +190,13 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [hub] [DOC [ARG...]] [--host H] [--port P] "
                "[--psk STR]\n"
-               "          [--watch SECONDS] [--json | --prometheus]\n"
-               "documents: stats, trace [TRACE_ID], profile [collapsed], "
-               "slo, events,\n"
-               "           incidents [ID], health, control [freeze | "
-               "unfreeze |\n"
-               "           set-bounds KMIN KMAX] (hub only)\n",
+               "          [--watch SECONDS] [--json]\n"
+               "documents: stats [json | table | prometheus], trace "
+               "[TRACE_ID],\n"
+               "           profile [collapsed], slo, events, incidents "
+               "[ID], health,\n"
+               "           control [freeze | unfreeze | set-bounds KMIN "
+               "KMAX] (hub only)\n",
                argv0);
   return 2;
 }
@@ -235,37 +210,32 @@ int main(int argc, char** argv) {
     options.hub = true;
     ++i;
   }
-  std::vector<std::string> words;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--json") {
-      options.format = Format::kJson;
-    } else if (arg == "--prometheus") {
-      options.format = Format::kPrometheus;
-    } else if (arg == "--host" && has_value) {
-      options.host = argv[++i];
-    } else if (arg == "--port" && has_value) {
-      options.port =
-          static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--psk" && has_value) {
-      options.psk = argv[++i];
-    } else if (arg == "--watch" && has_value) {
-      options.watch_seconds = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg.rfind("--", 0) == 0) {
-      return Usage(argv[0]);
-    } else {
-      words.push_back(arg);
-    }
+  const std::optional<cli::Flags> flags =
+      cli::Flags::Parse(argc, argv, i,
+                        {{"host", cli::Kind::kText},
+                         {"port", cli::Kind::kPort},
+                         {"psk", cli::Kind::kText},
+                         {"watch", cli::Kind::kCount},
+                         {"json", cli::Kind::kSwitch}});
+  if (!flags) {
+    return Usage(argv[0]);
   }
+  options.host = flags->Get("host", options.host);
+  options.port = flags->GetPort("port", options.port);
+  options.psk = flags->Get("psk", options.psk);
+  options.watch_seconds = flags->GetU64("watch", 0);
+  options.json = flags->Has("json");
+  const std::vector<std::string>& words = flags->positional();
   if (!words.empty()) {
     options.document = words[0];
     for (size_t w = 1; w < words.size(); ++w) {
       options.arg += (w > 1 ? " " : "") + words[w];
     }
   }
-  if (options.format == Format::kPrometheus && options.document != "stats") {
-    return Usage(argv[0]);
+  // The endpoint renders every view of "stats"; the default is its
+  // table.
+  if (options.document == "stats" && options.arg.empty() && !options.json) {
+    options.arg = "table";
   }
   const uint64_t client_id = crypto::SecureRandom().NextUint64();
   if (options.watch_seconds == 0) {
