@@ -1,6 +1,9 @@
 // Microbenchmarks of the crypto substrate (google-benchmark): the
 // paper's Table 2 budgets 10 MB/s for the coprocessor's crypto engine;
-// these numbers characterize the simulator's actual software crypto.
+// these numbers characterize the crypto this build actually runs. The
+// *Kernel benchmarks time the portable and the dispatched kernel of
+// crypto/kernels.h side by side, so the fallback's speed stays visible
+// on hosts whose CPU never selects it.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +12,7 @@
 #include "crypto/chacha20.h"
 #include "crypto/ctr.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/secure_random.h"
 #include "crypto/sha256.h"
 #include "storage/page_cipher.h"
@@ -29,18 +33,54 @@ void BM_AesEncryptBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_AesEncryptBlock);
 
+// Args: key bytes, message bytes. Pages use 32-byte keys.
 void BM_AesCtr(benchmark::State& state) {
-  auto ctr = crypto::AesCtr::Create(Bytes(16, 0x22));
+  auto ctr =
+      crypto::AesCtr::Create(Bytes(static_cast<size_t>(state.range(0)), 0x22));
   SHPIR_CHECK(ctr.ok());
-  Bytes data(static_cast<size_t>(state.range(0)), 0xab);
+  Bytes data(static_cast<size_t>(state.range(1)), 0xab);
   const Bytes iv(16, 0x01);
   for (auto _ : state) {
     SHPIR_CHECK_OK(ctr->Crypt(iv, data, data));
     benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_AesCtr)
+    ->ArgNames({"key", "bytes"})
+    ->Args({16, 1024})
+    ->Args({16, 10240})
+    ->Args({32, 1024})
+    ->Args({32, 10240});
+
+// AES-256-CTR through one kernel: the portable one, or the one AesCtr
+// dispatches to on this CPU (the label names it).
+void BM_AesCtrKernel(benchmark::State& state, bool dispatched) {
+  const Bytes key(32, 0x22);
+  auto aes = crypto::Aes::Create(key);
+  SHPIR_CHECK(aes.ok());
+  uint8_t schedule[crypto::kernels::kMaxAesScheduleBytes];
+  const int rounds = crypto::kernels::ExpandAesKey(key, schedule);
+  const bool hardware = dispatched && crypto::kernels::HasAesNi();
+  state.SetLabel(hardware ? "aes-ni" : "portable");
+  Bytes data(static_cast<size_t>(state.range(0)), 0xab);
+  const Bytes iv(16, 0x01);
+  for (auto _ : state) {
+    if (hardware) {
+      crypto::kernels::AesCtrHardware(schedule, rounds, iv.data(),
+                                      data.data(), data.data(), data.size());
+    } else {
+      crypto::kernels::AesCtrPortable(*aes, iv.data(), data.data(),
+                                      data.data(), data.size());
+    }
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_AesCtr)->Arg(1024)->Arg(10240);
+BENCHMARK_CAPTURE(BM_AesCtrKernel, portable, false)->Arg(1024);
+BENCHMARK_CAPTURE(BM_AesCtrKernel, dispatched, true)->Arg(1024);
 
 void BM_Sha256(benchmark::State& state) {
   Bytes data(static_cast<size_t>(state.range(0)), 0x5a);
@@ -51,6 +91,27 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(1024)->Arg(10240);
+
+// SHA-256 compression of whole blocks through one kernel, as above.
+void BM_Sha256Kernel(benchmark::State& state, bool dispatched) {
+  const bool hardware = dispatched && crypto::kernels::HasShaNi();
+  state.SetLabel(hardware ? "sha-ni" : "portable");
+  const Bytes data(static_cast<size_t>(state.range(0)), 0x5a);
+  const size_t blocks = data.size() / crypto::Sha256::kBlockSize;
+  uint32_t chaining[8] = {};
+  for (auto _ : state) {
+    if (hardware) {
+      crypto::kernels::Sha256BlocksHardware(chaining, data.data(), blocks);
+    } else {
+      crypto::kernels::Sha256BlocksPortable(chaining, data.data(), blocks);
+    }
+    benchmark::DoNotOptimize(chaining);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Sha256Kernel, portable, false)->Arg(1024);
+BENCHMARK_CAPTURE(BM_Sha256Kernel, dispatched, true)->Arg(1024);
 
 void BM_HmacSha256(benchmark::State& state) {
   crypto::HmacSha256 mac(Bytes(32, 0x33));

@@ -1,7 +1,9 @@
 #ifndef SHPIR_COMMON_BYTES_H_
 #define SHPIR_COMMON_BYTES_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -16,6 +18,19 @@ using Bytes = std::vector<uint8_t>;
 /// Non-owning views over byte ranges.
 using ByteSpan = std::span<const uint8_t>;
 using MutableByteSpan = std::span<uint8_t>;
+
+/// Lexicographic order on byte strings, the same order as operator< on
+/// Bytes. gcc 12 at -O2 reports a false -Wstringop-overread inside
+/// std::vector<uint8_t>'s operator< (its memcmp over the shorter
+/// length), which -Werror turns into a build failure, so ordered
+/// containers and sorts of byte strings use this instead.
+struct BytesLess {
+  bool operator()(ByteSpan a, ByteSpan b) const {
+    const size_t common = std::min(a.size(), b.size());
+    const int order = common == 0 ? 0 : std::memcmp(a.data(), b.data(), common);
+    return order < 0 || (order == 0 && a.size() < b.size());
+  }
+};
 
 /// Views text (a JSON document, say) as the bytes of a payload.
 inline ByteSpan AsBytes(std::string_view text) {

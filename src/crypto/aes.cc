@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "crypto/kernels.h"
+
 namespace shpir::crypto {
 
 namespace {
@@ -153,21 +155,13 @@ inline void StoreWordBE(uint32_t v, uint8_t* p) {
 
 }  // namespace
 
-Result<Aes> Aes::Create(ByteSpan key) {
-  if (key.size() != 16 && key.size() != 24 && key.size() != 32) {
-    return InvalidArgumentError("AES key must be 16, 24 or 32 bytes");
-  }
-  Aes aes;
-  aes.rounds_ = static_cast<int>(key.size() / 4) + 6;
-  aes.ExpandKey(key);
-  return aes;
-}
+namespace kernels {
 
-void Aes::ExpandKey(ByteSpan key) {
+int ExpandAesKey(ByteSpan key, uint8_t schedule[kMaxAesScheduleBytes]) {
   const int nk = static_cast<int>(key.size() / 4);  // Key length in words.
-  const int total_words = 4 * (rounds_ + 1);
-  // Byte-oriented FIPS 197 schedule into a scratch buffer.
-  uint8_t w[240];
+  const int rounds = nk + 6;
+  const int total_words = 4 * (rounds + 1);
+  uint8_t* w = schedule;
   std::memcpy(w, key.data(), key.size());
   for (int i = nk; i < total_words; ++i) {
     uint8_t temp[4];
@@ -189,6 +183,24 @@ void Aes::ExpandKey(ByteSpan key) {
       w[4 * i + j] = static_cast<uint8_t>(w[4 * (i - nk) + j] ^ temp[j]);
     }
   }
+  return rounds;
+}
+
+}  // namespace kernels
+
+Result<Aes> Aes::Create(ByteSpan key) {
+  if (key.size() != 16 && key.size() != 24 && key.size() != 32) {
+    return InvalidArgumentError("AES key must be 16, 24 or 32 bytes");
+  }
+  Aes aes;
+  aes.ExpandKey(key);
+  return aes;
+}
+
+void Aes::ExpandKey(ByteSpan key) {
+  uint8_t w[kernels::kMaxAesScheduleBytes];
+  rounds_ = kernels::ExpandAesKey(key, w);
+  const int total_words = 4 * (rounds_ + 1);
   for (int i = 0; i < total_words; ++i) {
     enc_keys_[i] = LoadWordBE(w + 4 * i);
   }

@@ -14,9 +14,16 @@ namespace shpir::crypto {
 /// Portable T-table implementation (the "equivalent inverse cipher" for
 /// decryption) written for the secure-coprocessor simulator. It is
 /// correct (validated against the FIPS 197 and NIST SP 800-38A vectors
-/// in tests) but makes no claim of resistance to cache-timing side
+/// in tests) but its table loads are indexed by key- and data-dependent
+/// bytes, so it makes no claim of resistance to cache-timing side
 /// channels; the simulated coprocessor is assumed physically shielded,
 /// matching the paper's IBM 4764 threat model.
+///
+/// That caveat covers only this portable fallback. Bulk encryption goes
+/// through AesCtr, which runs on AES-NI wherever CPUID reports it
+/// (crypto/kernels.h): the AES-NI rounds make no key- or data-indexed
+/// table loads. The key schedule both paths share is expanded here,
+/// with S-box lookups, once per key.
 class Aes {
  public:
   static constexpr size_t kBlockSize = 16;

@@ -1,8 +1,19 @@
 #include "crypto/ctr.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "common/check.h"
+#include "crypto/kernels.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace shpir::crypto {
+
+namespace kernels {
 
 namespace {
 
@@ -17,9 +28,114 @@ void IncrementCounter(uint8_t block[16]) {
 
 }  // namespace
 
+void AesCtrPortable(const Aes& aes, const uint8_t iv[16], const uint8_t* in,
+                    uint8_t* out, size_t len) {
+  uint8_t counter[Aes::kBlockSize];
+  std::memcpy(counter, iv, Aes::kBlockSize);
+  uint8_t keystream[Aes::kBlockSize];
+  size_t offset = 0;
+  while (offset < len) {
+    aes.EncryptBlock(counter, keystream);
+    const size_t chunk = std::min(len - offset, Aes::kBlockSize);
+    for (size_t i = 0; i < chunk; ++i) {
+      out[offset + i] = in[offset + i] ^ keystream[i];
+    }
+    IncrementCounter(counter);
+    offset += chunk;
+  }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+bool HasAesNi() {
+  static const bool has = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    return __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 &&
+           (ecx & bit_AES) != 0 && (ecx & bit_SSSE3) != 0 &&
+           (ecx & bit_SSE4_1) != 0;
+  }();
+  return has;
+}
+
+__attribute__((target("aes,sse4.1,ssse3"))) void AesCtrHardware(
+    const uint8_t* schedule, int rounds, const uint8_t iv[16],
+    const uint8_t* in, uint8_t* out, size_t len) {
+  constexpr size_t kLanes = 8;
+  constexpr size_t kStride = kLanes * Aes::kBlockSize;
+  __m128i keys[15];
+  for (int r = 0; r <= rounds; ++r) {
+    keys[r] = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(schedule + Aes::kBlockSize * r));
+  }
+  // The counter as two 64-bit halves, so a carry crosses all 128 bits.
+  uint64_t high = LoadBE64(iv);
+  uint64_t low = LoadBE64(iv + 8);
+  // A final partial stride runs through this buffer, so every stride
+  // reads and writes whole blocks.
+  alignas(16) uint8_t tail[kStride] = {};
+  while (len > 0) {
+    const size_t n = std::min(len, kStride);
+    const uint8_t* src = in;
+    uint8_t* dst = out;
+    if (n < kStride) {
+      std::memcpy(tail, in, n);
+      src = tail;
+      dst = tail;
+    }
+    // The lane loops are unrolled so the eight blocks stay in registers.
+    __m128i blocks[kLanes];
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kLanes; ++j) {
+      const __m128i counter =
+          _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(low)),
+                         static_cast<long long>(__builtin_bswap64(high)));
+      blocks[j] = _mm_xor_si128(counter, keys[0]);
+      low += 1;
+      high += (low == 0) ? 1 : 0;
+    }
+    for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+      for (size_t j = 0; j < kLanes; ++j) {
+        blocks[j] = _mm_aesenc_si128(blocks[j], keys[r]);
+      }
+    }
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kLanes; ++j) {
+      const __m128i keystream = _mm_aesenclast_si128(blocks[j], keys[rounds]);
+      const __m128i text = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(src + Aes::kBlockSize * j));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + Aes::kBlockSize * j),
+                       _mm_xor_si128(text, keystream));
+    }
+    if (n < kStride) {
+      std::memcpy(out, tail, n);
+    }
+    in += n;
+    out += n;
+    len -= n;
+  }
+}
+
+#else  // Not x86: only the portable kernel exists.
+
+bool HasAesNi() { return false; }
+
+void AesCtrHardware(const uint8_t*, int, const uint8_t*, const uint8_t*,
+                    uint8_t*, size_t) {
+  // HasAesNi() is false here, so nothing reaches this.
+  SHPIR_CHECK(false);
+}
+
+#endif
+
+}  // namespace kernels
+
 Result<AesCtr> AesCtr::Create(ByteSpan key) {
   SHPIR_ASSIGN_OR_RETURN(Aes aes, Aes::Create(key));
-  return AesCtr(std::move(aes));
+  AesCtr ctr(std::move(aes));
+  static_assert(sizeof(ctr.round_keys_) == kernels::kMaxAesScheduleBytes);
+  kernels::ExpandAesKey(key, ctr.round_keys_.data());
+  return ctr;
 }
 
 Status AesCtr::Crypt(ByteSpan iv, ByteSpan in, MutableByteSpan out) const {
@@ -29,18 +145,12 @@ Status AesCtr::Crypt(ByteSpan iv, ByteSpan in, MutableByteSpan out) const {
   if (in.size() != out.size()) {
     return InvalidArgumentError("CTR output size must match input size");
   }
-  uint8_t counter[Aes::kBlockSize];
-  std::memcpy(counter, iv.data(), Aes::kBlockSize);
-  uint8_t keystream[Aes::kBlockSize];
-  size_t offset = 0;
-  while (offset < in.size()) {
-    aes_.EncryptBlock(counter, keystream);
-    const size_t chunk = std::min(in.size() - offset, Aes::kBlockSize);
-    for (size_t i = 0; i < chunk; ++i) {
-      out[offset + i] = in[offset + i] ^ keystream[i];
-    }
-    IncrementCounter(counter);
-    offset += chunk;
+  if (kernels::HasAesNi()) {
+    kernels::AesCtrHardware(round_keys_.data(), aes_.rounds(), iv.data(),
+                            in.data(), out.data(), in.size());
+  } else {
+    kernels::AesCtrPortable(aes_, iv.data(), in.data(), out.data(),
+                            in.size());
   }
   return OkStatus();
 }

@@ -6,6 +6,7 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "common/secret.h"
 #include "crypto/aes.h"
 
 namespace shpir::crypto {
@@ -13,6 +14,10 @@ namespace shpir::crypto {
 /// AES-CTR stream cipher (NIST SP 800-38A). The 16-byte counter block is
 /// the concatenation of a caller-supplied nonce and a big-endian block
 /// counter; encryption and decryption are the same operation.
+///
+/// Crypt runs on AES-NI, eight blocks at a time, where CPUID reports it,
+/// and on the portable T-table cipher elsewhere (crypto/kernels.h). Both
+/// produce the same bytes.
 class AesCtr {
  public:
   /// Creates a CTR context from a 16/24/32-byte AES key.
@@ -33,6 +38,9 @@ class AesCtr {
   explicit AesCtr(Aes aes) : aes_(std::move(aes)) {}
 
   Aes aes_;
+  /// The same key's round keys in the byte order AES-NI consumes, up to
+  /// 15 keys of 16 bytes (AES-256).
+  SHPIR_SECRET std::array<uint8_t, 240> round_keys_{};
 };
 
 }  // namespace shpir::crypto

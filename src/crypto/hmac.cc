@@ -1,5 +1,6 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/constant_time.h"
@@ -12,22 +13,27 @@ HmacSha256::HmacSha256(ByteSpan key) {
     const Sha256::Digest digest = Sha256::Hash(key);
     std::memcpy(block_key.data(), digest.data(), digest.size());
   } else {
-    std::memcpy(block_key.data(), key.data(), key.size());
+    // std::copy, not memcpy: an empty key may have a null data().
+    std::copy(key.begin(), key.end(), block_key.begin());
   }
+  std::array<uint8_t, Sha256::kBlockSize> pad;
   for (size_t i = 0; i < Sha256::kBlockSize; ++i) {
-    ipad_key_[i] = block_key[i] ^ 0x36;
-    opad_key_[i] = block_key[i] ^ 0x5c;
+    pad[i] = block_key[i] ^ 0x36;
   }
+  ipad_state_.Update(pad);
+  for (size_t i = 0; i < Sha256::kBlockSize; ++i) {
+    pad[i] = block_key[i] ^ 0x5c;
+  }
+  opad_state_.Update(pad);
 }
 
 HmacSha256::Tag HmacSha256::Compute(ByteSpan data) const {
-  Sha256 inner;
-  inner.Update(ByteSpan(ipad_key_.data(), ipad_key_.size()));
+  Sha256 inner = ipad_state_;
   inner.Update(data);
   const Sha256::Digest inner_digest = inner.Finalize();
-  Sha256 outer;
-  outer.Update(ByteSpan(opad_key_.data(), opad_key_.size()));
+  Sha256 outer = opad_state_;
   outer.Update(ByteSpan(inner_digest.data(), inner_digest.size()));
+  // shpir-lint-allow-next-line(secret-return): the tag is public by design, stored and sent beside the data it authenticates; the secret midstates it is computed from stay in this object
   return outer.Finalize();
 }
 

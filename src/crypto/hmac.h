@@ -9,7 +9,9 @@
 
 namespace shpir::crypto {
 
-/// HMAC-SHA-256 (RFC 2104 / FIPS 198-1).
+/// HMAC-SHA-256 (RFC 2104 / FIPS 198-1). The key's inner and outer pad
+/// blocks are hashed once, at construction; each tag resumes from those
+/// two SHA-256 states.
 class HmacSha256 {
  public:
   static constexpr size_t kTagSize = Sha256::kDigestSize;
@@ -26,10 +28,11 @@ class HmacSha256 {
   bool Verify(ByteSpan data, ByteSpan tag) const;
 
  private:
-  /// Derived MAC key material: comparisons against anything computed
-  /// from these must go through crypto::ConstantTimeEquals.
-  SHPIR_SECRET std::array<uint8_t, Sha256::kBlockSize> ipad_key_;
-  SHPIR_SECRET std::array<uint8_t, Sha256::kBlockSize> opad_key_;
+  /// SHA-256 states after absorbing key XOR ipad and key XOR opad. They
+  /// are derived MAC key material: comparisons against anything computed
+  /// from them must go through crypto::ConstantTimeEquals.
+  SHPIR_SECRET Sha256 ipad_state_;
+  SHPIR_SECRET Sha256 opad_state_;
 };
 
 }  // namespace shpir::crypto

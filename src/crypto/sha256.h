@@ -8,7 +8,9 @@
 
 namespace shpir::crypto {
 
-/// SHA-256 (FIPS 180-4), incremental interface.
+/// SHA-256 (FIPS 180-4), incremental interface. The compression runs on
+/// SHA-NI where CPUID reports it, and in portable code elsewhere
+/// (crypto/kernels.h).
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;
@@ -32,10 +34,11 @@ class Sha256 {
   static Digest Hash(ByteSpan data);
 
  private:
-  void ProcessBlock(const uint8_t block[kBlockSize]);
+  /// Compresses `blocks` consecutive 64-byte blocks into state_.
+  void ProcessBlocks(const uint8_t* data, size_t blocks);
 
   std::array<uint32_t, 8> state_;
-  std::array<uint8_t, kBlockSize> buffer_;
+  std::array<uint8_t, kBlockSize> buffer_{};
   size_t buffer_len_;
   uint64_t total_len_;
 };

@@ -153,7 +153,7 @@ Result<BuiltKeywordStore> BuildCuckooStore(
     }
     std::sort(sorted.begin(), sorted.end(),
               [](const KeyValue* a, const KeyValue* b) {
-                return a->key < b->key;
+                return BytesLess()(a->key, b->key);
               });
     for (size_t i = 1; i < sorted.size(); ++i) {
       if (sorted[i]->key == sorted[i - 1]->key) {

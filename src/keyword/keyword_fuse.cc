@@ -140,7 +140,7 @@ Result<BuiltKeywordStore> BuildFuseStore(const std::vector<KeyValue>& entries,
     }
     std::sort(sorted.begin(), sorted.end(),
               [](const KeyValue* a, const KeyValue* b) {
-                return a->key < b->key;
+                return BytesLess()(a->key, b->key);
               });
     for (size_t i = 1; i < sorted.size(); ++i) {
       if (sorted[i]->key == sorted[i - 1]->key) {

@@ -39,10 +39,10 @@ Result<Page> PageCipher::Open(ByteSpan sealed) const {
     return DataLossError("page MAC verification failed");
   }
   const ByteSpan nonce(sealed.data(), kNonceSize);
-  Bytes body(sealed.begin() + kNonceSize,
-             sealed.begin() + kNonceSize + body_len);
-  SHPIR_RETURN_IF_ERROR(ctr_.CryptWithNonce(nonce, body, body));
-  return codec_.Deserialize(body);
+  Bytes body(body_len);
+  SHPIR_RETURN_IF_ERROR(ctr_.CryptWithNonce(
+      nonce, ByteSpan(sealed.data() + kNonceSize, body_len), body));
+  return codec_.Deserialize(std::move(body));
 }
 
 }  // namespace shpir::storage

@@ -20,13 +20,14 @@ Status PageCodec::Serialize(const Page& page, MutableByteSpan out) const {
   return OkStatus();
 }
 
-Result<Page> PageCodec::Deserialize(ByteSpan in) const {
+Result<Page> PageCodec::Deserialize(Bytes in) const {
   if (in.size() != serialized_size()) {
     return InvalidArgumentError("serialized page has wrong size");
   }
   Page page;
   page.id = LoadLE64(in.data());
-  page.data.assign(in.begin() + kHeaderSize, in.end());
+  in.erase(in.begin(), in.begin() + kHeaderSize);
+  page.data = std::move(in);
   return page;
 }
 

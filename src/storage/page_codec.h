@@ -30,9 +30,9 @@ class PageCodec {
   /// rejected.
   Status Serialize(const Page& page, MutableByteSpan out) const;
 
-  /// Parses a serialized page. The payload always comes back with exactly
-  /// page_size bytes.
-  Result<Page> Deserialize(ByteSpan in) const;
+  /// Parses a serialized page. The payload reuses `in`'s buffer and
+  /// always comes back with exactly page_size bytes.
+  Result<Page> Deserialize(Bytes in) const;
 
  private:
   size_t page_size_;

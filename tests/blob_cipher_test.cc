@@ -72,5 +72,27 @@ TEST(BlobCipherTest, RejectsBadKeys) {
   EXPECT_FALSE(BlobCipher::Create(Bytes(10, 0), Bytes(32, 0)).ok());
 }
 
+// Pins the sealed blob format behind owner state files: a passphrase
+// cipher and a seeded nonce source must seal a fixed blob to the bytes
+// captured before the AES-NI and SHA-NI kernels existed.
+TEST(BlobCipherTest, SealMatchesGoldenBytes) {
+  Result<BlobCipher> cipher = BlobCipher::FromPassphrase("golden passphrase");
+  ASSERT_TRUE(cipher.ok());
+  SecureRandom rng(2011);
+  Bytes plaintext(77);
+  for (size_t i = 0; i < plaintext.size(); ++i) {
+    plaintext[i] = static_cast<uint8_t>(255 - i);
+  }
+  const std::string golden =
+      "7c9bfd4823888e502fe6bbcbf0db4ab7c36f42f72c01451e07d4516d9a07030b"
+      "f00b609bb1e657f5db7ea7ee4904a63b17c8163aa36361bab8bb4fca50af9cec"
+      "9ae2c83b7f1fb55c41ad27007790f4e14c73e22e0eb2b186d4d9a1856441fd2a"
+      "ccd4f35091f7bf5d085645da150b07058ea38c1331ba8cf80e";
+  Result<Bytes> sealed = cipher->Seal(plaintext, rng);
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(HexEncode(*sealed), golden);
+  EXPECT_EQ(*cipher->Open(HexDecode(golden)), plaintext);
+}
+
 }  // namespace
 }  // namespace shpir::crypto

@@ -20,7 +20,7 @@ TEST(CryptoPropertiesTest, SealedNoncesNeverRepeat) {
   ASSERT_TRUE(cipher.ok());
   SecureRandom rng(1);
   const storage::Page page(0, Bytes(16, 0));
-  std::set<Bytes> nonces;
+  std::set<Bytes, BytesLess> nonces;
   for (int i = 0; i < 20000; ++i) {
     Bytes sealed = *cipher->Seal(page, rng);
     Bytes nonce(sealed.begin(),
@@ -71,7 +71,7 @@ TEST(CryptoPropertiesTest, EncryptBlockIsAPermutation) {
   // sample), and decryption inverts.
   auto aes = Aes::Create(Bytes(32, 0x77));
   ASSERT_TRUE(aes.ok());
-  std::set<Bytes> outputs;
+  std::set<Bytes, BytesLess> outputs;
   SecureRandom rng(2);
   for (int i = 0; i < 2000; ++i) {
     Bytes pt(16);

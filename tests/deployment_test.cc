@@ -111,8 +111,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{2048u, 8u}, std::tuple{2048u, 64u},
                       std::tuple{8192u, 32u}, std::tuple{8192u, 128u}),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "k" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += "k";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 }  // namespace

@@ -102,9 +102,13 @@ INSTANTIATE_TEST_SUITE_P(
         Geometry{200, 2, 64},  // Tiny cache, big blocks.
         Geometry{256, 64, 32}),
     [](const ::testing::TestParamInfo<Geometry>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "m" +
-             std::to_string(std::get<1>(info.param)) + "k" +
-             std::to_string(std::get<2>(info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += "m";
+      name += std::to_string(std::get<1>(info.param));
+      name += "k";
+      name += std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 }  // namespace

@@ -103,5 +103,33 @@ TEST(PageCipherTest, RejectsBadKey) {
   EXPECT_FALSE(PageCipher::Create(Bytes(10, 0), Bytes(32, 0), 16).ok());
 }
 
+// Pins the sealed page format: fixed keys, a seeded nonce source and a
+// fixed page must seal to the bytes captured before the AES-NI and
+// SHA-NI kernels existed, so databases sealed then still open.
+TEST(PageCipherTest, SealMatchesGoldenBytes) {
+  PageCipher cipher = MakeCipher(200);
+  crypto::SecureRandom rng(2011);
+  Bytes payload(200);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  const Page page(12345, payload);
+  const std::string golden =
+      "7c9bfd4823888e502fe6bbcbea5a6f3cee9f61e296dbc6caf156f008250099f1"
+      "d45a4c56881e0d4ab34f6e19a2b7c289adecd75d2dd9b806cfd923ff8d7a382a"
+      "21146215ff47a04d2ef6e3e45b2191ef39d697984aabf232f727c9c2ff6d83f5"
+      "f89a2a44eb1fcf9e35a4b3b49ff4ce573335db7d36535f42a99535b1330382ce"
+      "41d90066452e0c83552513dc25e5620187019fdf8dfcf2d804a2846dcb4f89da"
+      "45bc087d77a27baff87599968da2f7e6ba6344b70b407da65d9cd42edda433eb"
+      "ac0cf681e6430f54de7a297c2aae67c1a72849ddc16267a0e6901a3b8b9db7a8"
+      "1a7e0cbccee57dd66ab866e184874e6feb685052e7ccd3a6dff2e4bc";
+  Result<Bytes> sealed = cipher.Seal(page, rng);
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(HexEncode(*sealed), golden);
+  Result<Page> opened = cipher.Open(HexDecode(golden));
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, page);
+}
+
 }  // namespace
 }  // namespace shpir::storage

@@ -198,5 +198,44 @@ TEST(PirServiceTest, MalformedRecordsRejected) {
   EXPECT_FALSE(server.HandleRecord(Bytes(100, 0x55)).ok());
 }
 
+// Pins the record format: a fixed pre-shared key and handshake nonces
+// must seal fixed records to the bytes captured before the AES-NI and
+// SHA-NI kernels existed.
+TEST(SecureSessionTest, SealMatchesGoldenBytes) {
+  const Bytes client_nonce(SecureSession::kNonceSize, 0x11);
+  const Bytes server_nonce(SecureSession::kNonceSize, 0x22);
+  Result<SecureSession> client = SecureSession::Establish(
+      AsBytes("golden psk"), SecureSession::Role::kClient, client_nonce,
+      server_nonce);
+  Result<SecureSession> server = SecureSession::Establish(
+      AsBytes("golden psk"), SecureSession::Role::kServer, client_nonce,
+      server_nonce);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(server.ok());
+  Bytes first(150);
+  for (size_t i = 0; i < first.size(); ++i) {
+    first[i] = static_cast<uint8_t>(i);
+  }
+  const Bytes second = {'p', 'i', 'r'};
+  const std::string golden_first =
+      "00000000000000001dc3a7626ef84a81a9ce66dbc665fb84f0bdafb60738af75"
+      "d60832127ffa0704c31056c9c05c3a5e8bc730b0568299bfec806864bf640cbb"
+      "3cc5b5a64eeed2aa106b45595db5e1e561d0131517f605e5b2e798f1f2d04fde"
+      "16e67e24fe74810eb0273d8bf0ffc1c9b71420cc880c5b8fe502377cf1f2bc21"
+      "b245d6006b11ccb7133b2be992bd328de0ece7f6a076bdaea53ada72757172cb"
+      "1e9b685f908472d67186cfe1af7e6c99f23546ab91fedb4aae7594f9eed5";
+  const std::string golden_second =
+      "01000000000000000cf94dc135007a44c143a3d1b860f3fbbc981ccb08d1791e"
+      "619e2acfc750f15fe09815";
+  Result<Bytes> sealed_first = client->Seal(first);
+  Result<Bytes> sealed_second = client->Seal(second);
+  ASSERT_TRUE(sealed_first.ok());
+  ASSERT_TRUE(sealed_second.ok());
+  EXPECT_EQ(HexEncode(*sealed_first), golden_first);
+  EXPECT_EQ(HexEncode(*sealed_second), golden_second);
+  EXPECT_EQ(*server->Open(HexDecode(golden_first)), first);
+  EXPECT_EQ(*server->Open(HexDecode(golden_second)), second);
+}
+
 }  // namespace
 }  // namespace shpir::net

@@ -460,11 +460,18 @@ TEST_F(ToolsIntegrationTest, UsageErrorsExitTwoOnEveryCli) {
       "shpir_provider hub --pages 8 --shards 0 --c -1",
       "shpir_stats --port 1 --jsn",
       "shpir_stats --port 1 --watch x",
+      // A period past a day is refused, 2^64 - 1 included, which
+      // std::chrono::seconds would wrap into a busy loop.
+      "shpir_stats --port 1 --watch 86401",
+      "shpir_stats --port 1 --watch 18446744073709551615",
       "shpir_stats --port -1",
       "shpir_stats --port 70000",
   };
   for (const std::string& command : commands) {
-    const CommandResult result = RunShell(BinDir() + "/" + command);
+    // A usage error is reported before any work starts; the timeout
+    // turns a CLI that runs on instead into a failure, not a hang.
+    const CommandResult result =
+        RunShell("timeout 20 " + BinDir() + "/" + command);
     EXPECT_EQ(result.exit_code, 2) << command << ": " << result.output;
   }
   EXPECT_FALSE(std::ifstream(state_).good());

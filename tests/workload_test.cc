@@ -91,7 +91,7 @@ TEST(KeyedWorkloadTest, ZipfKeysRespectHitRatioAndKeySpace) {
   constexpr uint64_t kNumKeys = 200;
   constexpr int kDraws = 20000;
   ZipfKeyWorkload wl(kNumKeys, 0.99, 0.7, 5);
-  std::set<Bytes> key_space;
+  std::set<Bytes, BytesLess> key_space;
   for (uint64_t i = 0; i < kNumKeys; ++i) {
     key_space.insert(KeyForIndex(i));
   }

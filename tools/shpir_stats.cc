@@ -31,9 +31,10 @@
 //                          per-shard table after the action (--json
 //                          prints its status JSON)
 //
-// --watch re-fetches every SECONDS seconds until interrupted; transient
-// failures (endpoint restarting, connection refused) are reported and
-// retried, and the tool gives up after 5 consecutive failures.
+// --watch re-fetches every SECONDS seconds, at most 86400, until
+// interrupted; transient failures (endpoint restarting, connection
+// refused) are reported and retried, and the tool gives up after 5
+// consecutive failures.
 
 #include <chrono>
 #include <cstdio>
@@ -53,6 +54,11 @@
 namespace {
 
 using namespace shpir;
+
+// The longest --watch period: a day. Larger counts are refused, which
+// also keeps std::chrono::seconds, a signed 64-bit count, from wrapping
+// negative and turning the watcher into a busy loop.
+constexpr uint64_t kMaxWatchSeconds = 86400;
 
 struct Options {
   bool hub = false;
@@ -224,6 +230,11 @@ int main(int argc, char** argv) {
   options.port = flags->GetPort("port", options.port);
   options.psk = flags->Get("psk", options.psk);
   options.watch_seconds = flags->GetU64("watch", 0);
+  if (options.watch_seconds > kMaxWatchSeconds) {
+    std::fprintf(stderr, "error: --watch must be at most %llu seconds\n",
+                 static_cast<unsigned long long>(kMaxWatchSeconds));
+    return Usage(argv[0]);
+  }
   options.json = flags->Has("json");
   const std::vector<std::string>& words = flags->positional();
   if (!words.empty()) {
