@@ -389,31 +389,17 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
     ApplyPendingBlockSize();
   }
 
-  // Step 1: read the next block of k pages, round-robin.
+  // Step 1: plan the round's public I/O. The block is the next k slots
+  // of the round-robin scan; the (k+1)-th page depends only on the
+  // pageMap, the cursor and the device RNG, never on the block's
+  // contents, so the whole plan is fixed before any page is read.
   const Location block_start = next_block_ * block_size_;
   next_block_ = (next_block_ + 1) % scan_period();
   if (metered()) {
     instruments_.block_cursor->Set(static_cast<double>(next_block_));
   }
-  std::vector<Bytes> sealed_block;
-  {
-    obs::Span span(qtrace, obs::Phase::kBlockRead);
-    SHPIR_RETURN_IF_ERROR(
-        cpu_->ReadRun(block_start, block_size_, sealed_block));
-  }
-  // The decrypted block lives in device memory; it is a secret
-  // container, so secret-indexed accesses into it stay inside the
-  // boundary.
-  SHPIR_SECRET std::vector<Page> block(block_size_ + 1);
-  {
-    obs::Span span(qtrace, obs::Phase::kDecrypt);
-    for (uint64_t i = 0; i < block_size_; ++i) {
-      SHPIR_ASSIGN_OR_RETURN(block[i], cpu_->OpenPage(sealed_block[i]));
-    }
-  }
-
-  // Step 2: pick the (k+1)-th page and locate the requested page.
-  // q indexes the requested page within `block` when it is not cached.
+  // Pick the (k+1)-th page and locate the requested page. q indexes the
+  // requested page within `block` when it is not cached.
   PageId extra;
   uint64_t q = block_size_;
   SHPIR_SECRET bool request_cached = false;
@@ -447,16 +433,24 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
       extra = request;
     }
   }
-  const Location extra_loc = page_map_.DiskLocation(extra);
-  Bytes sealed_extra;
+  const storage::IoPlan plan{block_start, block_size_,
+                             page_map_.DiskLocation(extra)};
+
+  // Step 2: read the plan (the block, then the extra page) in one disk
+  // call and decrypt all k+1 pages into device memory. The decrypted
+  // block is a secret container, so secret-indexed accesses into it
+  // stay inside the boundary.
+  std::vector<Bytes> sealed_in;
   {
     obs::Span span(qtrace, obs::Phase::kBlockRead);
-    SHPIR_ASSIGN_OR_RETURN(sealed_extra, cpu_->ReadSlot(extra_loc));
+    SHPIR_RETURN_IF_ERROR(cpu_->ReadPlan(plan, sealed_in));
   }
+  SHPIR_SECRET std::vector<Page> block(block_size_ + 1);
   {
     obs::Span span(qtrace, obs::Phase::kDecrypt);
-    SHPIR_ASSIGN_OR_RETURN(block[block_size_],
-                           cpu_->OpenPage(sealed_extra));
+    for (uint64_t i = 0; i <= block_size_; ++i) {
+      SHPIR_ASSIGN_OR_RETURN(block[i], cpu_->OpenPage(sealed_in[i]));
+    }
   }
 
   // Step 3: extract the requested payload (before any modification).
@@ -520,8 +514,7 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
   }
   {
     obs::Span span(qtrace, obs::Phase::kWriteBack);
-    SHPIR_RETURN_IF_ERROR(cpu_->WriteRun(block_start, sealed_out));
-    SHPIR_RETURN_IF_ERROR(cpu_->WriteSlot(extra_loc, sealed_last));
+    SHPIR_RETURN_IF_ERROR(cpu_->WritePlan(plan, sealed_out, sealed_last));
   }
 
   // Step 6: update the look-up table for the three moved pages.
@@ -543,7 +536,7 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
   // shpir-lint-allow-next-line(secret-branch, secret-compare): in-enclave pageMap bookkeeping for the swapped slots
   if (q != r) {
     // shpir-lint-allow-next-line(secret-branch): in-enclave location select
-    const Location loc_q = q < block_size_ ? block_start + q : extra_loc;
+    const Location loc_q = q < block_size_ ? block_start + q : plan.extra;
     page_map_.SetDiskLocation(block[q].id, loc_q);
   }
   return outcome;

@@ -53,7 +53,10 @@ void SecureCoprocessor::AttachMetrics(obs::MetricsRegistry* registry) {
       static_cast<double>(profile_.secure_memory_bytes));
 }
 
-void SecureCoprocessor::MeterIo(uint64_t bytes) {
+void SecureCoprocessor::ChargeIo(uint64_t bytes) {
+  cost_.AddSeeks(1);
+  cost_.AddDiskBytes(bytes);
+  cost_.AddLinkBytes(bytes);
   if (!metered()) {
     return;
   }
@@ -94,40 +97,41 @@ void SecureCoprocessor::ReleaseSecureMemory(uint64_t bytes) {
 
 Status SecureCoprocessor::ReadRun(storage::Location start, uint64_t count,
                                   std::vector<Bytes>& out) {
-  cost_.AddSeeks(1);
-  const uint64_t bytes = count * disk_->slot_size();
-  cost_.AddDiskBytes(bytes);
-  cost_.AddLinkBytes(bytes);
-  MeterIo(bytes);
+  ChargeIo(count * disk_->slot_size());
   return disk_->ReadRun(start, count, out);
 }
 
 Status SecureCoprocessor::WriteRun(storage::Location start,
                                    const std::vector<Bytes>& slots) {
-  cost_.AddSeeks(1);
-  const uint64_t bytes = slots.size() * disk_->slot_size();
-  cost_.AddDiskBytes(bytes);
-  cost_.AddLinkBytes(bytes);
-  MeterIo(bytes);
+  ChargeIo(slots.size() * disk_->slot_size());
   return disk_->WriteRun(start, slots);
 }
 
 Result<Bytes> SecureCoprocessor::ReadSlot(storage::Location loc) {
-  cost_.AddSeeks(1);
-  cost_.AddDiskBytes(disk_->slot_size());
-  cost_.AddLinkBytes(disk_->slot_size());
-  MeterIo(disk_->slot_size());
+  ChargeIo(disk_->slot_size());
   Bytes out(disk_->slot_size());
   SHPIR_RETURN_IF_ERROR(disk_->Read(loc, out));
   return out;
 }
 
 Status SecureCoprocessor::WriteSlot(storage::Location loc, ByteSpan data) {
-  cost_.AddSeeks(1);
-  cost_.AddDiskBytes(disk_->slot_size());
-  cost_.AddLinkBytes(disk_->slot_size());
-  MeterIo(disk_->slot_size());
+  ChargeIo(disk_->slot_size());
   return disk_->Write(loc, data);
+}
+
+Status SecureCoprocessor::ReadPlan(const storage::IoPlan& plan,
+                                   std::vector<Bytes>& out) {
+  ChargeIo(plan.k * disk_->slot_size());
+  ChargeIo(disk_->slot_size());
+  return disk_->ReadPlan(plan, out);
+}
+
+Status SecureCoprocessor::WritePlan(const storage::IoPlan& plan,
+                                    const std::vector<Bytes>& run,
+                                    ByteSpan extra_slot) {
+  ChargeIo(run.size() * disk_->slot_size());
+  ChargeIo(disk_->slot_size());
+  return disk_->WritePlan(plan, run, extra_slot);
 }
 
 Status SecureCoprocessor::InstallFreshKeys() {

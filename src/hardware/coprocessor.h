@@ -66,6 +66,16 @@ class SecureCoprocessor {
   /// Writes a single slot (one seek).
   Status WriteSlot(storage::Location loc, ByteSpan data);
 
+  /// Reads a round's k-slot run and extra slot (extra last in `out`) in
+  /// one disk call, accounted exactly as ReadRun plus ReadSlot: two
+  /// seeks and k+1 slots over disk and link.
+  Status ReadPlan(const storage::IoPlan& plan, std::vector<Bytes>& out);
+
+  /// Writes a round's k-slot run and extra slot in one disk call,
+  /// accounted exactly as WriteRun plus WriteSlot.
+  Status WritePlan(const storage::IoPlan& plan, const std::vector<Bytes>& run,
+                   ByteSpan extra_slot);
+
   /// --- Accounted crypto -------------------------------------------------
 
   /// Encrypts a page with a fresh nonce; accounts crypto throughput.
@@ -127,9 +137,9 @@ class SecureCoprocessor {
   };
 
   bool metered() const { return instruments_.seeks != nullptr; }
-  /// Mirrors one accounted disk access (a seek moving `bytes` over disk
-  /// and link) into the instruments.
-  void MeterIo(uint64_t bytes);
+  /// Accounts one disk access: a seek moving `bytes` over disk and
+  /// link, mirrored into the instruments.
+  void ChargeIo(uint64_t bytes);
 
   HardwareProfile profile_;
   storage::Disk* disk_;

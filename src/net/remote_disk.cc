@@ -67,16 +67,11 @@ Status RemoteDisk::Write(storage::Location loc, ByteSpan data) {
   return response.ok() ? OkStatus() : response.status();
 }
 
-Status RemoteDisk::ReadRun(storage::Location start, uint64_t count,
-                           std::vector<Bytes>& out) {
-  Request request;
-  request.op = Op::kReadRun;
-  request.location = start;
-  request.count = count;
-  SHPIR_ASSIGN_OR_RETURN(Bytes payload, Call(request));
+Status RemoteDisk::SplitSlots(const Bytes& payload, uint64_t count,
+                              std::vector<Bytes>& out) const {
   // shpir-lint-allow-next-line(secret-compare): length check against the public run length and slot size
   if (payload.size() != count * slot_size_) {
-    return DataLossError("short remote read-run");
+    return DataLossError("short remote read");
   }
   // shpir-lint-allow-next-line(secret-alloc): run length is a public scheme parameter (c pages per round)
   out.resize(count);
@@ -89,6 +84,24 @@ Status RemoteDisk::ReadRun(storage::Location start, uint64_t count,
   return OkStatus();
 }
 
+Status RemoteDisk::AppendSlot(ByteSpan slot, Bytes& payload) const {
+  if (slot.size() != slot_size_) {
+    return InvalidArgumentError("write slot has wrong size");
+  }
+  payload.insert(payload.end(), slot.begin(), slot.end());
+  return OkStatus();
+}
+
+Status RemoteDisk::ReadRun(storage::Location start, uint64_t count,
+                           std::vector<Bytes>& out) {
+  Request request;
+  request.op = Op::kReadRun;
+  request.location = start;
+  request.count = count;
+  SHPIR_ASSIGN_OR_RETURN(Bytes payload, Call(request));
+  return SplitSlots(payload, count, out);
+}
+
 Status RemoteDisk::WriteRun(storage::Location start,
                             const std::vector<Bytes>& slots) {
   Request request;
@@ -97,12 +110,32 @@ Status RemoteDisk::WriteRun(storage::Location start,
   request.count = slots.size();
   request.payload.reserve(slots.size() * slot_size_);
   for (const Bytes& slot : slots) {
-    if (slot.size() != slot_size_) {
-      return InvalidArgumentError("write slot has wrong size");
-    }
-    request.payload.insert(request.payload.end(), slot.begin(), slot.end());
+    SHPIR_RETURN_IF_ERROR(AppendSlot(slot, request.payload));
   }
   Result<Bytes> response = Call(request);
+  return response.ok() ? OkStatus() : response.status();
+}
+
+Status RemoteDisk::ReadPlan(const storage::IoPlan& plan,
+                            std::vector<Bytes>& out) {
+  SHPIR_ASSIGN_OR_RETURN(Bytes payload,
+                         Call(PlanRequest(Op::kReadPlan, plan)));
+  return SplitSlots(payload, plan.k + 1, out);
+}
+
+Status RemoteDisk::WritePlan(const storage::IoPlan& plan,
+                             const std::vector<Bytes>& run,
+                             ByteSpan extra_slot) {
+  if (run.size() != plan.k) {
+    return InvalidArgumentError("write plan run has the wrong length");
+  }
+  Request request = PlanRequest(Op::kWritePlan, plan);
+  request.payload.reserve(kPlanHeaderSize + (plan.k + 1) * slot_size_);
+  for (const Bytes& slot : run) {
+    SHPIR_RETURN_IF_ERROR(AppendSlot(slot, request.payload));
+  }
+  SHPIR_RETURN_IF_ERROR(AppendSlot(extra_slot, request.payload));
+  Result<Bytes> response = Call(std::move(request));
   return response.ok() ? OkStatus() : response.status();
 }
 

@@ -16,12 +16,13 @@ namespace shpir::net {
 /// Owner-side view of the provider's disk. Implements the storage::Disk
 /// interface over a Transport, so the whole PIR stack (coprocessor +
 /// engine) runs unchanged at the owner in the two-party model — every
-/// slot access becomes a network round trip carrying sealed pages.
+/// disk call becomes one network round trip carrying sealed pages. A
+/// round's ReadPlan and WritePlan are one call each, so a query costs
+/// two round trips: the batched reads, then the write acknowledgement.
 ///
-/// Network usage (one RTT and request+response bytes per call, with run
-/// operations batched into a single round trip) is recorded into an
-/// optional CostAccountant so simulated response times under a
-/// HardwareProfile include the network term.
+/// Network usage (one RTT and request+response bytes per call) is
+/// recorded into an optional CostAccountant so simulated response times
+/// under a HardwareProfile include the network term.
 class RemoteDisk : public storage::Disk {
  public:
   /// Fetches the geometry from the remote end. `transport` is unowned.
@@ -51,6 +52,10 @@ class RemoteDisk : public storage::Disk {
                  std::vector<Bytes>& out) override;
   Status WriteRun(storage::Location start,
                   const std::vector<Bytes>& slots) override;
+  Status ReadPlan(const storage::IoPlan& plan,
+                  std::vector<Bytes>& out) override;
+  Status WritePlan(const storage::IoPlan& plan, const std::vector<Bytes>& run,
+                   ByteSpan extra_slot) override;
 
  private:
   RemoteDisk(Transport* transport, uint64_t num_slots, size_t slot_size)
@@ -58,6 +63,13 @@ class RemoteDisk : public storage::Disk {
 
   /// Sends one frame, accounting the RTT and bytes both ways.
   Result<Bytes> Call(Request request);
+
+  /// Splits a response payload of exactly `count` slots into `out`.
+  Status SplitSlots(const Bytes& payload, uint64_t count,
+                    std::vector<Bytes>& out) const;
+
+  /// Appends `slot` to `payload` after checking its size.
+  Status AppendSlot(ByteSpan slot, Bytes& payload) const;
 
   Transport* transport_;
   uint64_t num_slots_;

@@ -23,6 +23,10 @@ const char* ProviderSpanName(Op op) {
       return "provider_read_run";
     case Op::kWriteRun:
       return "provider_write_run";
+    case Op::kReadPlan:
+      return "provider_read_plan";
+    case Op::kWritePlan:
+      return "provider_write_plan";
     default:
       return "provider_request";
   }
@@ -123,6 +127,13 @@ void StorageServer::PublishKeywordManifest(Bytes manifest,
   keyword_manifest_published_ = true;
 }
 
+Bytes StorageServer::Fail(const Status& status) {
+  if (metered()) {
+    instruments_.errors->Increment();
+  }
+  return EncodeErrorResponse(status);
+}
+
 Bytes StorageServer::Dispatch(const Request& request) {
   const size_t slot_size = disk_->slot_size();
   switch (request.op) {
@@ -134,10 +145,7 @@ Bytes StorageServer::Dispatch(const Request& request) {
       Result<uint64_t> cached =
           DecodeKeywordManifestRequest(request.payload);
       if (!cached.ok()) {
-        if (metered()) {
-          instruments_.errors->Increment();
-        }
-        return EncodeErrorResponse(cached.status());
+        return Fail(cached.status());
       }
       const bool include_body = *cached != keyword_manifest_.version;
       return EncodeOkResponse(
@@ -146,10 +154,7 @@ Bytes StorageServer::Dispatch(const Request& request) {
     case Op::kAdmin: {
       Result<std::string> document = ServeAdmin(admin_, request.payload);
       if (!document.ok()) {
-        if (metered()) {
-          instruments_.errors->Increment();
-        }
-        return EncodeErrorResponse(document.status());
+        return Fail(document.status());
       }
       return EncodeOkResponse(AsBytes(*document));
     }
@@ -163,10 +168,7 @@ Bytes StorageServer::Dispatch(const Request& request) {
       Bytes slot(slot_size);
       const Status status = disk_->Read(request.location, slot);
       if (!status.ok()) {
-        if (metered()) {
-          instruments_.errors->Increment();
-        }
-        return EncodeErrorResponse(status);
+        return Fail(status);
       }
       if (metered()) {
         instruments_.read_slots->Increment();
@@ -175,18 +177,11 @@ Bytes StorageServer::Dispatch(const Request& request) {
     }
     case Op::kWrite: {
       if (request.payload.size() != slot_size) {
-        if (metered()) {
-          instruments_.errors->Increment();
-        }
-        return EncodeErrorResponse(
-            InvalidArgumentError("write payload size mismatch"));
+        return Fail(InvalidArgumentError("write payload size mismatch"));
       }
       const Status status = disk_->Write(request.location, request.payload);
       if (!status.ok()) {
-        if (metered()) {
-          instruments_.errors->Increment();
-        }
-        return EncodeErrorResponse(status);
+        return Fail(status);
       }
       if (metered()) {
         instruments_.write_slots->Increment();
@@ -198,10 +193,7 @@ Bytes StorageServer::Dispatch(const Request& request) {
       const Status status =
           disk_->ReadRun(request.location, request.count, slots);
       if (!status.ok()) {
-        if (metered()) {
-          instruments_.errors->Increment();
-        }
-        return EncodeErrorResponse(status);
+        return Fail(status);
       }
       if (metered()) {
         instruments_.read_slots->Increment(request.count);
@@ -215,11 +207,7 @@ Bytes StorageServer::Dispatch(const Request& request) {
     }
     case Op::kWriteRun: {
       if (request.payload.size() != request.count * slot_size) {
-        if (metered()) {
-          instruments_.errors->Increment();
-        }
-        return EncodeErrorResponse(
-            InvalidArgumentError("write-run payload size mismatch"));
+        return Fail(InvalidArgumentError("write-run payload size mismatch"));
       }
       std::vector<Bytes> slots(request.count);
       for (uint64_t i = 0; i < request.count; ++i) {
@@ -230,13 +218,52 @@ Bytes StorageServer::Dispatch(const Request& request) {
       }
       const Status status = disk_->WriteRun(request.location, slots);
       if (!status.ok()) {
-        if (metered()) {
-          instruments_.errors->Increment();
-        }
-        return EncodeErrorResponse(status);
+        return Fail(status);
       }
       if (metered()) {
         instruments_.write_slots->Increment(request.count);
+      }
+      return EncodeOkResponse({});
+    }
+    case Op::kReadPlan: {
+      Result<storage::IoPlan> plan =
+          DecodePlanRequest(request, disk_->num_slots(), slot_size);
+      if (!plan.ok()) {
+        return Fail(plan.status());
+      }
+      std::vector<Bytes> slots;
+      const Status status = disk_->ReadPlan(*plan, slots);
+      if (!status.ok()) {
+        return Fail(status);
+      }
+      if (metered()) {
+        instruments_.read_slots->Increment(plan->k + 1);
+      }
+      Bytes frame = EncodeOkResponse({});
+      frame.reserve(1 + (plan->k + 1) * slot_size);
+      for (const Bytes& slot : slots) {
+        frame.insert(frame.end(), slot.begin(), slot.end());
+      }
+      return frame;
+    }
+    case Op::kWritePlan: {
+      Result<storage::IoPlan> plan =
+          DecodePlanRequest(request, disk_->num_slots(), slot_size);
+      if (!plan.ok()) {
+        return Fail(plan.status());
+      }
+      const uint8_t* body = request.payload.data() + kPlanHeaderSize;
+      std::vector<Bytes> run(plan->k);
+      for (uint64_t i = 0; i < plan->k; ++i) {
+        run[i].assign(body + i * slot_size, body + (i + 1) * slot_size);
+      }
+      const Status status = disk_->WritePlan(
+          *plan, run, ByteSpan(body + plan->k * slot_size, slot_size));
+      if (!status.ok()) {
+        return Fail(status);
+      }
+      if (metered()) {
+        instruments_.write_slots->Increment(plan->k + 1);
       }
       return EncodeOkResponse({});
     }

@@ -70,6 +70,9 @@ class StorageServer {
   /// profiling/SLO wrapper can observe the outcome uniformly).
   Bytes Dispatch(const Request& request);
 
+  /// Counts one failed request and encodes its error response.
+  Bytes Fail(const Status& status);
+
   storage::Disk* disk_;
   obs::Tracer* tracer_;
   obs::Profiler* profiler_;

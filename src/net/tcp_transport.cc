@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -44,22 +45,6 @@ const TcpInstruments& TcpMetrics() {
   return instruments;
 }
 
-Status SendAll(int fd, const uint8_t* data, size_t size) {
-  size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return InternalError(std::string("send failed: ") +
-                           std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return OkStatus();
-}
-
 Status RecvAll(int fd, uint8_t* data, size_t size) {
   size_t received = 0;
   while (received < size) {
@@ -79,11 +64,40 @@ Status RecvAll(int fd, uint8_t* data, size_t size) {
   return OkStatus();
 }
 
+// Sends the length prefix and the payload with one sendmsg over two
+// iovecs, so a small frame leaves as one segment under TCP_NODELAY and
+// wakes the peer once. Partial sends advance through both iovecs.
 Status SendFrame(int fd, ByteSpan payload) {
   uint8_t header[4];
   StoreLE32(static_cast<uint32_t>(payload.size()), header);
-  SHPIR_RETURN_IF_ERROR(SendAll(fd, header, 4));
-  SHPIR_RETURN_IF_ERROR(SendAll(fd, payload.data(), payload.size()));
+  iovec iov[2] = {
+      {header, sizeof(header)},
+      {const_cast<uint8_t*>(payload.data()), payload.size()},
+  };
+  msghdr msg = {};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return InternalError(std::string("send failed: ") +
+                           std::strerror(errno));
+    }
+    size_t sent = static_cast<size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      iovec& next = *msg.msg_iov;
+      next.iov_base = static_cast<uint8_t*>(next.iov_base) + sent;
+      next.iov_len -= sent;
+    }
+  }
   const TcpInstruments& m = TcpMetrics();
   m.frames->Increment();
   m.bytes_out->Increment(4 + payload.size());

@@ -76,6 +76,8 @@ Result<Request> DecodeRequest(ByteSpan frame) {
     case static_cast<uint8_t>(Op::kGeometry):
     case static_cast<uint8_t>(Op::kKeywordManifest):
     case static_cast<uint8_t>(Op::kAdmin):
+    case static_cast<uint8_t>(Op::kReadPlan):
+    case static_cast<uint8_t>(Op::kWritePlan):
       request.op = static_cast<Op>(frame[0]);
       break;
     default:
@@ -117,6 +119,45 @@ Result<Bytes> DecodeResponse(ByteSpan frame) {
     return DataLossError("malformed response frame");
   }
   return Bytes(frame.begin() + 1, frame.end());
+}
+
+Request PlanRequest(Op op, const storage::IoPlan& plan) {
+  Request request;
+  request.op = op;
+  request.location = plan.block_start;
+  request.count = plan.k;
+  request.payload.resize(kPlanHeaderSize);
+  request.payload[0] = kPlanVersion;
+  StoreLE64(plan.extra, request.payload.data() + 1);
+  return request;
+}
+
+Result<storage::IoPlan> DecodePlanRequest(const Request& request,
+                                          uint64_t num_slots,
+                                          size_t slot_size) {
+  const ByteSpan payload = request.payload;
+  if (payload.size() < kPlanHeaderSize) {
+    return DataLossError("truncated plan request payload");
+  }
+  if (payload[0] != kPlanVersion) {
+    return InvalidArgumentError("unknown plan request version");
+  }
+  storage::IoPlan plan;
+  plan.block_start = request.location;
+  plan.k = request.count;
+  plan.extra = LoadLE64(payload.data() + 1);
+  if (plan.k > num_slots || plan.block_start > num_slots - plan.k) {
+    return OutOfRangeError("plan run extends past end of disk");
+  }
+  if (plan.extra >= num_slots) {
+    return OutOfRangeError("plan extra slot past end of disk");
+  }
+  const size_t slot_bytes =
+      request.op == Op::kWritePlan ? (plan.k + 1) * slot_size : 0;
+  if (payload.size() != kPlanHeaderSize + slot_bytes) {
+    return DataLossError("plan request payload has the wrong size");
+  }
+  return plan;
 }
 
 namespace {

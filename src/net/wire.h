@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "obs/admin.h"
 #include "obs/trace.h"
+#include "storage/disk.h"
 #include "storage/page.h"
 
 namespace shpir::net {
@@ -17,7 +18,7 @@ namespace shpir::net {
 /// Wire protocol between the owner-side RemoteDisk and the provider-side
 /// StorageServer. All integers little-endian.
 ///
-/// Request:  op(1) | location(8) | count(8) | payload (count * slot_size)
+/// Request:  op(1) | location(8) | count(8) | payload
 /// Response: status(1) | payload
 ///
 /// Trace propagation: a request carrying a valid TraceContext is sent as
@@ -38,6 +39,12 @@ enum class Op : uint8_t {
   // Fetch one admin document. Payload: EncodeAdminRequest below; the
   // response payload is the document body.
   kAdmin = 16,
+  // One round's public I/O plan (storage::IoPlan): location is the
+  // block start and count is k. READ_PLAN's payload is the plan header
+  // below; its response is the k+1 slots, the extra slot last.
+  // WRITE_PLAN's payload is the header followed by the k+1 slots.
+  kReadPlan = 17,
+  kWritePlan = 18,
 };
 // Codes 6, 7, 9, 10 and 12-15 are retired per-document admin ops: they
 // are rejected as unknown and must never be reused.
@@ -95,6 +102,25 @@ Result<uint64_t> DecodeKeywordManifestRequest(ByteSpan payload);
 Bytes EncodeKeywordManifestResponse(const KeywordManifest& manifest,
                                     bool include_body);
 Result<KeywordManifest> DecodeKeywordManifestResponse(ByteSpan payload);
+
+/// Version of the READ_PLAN / WRITE_PLAN payload format. Servers
+/// reject unknown versions so the payload can grow fields later.
+inline constexpr uint8_t kPlanVersion = 1;
+
+/// Plan payload header: version(1) | extra(8).
+inline constexpr size_t kPlanHeaderSize = 1 + 8;
+
+/// A kReadPlan or kWritePlan request for `plan` whose payload is the
+/// plan header; a WRITE_PLAN caller appends the k+1 slots to it.
+Request PlanRequest(Op op, const storage::IoPlan& plan);
+
+/// Server side: checks a plan request against the disk geometry before
+/// any disk call. Rejects an unknown version, a payload of the wrong
+/// size (the header alone for READ_PLAN, header plus k+1 slots for
+/// WRITE_PLAN), a run past the end and an extra slot past the end.
+Result<storage::IoPlan> DecodePlanRequest(const Request& request,
+                                          uint64_t num_slots,
+                                          size_t slot_size);
 
 /// One decoded ADMIN request: which document, and its argument text
 /// ("collapsed", "7", "set-bounds 8 32"; empty for none).

@@ -28,6 +28,21 @@ Status Disk::WriteRun(Location start, const std::vector<Bytes>& slots) {
   return OkStatus();
 }
 
+Status Disk::ReadPlan(const IoPlan& plan, std::vector<Bytes>& out) {
+  SHPIR_RETURN_IF_ERROR(ReadRun(plan.block_start, plan.k, out));
+  out.emplace_back(slot_size());
+  return Read(plan.extra, out.back());
+}
+
+Status Disk::WritePlan(const IoPlan& plan, const std::vector<Bytes>& run,
+                       ByteSpan extra_slot) {
+  if (run.size() != plan.k) {
+    return InvalidArgumentError("write plan run has the wrong length");
+  }
+  SHPIR_RETURN_IF_ERROR(WriteRun(plan.block_start, run));
+  return Write(plan.extra, extra_slot);
+}
+
 MemoryDisk::MemoryDisk(uint64_t num_slots, size_t slot_size)
     : num_slots_(num_slots),
       slot_size_(slot_size),

@@ -10,6 +10,17 @@
 
 namespace shpir::storage {
 
+/// The public I/O of one Fig. 3 round: the k-slot run at the scan
+/// cursor and the one extra slot outside it. Every field is known
+/// before any page is read (the extra slot comes from the pageMap, the
+/// cursor and the device RNG, never from the block's contents), so a
+/// round reads its plan in one call and writes it back in one call.
+struct IoPlan {
+  Location block_start = 0;
+  uint64_t k = 0;
+  Location extra = 0;
+};
+
 /// A block device holding `num_slots` fixed-size slots. This is the
 /// untrusted server disk: everything written here is visible to the
 /// adversary, so callers store only ciphertext.
@@ -37,6 +48,16 @@ class Disk {
 
   /// Writes `slots` consecutively starting at `start`.
   virtual Status WriteRun(Location start, const std::vector<Bytes>& slots);
+
+  /// Reads the k+1 slots of `plan` into `out`: the run first, the extra
+  /// slot last. The default is ReadRun then Read, in that order; a
+  /// remote disk overrides it to send the whole plan in one round trip.
+  virtual Status ReadPlan(const IoPlan& plan, std::vector<Bytes>& out);
+
+  /// Writes `run` (plan.k slots) at plan.block_start, then `extra_slot`
+  /// at plan.extra. The default is WriteRun then Write, in that order.
+  virtual Status WritePlan(const IoPlan& plan, const std::vector<Bytes>& run,
+                           ByteSpan extra_slot);
 };
 
 /// RAM-backed disk, the default substrate for tests and simulations.

@@ -404,7 +404,7 @@ TEST(AdminDocuments, ControlVerbsActAndAnswerWithThePostActionStatus) {
 
 // --- Op tables: the retired per-document codes stay dead ---------------
 
-TEST(AdminOps, StorageProtocolHasEightOps) {
+TEST(AdminOps, StorageProtocolHasTenOps) {
   std::set<int> accepted;
   for (int code = 0; code < 256; ++code) {
     Bytes frame(17, 0);
@@ -413,9 +413,10 @@ TEST(AdminOps, StorageProtocolHasEightOps) {
       accepted.insert(code);
     }
   }
-  // READ, WRITE, READ_RUN, WRITE_RUN, GEOMETRY, KEYWORD_MANIFEST, ADMIN;
-  // TRACED (8) is the eighth and only ever wraps one of them.
-  EXPECT_EQ(accepted, (std::set<int>{1, 2, 3, 4, 5, 11, 16}));
+  // READ, WRITE, READ_RUN, WRITE_RUN, GEOMETRY, KEYWORD_MANIFEST, ADMIN,
+  // READ_PLAN, WRITE_PLAN; TRACED (8) is the tenth and only ever wraps
+  // one of them.
+  EXPECT_EQ(accepted, (std::set<int>{1, 2, 3, 4, 5, 11, 16, 17, 18}));
   net::Request traced;
   traced.op = net::Op::kAdmin;
   traced.trace.trace_id = 7;

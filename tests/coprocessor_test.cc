@@ -181,6 +181,49 @@ TEST_F(CoprocessorTest, ElapsedSecondsReflectsActivity) {
   EXPECT_GT(cpu_->ElapsedSeconds(), 0.005);  // At least the seek.
 }
 
+TEST_F(CoprocessorTest, PlansAreAccountedExactlyAsRunPlusSlot) {
+  obs::MetricsRegistry registry;
+  cpu_->AttachMetrics(&registry);
+  const storage::IoPlan plan{4, 3, 12};
+  const auto seeks = [&] {
+    return registry.FindOrCreateCounter("shpir_hw_seeks_total")->Value();
+  };
+
+  CostAccountant::Counters before = cpu_->cost().Snapshot();
+  std::vector<Bytes> separate;
+  ASSERT_TRUE(cpu_->ReadRun(plan.block_start, plan.k, separate).ok());
+  Result<Bytes> extra = cpu_->ReadSlot(plan.extra);
+  ASSERT_TRUE(extra.ok());
+  separate.push_back(*extra);
+  const CostAccountant::Counters two_reads = cpu_->cost().Snapshot() - before;
+  before = cpu_->cost().Snapshot();
+  std::vector<Bytes> planned;
+  ASSERT_TRUE(cpu_->ReadPlan(plan, planned).ok());
+  const CostAccountant::Counters read_plan = cpu_->cost().Snapshot() - before;
+  EXPECT_EQ(planned, separate);
+  EXPECT_EQ(read_plan.seeks, 2u);
+  EXPECT_EQ(read_plan.seeks, two_reads.seeks);
+  EXPECT_EQ(read_plan.disk_bytes, two_reads.disk_bytes);
+  EXPECT_EQ(read_plan.link_bytes, two_reads.link_bytes);
+  EXPECT_EQ(seeks(), 4u);
+
+  const std::vector<Bytes> run(plan.k, Bytes(kSealedSize, 0x21));
+  before = cpu_->cost().Snapshot();
+  ASSERT_TRUE(cpu_->WriteRun(plan.block_start, run).ok());
+  ASSERT_TRUE(cpu_->WriteSlot(plan.extra, run[0]).ok());
+  const CostAccountant::Counters two_writes = cpu_->cost().Snapshot() - before;
+  before = cpu_->cost().Snapshot();
+  ASSERT_TRUE(cpu_->WritePlan(plan, run, run[0]).ok());
+  const CostAccountant::Counters write_plan = cpu_->cost().Snapshot() - before;
+  EXPECT_EQ(write_plan.seeks, 2u);
+  EXPECT_EQ(write_plan.seeks, two_writes.seeks);
+  EXPECT_EQ(write_plan.disk_bytes, two_writes.disk_bytes);
+  EXPECT_EQ(write_plan.link_bytes, two_writes.link_bytes);
+  EXPECT_EQ(seeks(), 8u);
+  EXPECT_EQ(registry.FindOrCreateCounter("shpir_hw_disk_bytes_total")->Value(),
+            4 * (plan.k + 1) * kSealedSize);
+}
+
 TEST_F(CoprocessorTest, AttachMetricsMirrorsCostAccounting) {
   obs::MetricsRegistry registry;
   cpu_->AttachMetrics(&registry);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -12,6 +13,12 @@
 #include "net/remote_disk.h"
 #include "net/storage_server.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
+#include "obs/profiler.h"
+#include "obs/slo.h"
+#include "obs/trace.h"
+#include "perfbench/seams.h"
+#include "storage/access_trace.h"
 #include "storage/disk.h"
 
 namespace shpir::net {
@@ -239,6 +246,8 @@ TEST(TwoPartyTest, FullPirStackOverTheWire) {
   }
   ASSERT_TRUE((*engine)->Initialize(pages).ok());
 
+  const auto before = (*cpu)->cost().Snapshot();
+  const double setup_seconds = (*cpu)->ElapsedSeconds();
   crypto::SecureRandom rng(10);
   for (int i = 0; i < 100; ++i) {
     const uint64_t id = rng.UniformInt(40);
@@ -246,15 +255,13 @@ TEST(TwoPartyTest, FullPirStackOverTheWire) {
     ASSERT_TRUE(data.ok());
     EXPECT_EQ(*data, Bytes(kPageSize, static_cast<uint8_t>(id)));
   }
-  // Network counters recorded: 3 round trips per query (block read,
-  // extra read + write are single-slot ops... block read, extra read,
-  // block write, extra write = 4).
-  const auto& counters = (*cpu)->cost().counters();
-  EXPECT_GT(counters.network_round_trips, 0u);
-  EXPECT_GT(counters.network_bytes, 0u);
-  // Simulated time includes the RTT term.
-  const double seconds = (*cpu)->ElapsedSeconds();
-  EXPECT_GT(seconds, 100 * 4 * 0.050);
+  // Each query is the paper's two round trips: one READ_PLAN carrying
+  // the block and the extra page, then one WRITE_PLAN writing them back.
+  const auto queries = (*cpu)->cost().Snapshot() - before;
+  EXPECT_EQ(queries.network_round_trips, 100u * 2u);
+  EXPECT_GT(queries.network_bytes, 0u);
+  // Simulated time includes the RTT term: 50 ms per round trip.
+  EXPECT_GT((*cpu)->ElapsedSeconds() - setup_seconds, 100 * 2 * 0.050);
 }
 
 TEST(TwoPartyTest, PerQueryNetworkCostIsConstant) {
@@ -294,7 +301,375 @@ TEST(TwoPartyTest, PerQueryNetworkCostIsConstant) {
       first_rtts = delta.network_round_trips;
     }
     EXPECT_EQ(delta.network_round_trips, first_rtts) << i;
-    EXPECT_EQ(delta.network_round_trips, 4u) << i;
+    EXPECT_EQ(delta.network_round_trips, 2u) << i;
+  }
+}
+
+// --- Round plans: one READ_PLAN and one WRITE_PLAN per round -----------
+
+std::vector<Bytes> DistinctSlots(size_t count, size_t size, uint8_t first) {
+  std::vector<Bytes> slots;
+  for (size_t i = 0; i < count; ++i) {
+    slots.emplace_back(size, static_cast<uint8_t>(first + i));
+  }
+  return slots;
+}
+
+TEST(WireTest, PlanRequestRoundTrip) {
+  const storage::IoPlan plan{6, 3, 14};
+  for (const Op op : {Op::kReadPlan, Op::kWritePlan}) {
+    Request request = PlanRequest(op, plan);
+    EXPECT_EQ(request.payload.size(), kPlanHeaderSize);
+    EXPECT_EQ(request.payload[0], kPlanVersion);
+    if (op == Op::kWritePlan) {
+      request.payload.resize(kPlanHeaderSize + 4 * 8, 0xab);
+    }
+    Result<Request> back = DecodeRequest(EncodeRequest(request));
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(back->op, op);
+    Result<storage::IoPlan> decoded = DecodePlanRequest(*back, 16, 8);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->block_start, 6u);
+    EXPECT_EQ(decoded->k, 3u);
+    EXPECT_EQ(decoded->extra, 14u);
+  }
+}
+
+TEST(RemoteDiskTest, PlansCostOneRoundTripEachAndMatchRunPlusSlot) {
+  constexpr size_t kSlot = 8;
+  storage::MemoryDisk disk(16, kSlot);
+  StorageServer server(&disk);
+  DirectTransport transport(&server);
+  Result<std::unique_ptr<RemoteDisk>> remote = RemoteDisk::Connect(&transport);
+  ASSERT_TRUE(remote.ok());
+  hardware::CostAccountant cost;
+  (*remote)->set_accountant(&cost);
+
+  const storage::IoPlan plan{4, 3, 12};
+  const std::vector<Bytes> run = DistinctSlots(3, kSlot, 0x10);
+  const Bytes extra(kSlot, 0x7e);
+  ASSERT_TRUE((*remote)->WritePlan(plan, run, extra).ok());
+  EXPECT_EQ(cost.counters().network_round_trips, 1u);
+  // The plan landed where WriteRun + Write would have put it.
+  for (uint64_t i = 0; i < 3; ++i) {
+    Bytes slot(kSlot);
+    ASSERT_TRUE(disk.Read(4 + i, slot).ok());
+    EXPECT_EQ(slot, run[i]) << i;
+  }
+  Bytes slot(kSlot);
+  ASSERT_TRUE(disk.Read(12, slot).ok());
+  EXPECT_EQ(slot, extra);
+
+  std::vector<Bytes> planned;
+  ASSERT_TRUE((*remote)->ReadPlan(plan, planned).ok());
+  EXPECT_EQ(cost.counters().network_round_trips, 2u);
+  // ReadRun + Read return the same k+1 slots, extra last, in two trips.
+  std::vector<Bytes> separate;
+  ASSERT_TRUE((*remote)->ReadRun(4, 3, separate).ok());
+  separate.emplace_back(kSlot);
+  ASSERT_TRUE((*remote)->Read(12, separate.back()).ok());
+  EXPECT_EQ(cost.counters().network_round_trips, 4u);
+  EXPECT_EQ(planned, separate);
+
+  // A run of the wrong length fails before anything is sent.
+  EXPECT_FALSE((*remote)->WritePlan(plan, DistinctSlots(2, kSlot, 1), extra)
+                   .ok());
+  EXPECT_FALSE((*remote)->WritePlan(plan, run, Bytes(kSlot - 1, 0)).ok());
+  EXPECT_EQ(cost.counters().network_round_trips, 4u);
+}
+
+TEST(StorageServerTest, MalformedPlansAreRefusedBeforeAnyDiskCall) {
+  constexpr uint64_t kSlots = 16;
+  constexpr size_t kSlot = 8;
+  storage::MemoryDisk inner(kSlots, kSlot);
+  perfbench::FootprintDisk disk(&inner);
+  obs::MetricsRegistry metrics;
+  obs::SloTracker slo;
+  StorageServer server(&disk, &metrics, nullptr, nullptr, &slo);
+  const obs::Counter* errors =
+      metrics.FindOrCreateCounter("shpir_provider_errors_total");
+
+  const auto write_plan = [&](const storage::IoPlan& plan) {
+    Request request = PlanRequest(Op::kWritePlan, plan);
+    request.payload.resize(kPlanHeaderSize + (plan.k + 1) * kSlot, 0x5a);
+    return request;
+  };
+  std::vector<std::pair<std::string, Request>> malformed;
+  for (const Op op : {Op::kReadPlan, Op::kWritePlan}) {
+    const std::string name = op == Op::kReadPlan ? "read" : "write";
+    const storage::IoPlan good{4, 3, 12};
+    const Request valid =
+        op == Op::kReadPlan ? PlanRequest(op, good) : write_plan(good);
+    Request bad_version = valid;
+    bad_version.payload[0] = kPlanVersion + 1;
+    malformed.push_back({name + " wrong version", bad_version});
+    Request too_long = valid;
+    too_long.payload.push_back(0);
+    malformed.push_back({name + " payload too long", too_long});
+    Request too_short = valid;
+    too_short.payload.pop_back();
+    malformed.push_back({name + " payload too short", too_short});
+    Request header_only = valid;
+    header_only.payload.resize(3);
+    malformed.push_back({name + " truncated header", header_only});
+    const storage::IoPlan past_end{kSlots - 2, 3, 0};
+    malformed.push_back({name + " run past the end",
+                         op == Op::kReadPlan ? PlanRequest(op, past_end)
+                                             : write_plan(past_end)});
+    const storage::IoPlan wraps{UINT64_MAX - 1, 3, 0};
+    Request wrapping = PlanRequest(op, wraps);
+    malformed.push_back({name + " run wrapping around", wrapping});
+    const storage::IoPlan extra_out{4, 3, kSlots};
+    malformed.push_back({name + " extra slot past the end",
+                         op == Op::kReadPlan ? PlanRequest(op, extra_out)
+                                             : write_plan(extra_out)});
+  }
+  for (const auto& [name, request] : malformed) {
+    const uint64_t errors_before = errors->Value();
+    const uint64_t slo_errors_before = slo.Evaluate().errors_total;
+    const Result<Bytes> response =
+        DecodeResponse(server.Handle(EncodeRequest(request)));
+    EXPECT_FALSE(response.ok()) << name;
+    EXPECT_TRUE(disk.Take().empty()) << name;
+    EXPECT_EQ(errors->Value(), errors_before + 1) << name;
+    // A refused plan spends the data path's SLO budget like any data op.
+    EXPECT_EQ(slo.Evaluate().errors_total, slo_errors_before + 1) << name;
+  }
+
+  // A well-formed plan makes exactly its two disk calls.
+  ASSERT_TRUE(
+      DecodeResponse(server.Handle(EncodeRequest(write_plan({4, 3, 12}))))
+          .ok());
+  const std::vector<perfbench::DiskCall> calls = disk.Take();
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(calls[0].kind, perfbench::DiskCall::Kind::kWriteRun);
+  EXPECT_EQ(calls[1].kind, perfbench::DiskCall::Kind::kWrite);
+  EXPECT_EQ(calls[1].start, 12u);
+  EXPECT_EQ(metrics.FindOrCreateCounter("shpir_provider_write_slots_total")
+                ->Value(),
+            4u);
+  ASSERT_TRUE(
+      DecodeResponse(server.Handle(EncodeRequest(PlanRequest(
+                         Op::kReadPlan, storage::IoPlan{4, 3, 12}))))
+          .ok());
+  EXPECT_EQ(metrics.FindOrCreateCounter("shpir_provider_read_slots_total")
+                ->Value(),
+            4u);
+  const obs::SloTracker::Snapshot counted = slo.Evaluate();
+  EXPECT_EQ(counted.requests_total, malformed.size() + 2);
+  EXPECT_EQ(counted.errors_total, malformed.size());
+}
+
+TEST(StorageServerTest, PlansAreTracedAndProfiledUnderTheirOwnNames) {
+  constexpr size_t kSlot = 8;
+  storage::MemoryDisk disk(16, kSlot);
+  obs::Tracer::Options every;
+  every.sample_every = 1;
+  obs::Tracer provider_tracer(every);
+  obs::Profiler::Options profile_every;
+  profile_every.sample_every = 1;
+  obs::Profiler profiler(profile_every);
+  StorageServer server(&disk, nullptr, &provider_tracer, &profiler);
+  DirectTransport transport(&server);
+  Result<std::unique_ptr<RemoteDisk>> remote = RemoteDisk::Connect(&transport);
+  ASSERT_TRUE(remote.ok());
+  obs::Tracer owner_tracer(every);
+  (*remote)->set_tracer(&owner_tracer);
+  (*remote)->set_trace_context(owner_tracer.StartTrace());
+
+  const storage::IoPlan plan{4, 3, 12};
+  ASSERT_TRUE((*remote)
+                  ->WritePlan(plan, DistinctSlots(3, kSlot, 1),
+                              Bytes(kSlot, 9))
+                  .ok());
+  std::vector<Bytes> out;
+  ASSERT_TRUE((*remote)->ReadPlan(plan, out).ok());
+
+  std::vector<std::string> names;
+  for (const obs::SpanRecord& span : provider_tracer.Snapshot()) {
+    names.emplace_back(span.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"provider_write_plan",
+                                             "provider_read_plan"}));
+  const std::string stacks = profiler.ToCollapsedShape();
+  EXPECT_NE(stacks.find("provider_handle;provider_write_plan"),
+            std::string::npos)
+      << stacks;
+  EXPECT_NE(stacks.find("provider_handle;provider_read_plan"),
+            std::string::npos)
+      << stacks;
+}
+
+/// The owner's seeded device and engine, either over RemoteDisk ->
+/// DirectTransport -> StorageServer on a provider disk (Remote), or
+/// straight over that disk (Local).
+struct OwnerRig {
+  static constexpr size_t kPageSize = 24;
+  static constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+
+  static core::CApproxPir::Options Options() {
+    core::CApproxPir::Options options;
+    options.num_pages = 40;
+    options.page_size = kPageSize;
+    options.cache_pages = 6;
+    options.block_size = 5;
+    options.insert_reserve = 8;
+    return options;
+  }
+
+  static uint64_t Slots() {
+    Result<uint64_t> slots = core::CApproxPir::DiskSlots(Options());
+    SHPIR_CHECK(slots.ok());
+    return *slots;
+  }
+
+  /// Remote: `disk` sits behind the StorageServer.
+  static std::unique_ptr<OwnerRig> Remote(storage::Disk* disk,
+                                          storage::AccessTrace* trace) {
+    auto rig = std::make_unique<OwnerRig>();
+    rig->server = std::make_unique<StorageServer>(disk);
+    rig->transport = std::make_unique<DirectTransport>(rig->server.get());
+    Result<std::unique_ptr<RemoteDisk>> remote =
+        RemoteDisk::Connect(rig->transport.get());
+    SHPIR_CHECK(remote.ok());
+    rig->remote = std::move(remote).value();
+    rig->Start(rig->remote.get(), trace);
+    return rig;
+  }
+
+  /// Local: the owner's device drives `disk` directly.
+  static std::unique_ptr<OwnerRig> Local(storage::Disk* disk,
+                                         storage::AccessTrace* trace) {
+    auto rig = std::make_unique<OwnerRig>();
+    rig->Start(disk, trace);
+    return rig;
+  }
+
+  void Start(storage::Disk* disk, storage::AccessTrace* trace) {
+    Result<std::unique_ptr<hardware::SecureCoprocessor>> device =
+        hardware::SecureCoprocessor::Create(
+            hardware::HardwareProfile::TwoPartyOwner(64 * hardware::kMB),
+            disk, kPageSize, 21);
+    SHPIR_CHECK(device.ok());
+    cpu = std::move(device).value();
+    Result<std::unique_ptr<core::CApproxPir>> created =
+        core::CApproxPir::Create(cpu.get(), Options(), trace);
+    SHPIR_CHECK(created.ok());
+    engine = std::move(created).value();
+    std::vector<storage::Page> pages;
+    for (uint64_t id = 0; id < Options().num_pages; ++id) {
+      pages.emplace_back(id, Bytes(kPageSize, static_cast<uint8_t>(id)));
+    }
+    SHPIR_CHECK_OK(engine->Initialize(pages));
+  }
+
+  std::unique_ptr<StorageServer> server;
+  std::unique_ptr<DirectTransport> transport;
+  std::unique_ptr<RemoteDisk> remote;
+  std::unique_ptr<hardware::SecureCoprocessor> cpu;
+  std::unique_ptr<core::CApproxPir> engine;
+};
+
+/// Runs `ops` seeded operations on `engine`: half Retrieve, a fifth
+/// Modify, and the rest alternating Remove and Insert so the spares
+/// never run out. Calls `after_op` after each and returns what every
+/// operation answered: its payload or new id, or its status.
+std::vector<std::string> RunMixedOps(core::CApproxPir& engine, int ops,
+                                     const std::function<void()>& after_op) {
+  crypto::SecureRandom rng(33);
+  std::vector<storage::PageId> live;
+  for (storage::PageId id = 0; id < engine.num_pages(); ++id) {
+    live.push_back(id);
+  }
+  bool remove_next = true;
+  std::vector<std::string> answers;
+  for (int i = 0; i < ops; ++i) {
+    const uint64_t kind = rng.UniformInt(10);
+    const size_t at = rng.UniformInt(live.size());
+    const storage::PageId id = live[at];
+    const Bytes data(engine.page_size(), static_cast<uint8_t>(i));
+    if (kind < 5) {
+      Result<Bytes> page = engine.Retrieve(id);
+      answers.push_back(page.ok()
+                            ? "get " + std::string(page->begin(), page->end())
+                            : page.status().ToString());
+    } else if (kind < 7) {
+      answers.push_back(engine.Modify(id, data).ToString());
+    } else if (remove_next) {
+      answers.push_back(engine.Remove(id).ToString());
+      live.erase(live.begin() + static_cast<ptrdiff_t>(at));
+      remove_next = false;
+    } else {
+      Result<storage::PageId> added = engine.Insert(data);
+      if (added.ok()) {
+        live.push_back(*added);
+      }
+      answers.push_back(added.ok() ? "insert " + std::to_string(*added)
+                                   : added.status().ToString());
+      remove_next = true;
+    }
+    after_op();
+  }
+  return answers;
+}
+
+TEST(TwoPartyTest, ProviderDiskSeesTheFourCallRoundForEveryOperation) {
+  storage::MemoryDisk inner(OwnerRig::Slots(), OwnerRig::kSealedSize);
+  perfbench::FootprintDisk footprint(&inner);
+  std::unique_ptr<OwnerRig> rig = OwnerRig::Remote(&footprint, nullptr);
+  (void)footprint.Take();  // The bulk load is not a round.
+  const uint64_t k = rig->engine->block_size();
+  const uint64_t period = rig->engine->scan_period();
+  uint64_t round = 0;
+  const std::vector<std::string> answers =
+      RunMixedOps(*rig->engine, 300, [&] {
+        const uint64_t block_start = (round % period) * k;
+        EXPECT_EQ(perfbench::CheckProviderRound(footprint.Take(),
+                                                block_start, k),
+                  "")
+            << "round " << round;
+        ++round;
+      });
+  // Every kind of operation ran, and each ran as one ordinary round.
+  const core::CApproxPir::Stats& stats = rig->engine->stats();
+  EXPECT_GT(stats.modifies, 0u);
+  EXPECT_GT(stats.inserts, 0u);
+  EXPECT_GT(stats.removes, 0u);
+  EXPECT_EQ(stats.queries, round);
+  for (const std::string& answer : answers) {
+    EXPECT_TRUE(answer == "OK" || answer.starts_with("get ") ||
+                answer.starts_with("insert "))
+        << answer;
+  }
+}
+
+TEST(TwoPartyTest, RemoteRunMatchesLocalTraceAndPayloads) {
+  storage::MemoryDisk local_inner(OwnerRig::Slots(), OwnerRig::kSealedSize);
+  storage::AccessTrace local_trace;
+  storage::TracingDisk local_disk(&local_inner, &local_trace);
+  std::unique_ptr<OwnerRig> local = OwnerRig::Local(&local_disk,
+                                                    &local_trace);
+
+  storage::MemoryDisk remote_inner(OwnerRig::Slots(), OwnerRig::kSealedSize);
+  storage::AccessTrace remote_trace;
+  storage::TracingDisk remote_disk(&remote_inner, &remote_trace);
+  std::unique_ptr<OwnerRig> remote = OwnerRig::Remote(&remote_disk,
+                                                      &remote_trace);
+
+  const auto nothing = [] {};
+  const std::vector<std::string> local_answers =
+      RunMixedOps(*local->engine, 200, nothing);
+  const std::vector<std::string> remote_answers =
+      RunMixedOps(*remote->engine, 200, nothing);
+  EXPECT_EQ(local_answers, remote_answers);
+  EXPECT_EQ(local_trace.num_requests(), 200u);
+  EXPECT_EQ(local_trace.events(), remote_trace.events());
+  // Same seeds, same nonces: the provider holds the same bytes.
+  for (storage::Location loc = 0; loc < local_inner.num_slots(); ++loc) {
+    Bytes a(OwnerRig::kSealedSize), b(OwnerRig::kSealedSize);
+    ASSERT_TRUE(local_inner.Read(loc, a).ok());
+    ASSERT_TRUE(remote_inner.Read(loc, b).ok());
+    ASSERT_EQ(a, b) << "slot " << loc;
   }
 }
 

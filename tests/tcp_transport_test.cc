@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
@@ -76,6 +83,56 @@ TEST(TcpTransportTest, RunsOverTheSocket) {
   std::vector<Bytes> out;
   ASSERT_TRUE((*remote)->ReadRun(4, 5, out).ok());
   EXPECT_EQ(out, slots);
+}
+
+void IgnoreSignal(int) {}
+
+TEST(TcpTransportTest, EightMibFramesCrossEachWayIntact) {
+  // An 8 MiB frame overflows the socket buffers, so each send blocks
+  // part-way. A signal (installed without SA_RESTART) interrupting the
+  // client's blocked sendmsg makes it return a partial count, and the
+  // rest of the length prefix and body must follow from the right
+  // offset. The listener echoes each frame reversed.
+  struct sigaction ignore = {};
+  ignore.sa_handler = IgnoreSignal;
+  struct sigaction previous = {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &ignore, &previous), 0);
+  constexpr size_t kFrame = 8u << 20;
+  auto listener = TcpFrameListener::Listen(
+      [](ByteSpan frame) -> Result<Bytes> {
+        return Bytes(frame.rbegin(), frame.rend());
+      },
+      0);
+  ASSERT_TRUE(listener.ok());
+  std::thread server([&] { (void)(*listener)->ServeOneConnection(); });
+  {
+    auto transport = TcpTransport::Connect("127.0.0.1", (*listener)->port());
+    ASSERT_TRUE(transport.ok()) << transport.status();
+    crypto::SecureRandom rng(5);
+    Bytes request(kFrame);
+    rng.Fill(request);
+    const pthread_t client = ::pthread_self();
+    std::atomic<bool> done{false};
+    std::thread interrupter([&] {
+      while (!done.load()) {
+        ::pthread_kill(client, SIGUSR1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+    std::vector<Result<Bytes>> replies;
+    for (int i = 0; i < 2; ++i) {
+      replies.push_back((*transport)->RoundTrip(request));
+    }
+    done.store(true);
+    interrupter.join();
+    for (const Result<Bytes>& reply : replies) {
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      ASSERT_EQ(reply->size(), kFrame);
+      EXPECT_TRUE(std::equal(reply->begin(), reply->end(), request.rbegin()));
+    }
+  }
+  server.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
 }
 
 TEST(TcpTransportTest, RemoteErrorsSurviveTheWire) {
