@@ -93,10 +93,10 @@ void ServiceHub::EvictOne() {
 }
 
 Result<Bytes> ServiceHub::HandleFrame(ByteSpan frame) {
-  // Arrival timestamp for the queue-wait span: taken before the hub
-  // lock, so the measured gap covers lock contention (the hub's queue).
-  // Only read when a tracer is attached — the clock read is the whole
-  // cost for untraced hubs.
+  // Arrival timestamp for the queue-wait span: taken before any lock, so
+  // the measured gap covers the wait for the session's lock. Only read
+  // when a tracer is attached — the clock read is the whole cost for
+  // untraced hubs.
   const uint64_t arrival_ns = tracer_ != nullptr ? obs::Tracer::NowNs() : 0;
   if (metered()) {
     instruments_.frame_bytes_in->Increment(frame.size());
@@ -108,86 +108,110 @@ Result<Bytes> ServiceHub::HandleFrame(ByteSpan frame) {
     return DataLossError("truncated hub frame");
   }
   const uint64_t client_id = LoadLE64(frame.data() + 1);
-  common::MutexLock lock(mutex_);
   if (frame[0] == kHelloTag) {
-    if (metered()) {
-      instruments_.hellos->Increment();
-    }
-    if (frame.size() != 1 + 8 + kNonce) {
-      if (metered()) {
-        instruments_.handshake_failures->Increment();
-      }
-      return DataLossError("malformed HELLO frame");
-    }
-    const ByteSpan client_nonce(frame.data() + 9, kNonce);
-    Bytes server_nonce(kNonce);
-    rng_.Fill(server_nonce);
-    const Bytes key = ClientKey(pre_shared_key_, client_id);
-    Result<SecureSession> session = SecureSession::Establish(
-        key, SecureSession::Role::kServer, client_nonce, server_nonce);
-    if (!session.ok()) {
-      if (metered()) {
-        instruments_.handshake_failures->Increment();
-      }
-      return session.status();
-    }
-    if (servers_.size() >= kMaxSessions && !servers_.contains(client_id)) {
-      EvictOne();
-    }
-    // ADMIN travels inside the sealed session, so only authenticated
-    // clients reach the registry's documents.
-    servers_[client_id] = Session{std::make_unique<PirServiceServer>(
-        engine_, std::move(session).value(), tracer_, admin_,
-        keyword_manifest_)};
-    if (metered()) {
-      instruments_.sessions->Set(static_cast<double>(servers_.size()));
-    }
-    Bytes reply(1 + kNonce);
-    reply[0] = kHelloTag;
-    std::copy(server_nonce.begin(), server_nonce.end(), reply.begin() + 1);
-    if (metered()) {
-      instruments_.frame_bytes_out->Increment(reply.size());
-    }
-    return reply;
+    return HandleHello(client_id, frame);
   }
   if (frame[0] == kDataTag) {
-    if (metered()) {
-      instruments_.data_frames->Increment();
-    }
-    auto it = servers_.find(client_id);
-    if (it == servers_.end()) {
-      if (metered()) {
-        instruments_.frames_rejected->Increment();
-      }
-      return FailedPreconditionError("unknown client; handshake first");
-    }
-    PirServiceServer::QueueTiming timing;
-    const PirServiceServer::QueueTiming* timing_ptr = nullptr;
-    if (tracer_ != nullptr) {
-      timing.arrival_ns = arrival_ns;
-      timing.dequeue_ns = obs::Tracer::NowNs();  // Past the hub lock.
-      timing_ptr = &timing;
-    }
-    Result<Bytes> reply = it->second.server->HandleRecord(
-        ByteSpan(frame.data() + 9, frame.size() - 9), timing_ptr);
-    if (reply.ok()) {
-      // The record opened under the session's keys: only a key holder
-      // keeps a session from eviction.
-      it->second.last_data = ++data_clock_;
-    }
-    if (metered()) {
-      if (reply.ok()) {
-        instruments_.frame_bytes_out->Increment(reply->size());
-      } else {
-        instruments_.frames_rejected->Increment();
-      }
-    }
-    return reply;
+    return HandleData(client_id, frame, arrival_ns);
   }
   if (metered()) {
     instruments_.frames_rejected->Increment();
   }
   return InvalidArgumentError("unknown hub frame tag");
+}
+
+Result<Bytes> ServiceHub::HandleHello(uint64_t client_id, ByteSpan frame) {
+  if (metered()) {
+    instruments_.hellos->Increment();
+  }
+  if (frame.size() != 1 + 8 + kNonce) {
+    if (metered()) {
+      instruments_.handshake_failures->Increment();
+    }
+    return DataLossError("malformed HELLO frame");
+  }
+  const ByteSpan client_nonce(frame.data() + 9, kNonce);
+  Bytes server_nonce(kNonce);
+  common::MutexLock lock(mutex_);
+  rng_.Fill(server_nonce);
+  const Bytes key = ClientKey(pre_shared_key_, client_id);
+  Result<SecureSession> session = SecureSession::Establish(
+      key, SecureSession::Role::kServer, client_nonce, server_nonce);
+  if (!session.ok()) {
+    if (metered()) {
+      instruments_.handshake_failures->Increment();
+    }
+    return session.status();
+  }
+  if (servers_.size() >= kMaxSessions && !servers_.contains(client_id)) {
+    EvictOne();
+  }
+  // ADMIN travels inside the sealed session, so only authenticated
+  // clients reach the registry's documents.
+  servers_[client_id] = Entry{std::make_shared<Session>(
+      PirServiceServer(engine_, std::move(session).value(), tracer_, admin_,
+                       keyword_manifest_))};
+  if (metered()) {
+    instruments_.sessions->Set(static_cast<double>(servers_.size()));
+  }
+  Bytes reply(1 + kNonce);
+  reply[0] = kHelloTag;
+  std::copy(server_nonce.begin(), server_nonce.end(), reply.begin() + 1);
+  if (metered()) {
+    instruments_.frame_bytes_out->Increment(reply.size());
+  }
+  return reply;
+}
+
+Result<Bytes> ServiceHub::HandleData(uint64_t client_id, ByteSpan frame,
+                                     uint64_t arrival_ns) {
+  if (metered()) {
+    instruments_.data_frames->Increment();
+  }
+  std::shared_ptr<Session> session;
+  {
+    common::MutexLock lock(mutex_);
+    const auto it = servers_.find(client_id);
+    if (it != servers_.end()) {
+      session = it->second.session;
+    }
+  }
+  if (session == nullptr) {
+    if (metered()) {
+      instruments_.frames_rejected->Increment();
+    }
+    return FailedPreconditionError("unknown client; handshake first");
+  }
+  Session& served = *session;
+  common::MutexLock session_lock(served.mutex);
+  PirServiceServer::QueueTiming timing;
+  const PirServiceServer::QueueTiming* timing_ptr = nullptr;
+  if (tracer_ != nullptr) {
+    timing.arrival_ns = arrival_ns;
+    timing.dequeue_ns = obs::Tracer::NowNs();  // Past the session lock.
+    timing_ptr = &timing;
+  }
+  Result<Bytes> reply = served.server.HandleRecord(
+      ByteSpan(frame.data() + 9, frame.size() - 9), timing_ptr);
+  session_lock.Unlock();
+  if (reply.ok()) {
+    // The record opened under the session's keys: only a key holder
+    // keeps a session from eviction. A session that a HELLO replaced or
+    // evicted while this call ran is gone and gets no clock.
+    common::MutexLock lock(mutex_);
+    const auto it = servers_.find(client_id);
+    if (it != servers_.end() && it->second.session == session) {
+      it->second.last_data = ++data_clock_;
+    }
+  }
+  if (metered()) {
+    if (reply.ok()) {
+      instruments_.frame_bytes_out->Increment(reply->size());
+    } else {
+      instruments_.frames_rejected->Increment();
+    }
+  }
+  return reply;
 }
 
 }  // namespace shpir::net

@@ -27,8 +27,13 @@ namespace shpir::net {
 ///
 /// Client ids are chosen by clients (e.g. random); per-client keys are
 /// derived from the pre-shared key, both nonces *and* the client id, so
-/// clients cannot impersonate each other's streams. Requests are
-/// serialized onto the engine (the coprocessor serves one at a time).
+/// clients cannot impersonate each other's streams.
+///
+/// Sessions are served concurrently. The hub mutex guards only the
+/// session table (lookup, HELLO, eviction, the data clock). Each
+/// session has its own mutex, which orders its SecureSession sequence
+/// numbers and is the only lock held across the engine call, so
+/// different clients' requests reach the engine at the same time.
 ///
 /// HELLO proves nothing, so any peer can open sessions. The table holds
 /// at most kMaxSessions; a HELLO for a new id when it is full evicts the
@@ -40,13 +45,16 @@ class ServiceHub {
   static constexpr size_t kMaxSessions = 256;
 
   /// `engine` is unowned; `pre_shared_key` is the key clients hold.
-  /// Any PirEngine serves: the single paper engine (requests serialize
-  /// on the coprocessor) or the sharded runtime in src/shard/ (requests
-  /// fan out across shard workers). The remaining arguments are
-  /// optional; pointers are unowned and must outlive the hub.
+  /// The engine must be safe to call from several threads at once: the
+  /// sharded runtime in src/shard/ is (requests fan out across shard
+  /// workers), and a single paper engine goes behind
+  /// core::ThreadSafeEngine (requests serialize on the coprocessor).
+  /// The remaining arguments are optional; pointers are unowned and
+  /// must outlive the hub.
   /// - `metrics` gets the hub's shpir_net_* instruments.
   /// - `tracer` turns on distributed tracing: sampled requests get
-  ///   hub_queue_wait / service_handle spans.
+  ///   hub_queue_wait / service_handle spans. hub_queue_wait runs from
+  ///   the frame's arrival until its session's lock is held.
   /// - `admin` serves the authenticated ADMIN op for every session the
   ///   hub establishes. It must be fully built before serving; its
   ///   handlers must be thread-safe and return aggregate,
@@ -63,6 +71,10 @@ class ServiceHub {
                  nullptr);
 
   /// Handles one wire frame from any client; returns the reply frame.
+  /// Thread-safe. A HELLO may replace or evict a session while one of
+  /// its DATA frames is in the engine: that call completes, its reply
+  /// is sealed by the old session, and it no longer counts toward the
+  /// eviction order.
   Result<Bytes> HandleFrame(ByteSpan frame);
 
   /// Number of established client sessions. Thread-safe.
@@ -99,12 +111,23 @@ class ServiceHub {
     obs::Counter* sessions_evicted = nullptr;
     obs::Gauge* sessions = nullptr;
   };
+  /// One client's server side. Shared with the DATA calls in flight,
+  /// so a HELLO may drop it from the table while one is in the engine.
   struct Session {
-    std::unique_ptr<PirServiceServer> server;
+    explicit Session(PirServiceServer s) : server(std::move(s)) {}
+    common::Mutex mutex;
+    PirServiceServer server GUARDED_BY(mutex);
+  };
+  struct Entry {
+    std::shared_ptr<Session> session;
     /// Value of data_clock_ at the session's last authenticated DATA
     /// record; 0 until it sends one.
     uint64_t last_data = 0;
   };
+
+  Result<Bytes> HandleHello(uint64_t client_id, ByteSpan frame);
+  Result<Bytes> HandleData(uint64_t client_id, ByteSpan frame,
+                           uint64_t arrival_ns);
 
   /// Drops the session whose last authenticated DATA record is oldest.
   /// The table must not be empty.
@@ -118,9 +141,9 @@ class ServiceHub {
   PirServiceServer::KeywordManifestProvider keyword_manifest_;
   Instruments instruments_;  // Written by the ctor only; const afterwards.
   mutable common::Mutex mutex_;
-  /// Server-nonce generator; drawn from under mutex_ in HandleFrame.
+  /// Server-nonce generator; drawn from under mutex_ in HandleHello.
   crypto::SecureRandom rng_ GUARDED_BY(mutex_);
-  std::unordered_map<uint64_t, Session> servers_ GUARDED_BY(mutex_);
+  std::unordered_map<uint64_t, Entry> servers_ GUARDED_BY(mutex_);
   /// Counts authenticated DATA records; orders sessions for eviction.
   uint64_t data_clock_ GUARDED_BY(mutex_) = 0;
 };

@@ -122,6 +122,7 @@ Bytes StorageServer::Handle(ByteSpan request_frame) {
 
 void StorageServer::PublishKeywordManifest(Bytes manifest,
                                            uint64_t version) {
+  common::MutexLock lock(manifest_mutex_);
   keyword_manifest_.manifest = std::move(manifest);
   keyword_manifest_.version = version;
   keyword_manifest_published_ = true;
@@ -135,9 +136,9 @@ Bytes StorageServer::Fail(const Status& status) {
 }
 
 Bytes StorageServer::Dispatch(const Request& request) {
-  const size_t slot_size = disk_->slot_size();
   switch (request.op) {
     case Op::kKeywordManifest: {
+      common::MutexLock lock(manifest_mutex_);
       if (!keyword_manifest_published_) {
         return EncodeErrorResponse(UnimplementedError(
             "no keyword manifest published on this provider"));
@@ -161,9 +162,23 @@ Bytes StorageServer::Dispatch(const Request& request) {
     case Op::kGeometry: {
       Bytes payload(16);
       StoreLE64(disk_->num_slots(), payload.data());
-      StoreLE64(slot_size, payload.data() + 8);
+      StoreLE64(disk_->slot_size(), payload.data() + 8);
       return EncodeOkResponse(payload);
     }
+    case Op::kTraced:
+      break;  // DecodeRequest unwraps envelopes; never surfaces here.
+    default: {
+      common::MutexLock lock(data_mutex_);
+      return DispatchData(request);
+    }
+  }
+  return EncodeErrorResponse(InternalError("unhandled op"));
+}
+
+Bytes StorageServer::DispatchData(const Request& request) {
+  const uint64_t num_slots = disk_->num_slots();
+  const size_t slot_size = disk_->slot_size();
+  switch (request.op) {
     case Op::kRead: {
       Bytes slot(slot_size);
       const Status status = disk_->Read(request.location, slot);
@@ -189,6 +204,10 @@ Bytes StorageServer::Dispatch(const Request& request) {
       return EncodeOkResponse({});
     }
     case Op::kReadRun: {
+      // Bounded before anything is allocated: count is off the wire.
+      if (!storage::RunFits(request.location, request.count, num_slots)) {
+        return Fail(OutOfRangeError("read run extends past end of disk"));
+      }
       std::vector<Bytes> slots;
       const Status status =
           disk_->ReadRun(request.location, request.count, slots);
@@ -206,6 +225,10 @@ Bytes StorageServer::Dispatch(const Request& request) {
       return EncodeOkResponse(payload);
     }
     case Op::kWriteRun: {
+      if (!storage::RunFits(request.location, request.count, num_slots)) {
+        return Fail(OutOfRangeError("write run extends past end of disk"));
+      }
+      // count <= num_slots, so the product is at most the disk's size.
       if (request.payload.size() != request.count * slot_size) {
         return Fail(InvalidArgumentError("write-run payload size mismatch"));
       }
@@ -227,7 +250,7 @@ Bytes StorageServer::Dispatch(const Request& request) {
     }
     case Op::kReadPlan: {
       Result<storage::IoPlan> plan =
-          DecodePlanRequest(request, disk_->num_slots(), slot_size);
+          DecodePlanRequest(request, num_slots, slot_size);
       if (!plan.ok()) {
         return Fail(plan.status());
       }
@@ -248,7 +271,7 @@ Bytes StorageServer::Dispatch(const Request& request) {
     }
     case Op::kWritePlan: {
       Result<storage::IoPlan> plan =
-          DecodePlanRequest(request, disk_->num_slots(), slot_size);
+          DecodePlanRequest(request, num_slots, slot_size);
       if (!plan.ok()) {
         return Fail(plan.status());
       }
@@ -267,8 +290,8 @@ Bytes StorageServer::Dispatch(const Request& request) {
       }
       return EncodeOkResponse({});
     }
-    case Op::kTraced:
-      break;  // DecodeRequest unwraps envelopes; never surfaces here.
+    default:
+      break;
   }
   return EncodeErrorResponse(InternalError("unhandled op"));
 }

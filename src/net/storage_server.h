@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/mutex.h"
 #include "common/result.h"
 #include "net/transport.h"
 #include "net/wire.h"
@@ -20,6 +21,13 @@ namespace shpir::net {
 /// executes wire-protocol requests against its local disk. It only ever
 /// sees sealed pages; all intelligence (and all secrets) stay with the
 /// owner.
+///
+/// Handle() is thread-safe, so one server can sit behind a listener
+/// that serves several connections at once. Every disk op runs under
+/// one data mutex, so a round's READ_PLAN and WRITE_PLAN are each
+/// atomic against another connection's writes. GEOMETRY, ADMIN and
+/// KEYWORD_MANIFEST take no data lock: an operator's fetch never waits
+/// behind an owner's round.
 class StorageServer {
  public:
   /// `disk` is unowned and must outlive the server. Every other
@@ -55,6 +63,7 @@ class StorageServer {
   /// op. The manifest is a PUBLIC artifact (the owner ships it to every
   /// client); `version` must increase across rebuilds so cached clients
   /// refetch. Until published, the op answers Unimplemented.
+  /// Thread-safe.
   void PublishKeywordManifest(Bytes manifest, uint64_t version);
 
  private:
@@ -70,10 +79,15 @@ class StorageServer {
   /// profiling/SLO wrapper can observe the outcome uniformly).
   Bytes Dispatch(const Request& request);
 
+  /// The disk ops: every request that reads or writes slots.
+  Bytes DispatchData(const Request& request) REQUIRES(data_mutex_);
+
   /// Counts one failed request and encodes its error response.
   Bytes Fail(const Status& status);
 
-  storage::Disk* disk_;
+  /// Disk calls go through data_mutex_; the geometry is fixed at
+  /// construction and read without it.
+  storage::Disk* const disk_;
   obs::Tracer* tracer_;
   obs::Profiler* profiler_;
   obs::SloTracker* slo_;
@@ -81,9 +95,12 @@ class StorageServer {
   obs::FlightRecorder* recorder_;
   const obs::AdminRegistry* admin_;
   Instruments instruments_;
+  /// Serializes every disk op (see the class comment).
+  common::Mutex data_mutex_;
+  common::Mutex manifest_mutex_;
   /// Published keyword manifest (empty until PublishKeywordManifest).
-  KeywordManifest keyword_manifest_;
-  bool keyword_manifest_published_ = false;
+  KeywordManifest keyword_manifest_ GUARDED_BY(manifest_mutex_);
+  bool keyword_manifest_published_ GUARDED_BY(manifest_mutex_) = false;
 };
 
 /// The storage provider's "health" document: a stateless store is ready

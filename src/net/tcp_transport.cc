@@ -7,8 +7,11 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <exception>
+#include <system_error>
 
 #include "common/bytes.h"
 #include "obs/metrics.h"
@@ -20,6 +23,12 @@ namespace {
 // Largest frame we will accept: geometry-independent safety bound.
 constexpr uint32_t kMaxFrame = 1u << 30;
 
+// A frame's buffer grows at most this far ahead of the bytes received,
+// so a peer that announces a large frame and stalls holds little memory.
+// Frames up to this size (query frames, and a bulk load's 1024-slot
+// runs of 1 KiB pages) still arrive in one allocation.
+constexpr size_t kRecvStep = 4u << 20;
+
 // Process-wide socket instruments in the global registry. Everything is
 // a plain volume aggregate; the frames themselves are opaque to this
 // layer (sealed pages, sealed records).
@@ -29,6 +38,9 @@ struct TcpInstruments {
   obs::Counter* bytes_in;
   obs::Counter* bytes_out;
   obs::Counter* round_trips;
+  obs::Counter* refused;
+  obs::Counter* handler_failures;
+  obs::Gauge* open;
 };
 
 const TcpInstruments& TcpMetrics() {
@@ -40,6 +52,9 @@ const TcpInstruments& TcpMetrics() {
         registry.FindOrCreateCounter("shpir_tcp_bytes_in_total"),
         registry.FindOrCreateCounter("shpir_tcp_bytes_out_total"),
         registry.FindOrCreateCounter("shpir_tcp_client_round_trips_total"),
+        registry.FindOrCreateCounter("shpir_tcp_connections_refused_total"),
+        registry.FindOrCreateCounter("shpir_tcp_handler_failures_total"),
+        registry.FindOrCreateGauge("shpir_tcp_connections_open"),
     };
   }();
   return instruments;
@@ -111,9 +126,12 @@ Result<Bytes> RecvFrame(int fd) {
   if (length > kMaxFrame) {
     return DataLossError("oversized frame");
   }
-  Bytes payload(length);
-  if (length > 0) {
-    SHPIR_RETURN_IF_ERROR(RecvAll(fd, payload.data(), length));
+  Bytes payload;
+  while (payload.size() < length) {
+    const size_t received = payload.size();
+    const size_t step = std::min<size_t>(length - received, kRecvStep);
+    payload.resize(received + step);
+    SHPIR_RETURN_IF_ERROR(RecvAll(fd, payload.data() + received, step));
   }
   const TcpInstruments& m = TcpMetrics();
   m.frames->Increment();
@@ -183,7 +201,7 @@ Result<std::unique_ptr<TcpFrameListener>> TcpFrameListener::Listen(
     return InternalError(std::string("bind failed: ") +
                          std::strerror(errno));
   }
-  if (::listen(fd, 1) != 0) {
+  if (::listen(fd, SOMAXCONN) != 0) {
     ::close(fd);
     return InternalError("listen failed");
   }
@@ -198,68 +216,118 @@ Result<std::unique_ptr<TcpFrameListener>> TcpFrameListener::Listen(
 
 TcpFrameListener::~TcpFrameListener() {
   Stop();
-}
-
-Status TcpFrameListener::ServeOneConnection() {
-  const int conn = ::accept(listen_fd_.load(), nullptr, nullptr);
-  if (conn < 0) {
-    return InternalError(std::string("accept failed: ") +
-                         std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  TcpMetrics().connections->Increment();
-  while (true) {
-    Result<Bytes> request = RecvFrame(conn);
-    if (!request.ok()) {
-      break;  // Peer closed (normal) or I/O error.
-    }
-    Result<Bytes> response = handler_(*request);
-    if (!response.ok()) {
-      // Handler-level failures close the connection; protocol-level
-      // errors are encoded into responses by the handlers themselves.
-      ::close(conn);
-      return response.status();
-    }
-    const Status sent = SendFrame(conn, *response);
-    if (!sent.ok()) {
-      ::close(conn);
-      return sent;
-    }
-  }
-  ::close(conn);
-  return OkStatus();
+  ::close(listen_fd_);
 }
 
 void TcpFrameListener::Run() {
-  while (!stopping_.load()) {
-    (void)ServeOneConnection();
+  while (Admit(::accept(listen_fd_, nullptr, nullptr))) {
   }
+  // Stop() shut down every open connection, so each thread's read
+  // returns. The nodes move to `serving` intact, so each thread still
+  // finds its own.
+  std::list<Connection> serving;
+  {
+    common::MutexLock lock(mutex_);
+    serving.swap(connections_);
+  }
+  for (Connection& connection : serving) {
+    connection.thread.join();
+  }
+}
+
+bool TcpFrameListener::Admit(int fd) {
+  const TcpInstruments& m = TcpMetrics();
+  std::list<Connection> finished;
+  bool serving = true;
+  {
+    common::MutexLock lock(mutex_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      const auto next = std::next(it);
+      if (it->fd < 0) {
+        finished.splice(finished.end(), connections_, it);
+      }
+      it = next;
+    }
+    if (stopping_) {
+      serving = false;
+      if (fd >= 0) {
+        ::close(fd);
+      }
+    } else if (fd >= 0 && connections_.size() >= kMaxConnections) {
+      m.refused->Increment();  // Before the peer can see the close.
+      ::close(fd);
+    } else if (fd >= 0) {
+      Connection& connection = connections_.emplace_back();
+      connection.fd = fd;
+      // Counted before its thread can answer anything.
+      m.open->Add(1.0);
+      try {
+        connection.thread =
+            std::thread(&TcpFrameListener::Serve, this, &connection, fd);
+        m.connections->Increment();
+      } catch (const std::system_error&) {
+        // No thread to serve it: refused like a connection past the cap.
+        connections_.pop_back();
+        m.open->Add(-1.0);
+        m.refused->Increment();
+        ::close(fd);
+      }
+    }
+  }
+  for (Connection& connection : finished) {
+    connection.thread.join();
+  }
+  return serving;
+}
+
+void TcpFrameListener::Serve(Connection* connection, int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  while (true) {
+    Result<Bytes> request = RecvFrame(fd);
+    if (!request.ok()) {
+      break;  // Peer closed (normal), I/O error, or Stop().
+    }
+    // Handler-level failures close the connection; protocol-level
+    // errors are encoded into responses by the handlers themselves. An
+    // exception is a handler failure too: it must not end the process.
+    const Result<Bytes> response = [&]() -> Result<Bytes> {
+      try {
+        return handler_(*request);
+      } catch (const std::exception& e) {
+        return InternalError(std::string("frame handler threw: ") + e.what());
+      }
+    }();
+    if (!response.ok()) {
+      TcpMetrics().handler_failures->Increment();
+      break;
+    }
+    if (!SendFrame(fd, *response).ok()) {
+      break;
+    }
+  }
+  // Closed under the lock, so Stop() never shuts down a reused number.
+  common::MutexLock lock(mutex_);
+  ::close(fd);
+  connection->fd = -1;
+  TcpMetrics().open->Add(-1.0);
 }
 
 void TcpFrameListener::Stop() {
-  stopping_.store(true);
-  const int fd = listen_fd_.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
+  common::MutexLock lock(mutex_);
+  if (!stopping_) {
+    stopping_ = true;
+    // Wakes a blocked accept(); the destructor closes the socket, so its
+    // number cannot be reused while Run() may still call accept() on it.
+    ::shutdown(listen_fd_, SHUT_RDWR);
   }
-}
-
-Result<std::unique_ptr<TcpStorageListener>> TcpStorageListener::Listen(
-    StorageServer* server, uint16_t port) {
-  if (server == nullptr) {
-    return InvalidArgumentError("server is required");
+  // Under the same lock as stopping_, so Admit() starts no connection
+  // that this loop misses.
+  for (const Connection& connection : connections_) {
+    if (connection.fd >= 0) {
+      ::shutdown(connection.fd, SHUT_RDWR);
+    }
   }
-  SHPIR_ASSIGN_OR_RETURN(
-      std::unique_ptr<TcpFrameListener> inner,
-      TcpFrameListener::Listen(
-          [server](ByteSpan frame) -> Result<Bytes> {
-            return server->Handle(frame);
-          },
-          port));
-  return std::unique_ptr<TcpStorageListener>(
-      new TcpStorageListener(std::move(inner)));
 }
 
 }  // namespace shpir::net

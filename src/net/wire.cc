@@ -146,7 +146,7 @@ Result<storage::IoPlan> DecodePlanRequest(const Request& request,
   plan.block_start = request.location;
   plan.k = request.count;
   plan.extra = LoadLE64(payload.data() + 1);
-  if (plan.k > num_slots || plan.block_start > num_slots - plan.k) {
+  if (!storage::RunFits(plan.block_start, plan.k, num_slots)) {
     return OutOfRangeError("plan run extends past end of disk");
   }
   if (plan.extra >= num_slots) {

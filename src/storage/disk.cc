@@ -5,7 +5,7 @@
 namespace shpir::storage {
 
 Status Disk::ReadRun(Location start, uint64_t count, std::vector<Bytes>& out) {
-  if (start + count > num_slots()) {
+  if (!RunFits(start, count, num_slots())) {
     return OutOfRangeError("run extends past end of disk");
   }
   // shpir-lint-allow-next-line(secret-alloc): run length is a public scheme parameter (c pages per round), not secret content
@@ -19,7 +19,7 @@ Status Disk::ReadRun(Location start, uint64_t count, std::vector<Bytes>& out) {
 }
 
 Status Disk::WriteRun(Location start, const std::vector<Bytes>& slots) {
-  if (start + slots.size() > num_slots()) {
+  if (!RunFits(start, slots.size(), num_slots())) {
     return OutOfRangeError("run extends past end of disk");
   }
   for (uint64_t i = 0; i < slots.size(); ++i) {

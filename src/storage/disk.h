@@ -21,6 +21,13 @@ struct IoPlan {
   Location extra = 0;
 };
 
+/// True when the `count` slots from `start` lie on a disk of `num_slots`
+/// slots. Written so that no sum wraps: `start` and `count` may come
+/// straight off the wire.
+inline bool RunFits(Location start, uint64_t count, uint64_t num_slots) {
+  return count <= num_slots && start <= num_slots - count;
+}
+
 /// A block device holding `num_slots` fixed-size slots. This is the
 /// untrusted server disk: everything written here is visible to the
 /// adversary, so callers store only ciphertext.

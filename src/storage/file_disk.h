@@ -1,9 +1,9 @@
 #ifndef SHPIR_STORAGE_FILE_DISK_H_
 #define SHPIR_STORAGE_FILE_DISK_H_
 
-#include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "storage/disk.h"
 
@@ -11,6 +11,9 @@ namespace shpir::storage {
 
 /// File-backed disk, for databases larger than RAM or for persistence
 /// across runs. Slots are stored contiguously in a single flat file.
+/// Every call is positioned I/O: one pread/pwrite-family syscall per
+/// slot or per run (more only on a short transfer), and no shared file
+/// offset, so concurrent callers never race on a seek.
 class FileDisk : public Disk {
  public:
   /// Creates (or truncates) a file sized for `num_slots` x `slot_size`.
@@ -32,12 +35,15 @@ class FileDisk : public Disk {
   size_t slot_size() const override { return slot_size_; }
   Status Read(Location loc, MutableByteSpan out) override;
   Status Write(Location loc, ByteSpan data) override;
+  Status ReadRun(Location start, uint64_t count,
+                 std::vector<Bytes>& out) override;
+  Status WriteRun(Location start, const std::vector<Bytes>& slots) override;
 
  private:
-  FileDisk(std::FILE* file, uint64_t num_slots, size_t slot_size)
-      : file_(file), num_slots_(num_slots), slot_size_(slot_size) {}
+  FileDisk(int fd, uint64_t num_slots, size_t slot_size)
+      : fd_(fd), num_slots_(num_slots), slot_size_(slot_size) {}
 
-  std::FILE* file_;
+  int fd_;
   uint64_t num_slots_;
   size_t slot_size_;
 };

@@ -1,9 +1,11 @@
 #include "storage/disk.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "storage/access_trace.h"
@@ -63,6 +65,10 @@ TEST(MemoryDiskTest, RunPastEndRejected) {
   MemoryDisk disk(10, 4);
   std::vector<Bytes> out;
   EXPECT_EQ(disk.ReadRun(8, 3, out).code(), StatusCode::kOutOfRange);
+  // start + count wraps to 1: refused before 2^40 slots are allocated.
+  EXPECT_EQ(disk.ReadRun((~uint64_t{0} << 40) + 1, uint64_t{1} << 40, out)
+                .code(),
+            StatusCode::kOutOfRange);
   std::vector<Bytes> slots(3, Bytes(4, 0));
   EXPECT_EQ(disk.WriteRun(8, slots).code(), StatusCode::kOutOfRange);
 }
@@ -70,7 +76,10 @@ TEST(MemoryDiskTest, RunPastEndRejected) {
 class FileDiskTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/shpir_file_disk_test.bin";
+    // Per case and per process: ctest runs the cases concurrently.
+    path_ = ::testing::TempDir() + "/shpir_file_disk_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".bin";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -112,6 +121,79 @@ TEST_F(FileDiskTest, BoundsChecked) {
   ASSERT_TRUE(disk.ok());
   Bytes buf(16);
   EXPECT_EQ((*disk)->Read(4, buf).code(), StatusCode::kOutOfRange);
+}
+
+/// `count` slots of `slot_size` bytes, each filled with its own byte.
+std::vector<Bytes> DistinctSlots(size_t count, size_t slot_size,
+                                 uint8_t first) {
+  std::vector<Bytes> slots;
+  for (size_t i = 0; i < count; ++i) {
+    slots.push_back(Bytes(slot_size, static_cast<uint8_t>(first + i)));
+  }
+  return slots;
+}
+
+TEST_F(FileDiskTest, RunsRoundTrip) {
+  Result<std::unique_ptr<FileDisk>> disk = FileDisk::Create(path_, 10, 24);
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  const std::vector<Bytes> slots = DistinctSlots(4, 24, 1);
+  ASSERT_TRUE((*disk)->WriteRun(3, slots).ok());
+  std::vector<Bytes> out;
+  ASSERT_TRUE((*disk)->ReadRun(3, 4, out).ok());
+  EXPECT_EQ(out, slots);
+  // The neighbours are untouched, and single slots see the run's bytes.
+  Bytes slot(24);
+  ASSERT_TRUE((*disk)->Read(2, slot).ok());
+  EXPECT_EQ(slot, Bytes(24, 0));
+  ASSERT_TRUE((*disk)->Read(7, slot).ok());
+  EXPECT_EQ(slot, Bytes(24, 0));
+  ASSERT_TRUE((*disk)->Read(5, slot).ok());
+  EXPECT_EQ(slot, slots[2]);
+}
+
+TEST_F(FileDiskTest, RunEndingAtTheLastSlot) {
+  Result<std::unique_ptr<FileDisk>> disk = FileDisk::Create(path_, 10, 24);
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  const std::vector<Bytes> slots = DistinctSlots(10, 24, 40);
+  ASSERT_TRUE((*disk)->WriteRun(0, slots).ok());
+  std::vector<Bytes> out;
+  ASSERT_TRUE((*disk)->ReadRun(7, 3, out).ok());
+  EXPECT_EQ(out, std::vector<Bytes>(slots.begin() + 7, slots.end()));
+  ASSERT_TRUE((*disk)->ReadRun(0, 10, out).ok());
+  EXPECT_EQ(out, slots);
+}
+
+TEST_F(FileDiskTest, RunPastTheEndRefused) {
+  Result<std::unique_ptr<FileDisk>> disk = FileDisk::Create(path_, 10, 24);
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  std::vector<Bytes> out;
+  EXPECT_EQ((*disk)->ReadRun(8, 3, out).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ((*disk)->WriteRun(8, DistinctSlots(3, 24, 1)).code(),
+            StatusCode::kOutOfRange);
+  // A run whose end wraps around is past the end too.
+  EXPECT_EQ((*disk)->ReadRun(~uint64_t{0}, 2, out).code(),
+            StatusCode::kOutOfRange);
+  // A slot of the wrong size refuses the whole run before any write.
+  std::vector<Bytes> ragged = DistinctSlots(3, 24, 1);
+  ragged[2].pop_back();
+  EXPECT_EQ((*disk)->WriteRun(0, ragged).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE((*disk)->ReadRun(0, 1, out).ok());
+  EXPECT_EQ(out[0], Bytes(24, 0));
+}
+
+TEST_F(FileDiskTest, RunsSurviveReopening) {
+  const std::vector<Bytes> slots = DistinctSlots(5, 24, 9);
+  {
+    Result<std::unique_ptr<FileDisk>> disk = FileDisk::Create(path_, 10, 24);
+    ASSERT_TRUE(disk.ok()) << disk.status();
+    ASSERT_TRUE((*disk)->WriteRun(5, slots).ok());
+  }
+  Result<std::unique_ptr<FileDisk>> disk = FileDisk::Open(path_, 10, 24);
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  std::vector<Bytes> out;
+  ASSERT_TRUE((*disk)->ReadRun(5, 5, out).ok());
+  EXPECT_EQ(out, slots);
 }
 
 TEST(TracingDiskTest, RecordsReadsAndWritesWithRequestIndex) {

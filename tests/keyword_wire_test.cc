@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
+#include "core/thread_safe_engine.h"
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
 #include "keyword/keyword_cuckoo.h"
@@ -174,6 +175,8 @@ struct ServiceRig {
   std::unique_ptr<storage::MemoryDisk> disk;
   std::unique_ptr<hardware::SecureCoprocessor> cpu;
   std::unique_ptr<core::CApproxPir> engine;
+  /// The hub's engine must take concurrent calls; this serializes them.
+  std::unique_ptr<core::ThreadSafeEngine> safe;
   std::unique_ptr<ServiceHub> hub;
   Bytes psk = Bytes(32, 0x66);
 
@@ -201,8 +204,9 @@ struct ServiceRig {
       pages.emplace_back(id, Bytes(kPageSize, static_cast<uint8_t>(id + 1)));
     }
     SHPIR_CHECK_OK(rig.engine->Initialize(pages));
+    rig.safe = std::make_unique<core::ThreadSafeEngine>(rig.engine.get());
     rig.hub = std::make_unique<ServiceHub>(
-        rig.engine.get(), rig.psk, seed + 1, /*metrics=*/nullptr,
+        rig.safe.get(), rig.psk, seed + 1, /*metrics=*/nullptr,
         /*tracer=*/nullptr, /*admin=*/nullptr, std::move(provider));
     return rig;
   }

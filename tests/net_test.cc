@@ -424,6 +424,18 @@ TEST(StorageServerTest, MalformedPlansAreRefusedBeforeAnyDiskCall) {
                          op == Op::kReadPlan ? PlanRequest(op, extra_out)
                                              : write_plan(extra_out)});
   }
+  // Runs whose bounds wrap, refused before anything is allocated. For
+  // the read, start + count wraps to 1 over a 2^40-slot run; for the
+  // write, count x slot size wraps to 0, matching an empty payload.
+  Request read_run;
+  read_run.op = Op::kReadRun;
+  read_run.location = (~uint64_t{0} << 40) + 1;
+  read_run.count = uint64_t{1} << 40;
+  malformed.push_back({"read run wrapping around", read_run});
+  Request write_run;
+  write_run.op = Op::kWriteRun;
+  write_run.count = ~uint64_t{0} / kSlot + 1;
+  malformed.push_back({"write run whose size wraps", write_run});
   for (const auto& [name, request] : malformed) {
     const uint64_t errors_before = errors->Value();
     const uint64_t slo_errors_before = slo.Evaluate().errors_total;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -11,11 +14,13 @@
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
-#include "net/tcp_transport.h"
+#include "core/thread_safe_engine.h"
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
+#include "net/tcp_transport.h"
 #include "obs/admin.h"
 #include "obs/metrics.h"
+#include "shard/sharded_engine.h"
 #include "storage/disk.h"
 
 namespace shpir::net {
@@ -28,6 +33,9 @@ struct Rig {
   std::unique_ptr<storage::MemoryDisk> disk;
   std::unique_ptr<hardware::SecureCoprocessor> cpu;
   std::unique_ptr<core::CApproxPir> engine;
+  /// The hub calls its engine from several threads at once; the paper's
+  /// single engine takes them one at a time behind this wrapper.
+  std::unique_ptr<core::ThreadSafeEngine> safe;
   std::unique_ptr<ServiceHub> hub;
   Bytes psk = Bytes(32, 0x66);
 
@@ -66,29 +74,34 @@ struct Rig {
       sources.metrics = metrics;
       obs::RegisterStandardDocuments(sources, admin);
     }
-    rig.hub = std::make_unique<ServiceHub>(rig.engine.get(), rig.psk,
-                                           seed + 1, metrics,
-                                           /*tracer=*/nullptr, admin);
+    rig.safe = std::make_unique<core::ThreadSafeEngine>(rig.engine.get());
+    rig.hub = std::make_unique<ServiceHub>(rig.safe.get(), rig.psk, seed + 1,
+                                           metrics, /*tracer=*/nullptr, admin);
     return rig;
   }
 };
 
-/// Connects a client through the hub's handshake.
-PirServiceClient MakeClient(Rig& rig, uint64_t client_id, uint64_t seed) {
+/// Connects a client to `hub` through its handshake; `seed` draws the
+/// client's nonce.
+PirServiceClient Connect(ServiceHub* hub, const Bytes& psk,
+                         uint64_t client_id, uint64_t seed) {
   crypto::SecureRandom rng(seed);
   Bytes nonce(SecureSession::kNonceSize);
   rng.Fill(nonce);
   Result<Bytes> reply =
-      rig.hub->HandleFrame(ServiceHub::MakeHello(client_id, nonce));
+      hub->HandleFrame(ServiceHub::MakeHello(client_id, nonce));
   SHPIR_CHECK(reply.ok());
   Result<SecureSession> session =
-      ServiceHub::CompleteHandshake(*reply, rig.psk, client_id, nonce);
+      ServiceHub::CompleteHandshake(*reply, psk, client_id, nonce);
   SHPIR_CHECK(session.ok());
-  ServiceHub* hub = rig.hub.get();
   return PirServiceClient(
       std::move(session).value(), [hub, client_id](ByteSpan record) {
         return hub->HandleFrame(ServiceHub::MakeData(client_id, record));
       });
+}
+
+PirServiceClient MakeClient(Rig& rig, uint64_t client_id, uint64_t seed) {
+  return Connect(rig.hub.get(), rig.psk, client_id, seed);
 }
 
 TEST(ServiceHubTest, SingleClientRoundTrip) {
@@ -342,7 +355,7 @@ TEST(ServiceHubTest, ControlVerbsRideTheSealedSession) {
                                             ? "{\"frozen\":true}"
                                             : "{\"frozen\":false}");
                    });
-  rig.hub = std::make_unique<ServiceHub>(rig.engine.get(), rig.psk,
+  rig.hub = std::make_unique<ServiceHub>(rig.safe.get(), rig.psk,
                                          /*rng_seed=*/78, /*metrics=*/nullptr,
                                          /*tracer=*/nullptr, &admin);
   PirServiceClient client = MakeClient(rig, 1, 900);
@@ -455,6 +468,264 @@ TEST(ServiceHubTest, EvictedClientMustHandshakeAgain) {
   Result<Bytes> page = again.Retrieve(2);
   ASSERT_TRUE(page.ok()) << page.status();
   EXPECT_EQ(*page, Bytes(kPageSize, 3));
+}
+
+// --- Concurrent sessions ------------------------------------------------
+
+/// How long the gate below waits before giving up. A hub that runs its
+/// sessions one at a time makes these tests fail after it, not hang.
+constexpr auto kPatience = std::chrono::seconds(5);
+
+/// Fake engine for the concurrency tests. Retrieve(id) answers the one
+/// byte id, except that a call for `gated` waits inside the engine until
+/// Open() (or fails after kPatience).
+class GateEngine : public core::PirEngine {
+ public:
+  explicit GateEngine(storage::PageId gated) : gated_(gated) {}
+
+  Result<Bytes> Retrieve(storage::PageId id) override {
+    if (id == gated_) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++entered_;
+      changed_.notify_all();
+      if (!changed_.wait_for(lock, kPatience, [this] { return open_; })) {
+        return DeadlineExceededError("the gate never opened");
+      }
+    }
+    return Bytes{static_cast<uint8_t>(id)};
+  }
+  uint64_t num_pages() const override { return 256; }
+  size_t page_size() const override { return 1; }
+  const char* name() const override { return "gate"; }
+
+  /// Waits until `n` gated calls are inside the engine at once.
+  bool AwaitEntered(int n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return changed_.wait_for(lock, kPatience,
+                             [this, n] { return entered_ >= n; });
+  }
+
+  /// Lets every gated call, present and future, return.
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  const storage::PageId gated_;
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  int entered_ = 0;
+  bool open_ = false;
+};
+
+PirServiceClient Connect(ServiceHub* hub, const Bytes& psk,
+                         uint64_t client_id) {
+  return Connect(hub, psk, client_id, /*seed=*/client_id + 1);
+}
+
+constexpr storage::PageId kGated = 3;
+// The tests below run calls on std::jthread, which joins on the way out
+// of a failed ASSERT too; a gated call returns within kPatience.
+
+TEST(ServiceHubTest, SessionsRunTheirEngineCallsAtTheSameTime) {
+  GateEngine engine(kGated);
+  const Bytes psk(32, 0x21);
+  ServiceHub hub(&engine, psk, /*rng_seed=*/1);
+  PirServiceClient alice = Connect(&hub, psk, 1);
+  PirServiceClient bob = Connect(&hub, psk, 2);
+  Result<Bytes> alice_page = InternalError("not run");
+  Result<Bytes> bob_page = InternalError("not run");
+  std::jthread a([&] { alice_page = alice.Retrieve(kGated); });
+  std::jthread b([&] { bob_page = bob.Retrieve(kGated); });
+  // Both sessions' calls are inside the engine together.
+  EXPECT_TRUE(engine.AwaitEntered(2));
+  engine.Open();
+  a.join();
+  b.join();
+  ASSERT_TRUE(alice_page.ok()) << alice_page.status();
+  ASSERT_TRUE(bob_page.ok()) << bob_page.status();
+  EXPECT_EQ(*alice_page, Bytes{kGated});
+  EXPECT_EQ(*bob_page, Bytes{kGated});
+}
+
+TEST(ServiceHubTest, RehandshakeDuringAnInFlightCall) {
+  GateEngine engine(kGated);
+  const Bytes psk(32, 0x22);
+  ServiceHub hub(&engine, psk, /*rng_seed=*/2);
+  PirServiceClient first = Connect(&hub, psk, 7);
+  Result<Bytes> in_flight = InternalError("not run");
+  std::jthread call([&] { in_flight = first.Retrieve(kGated); });
+  ASSERT_TRUE(engine.AwaitEntered(1));
+
+  // The same id handshakes again while its call is in the engine, and
+  // every other slot of the table fills with a client that has sent
+  // data, so each holds a newer clock than the replacement.
+  PirServiceClient second = Connect(&hub, psk, 7);
+  EXPECT_EQ(hub.sessions(), 1u);
+  std::vector<PirServiceClient> others;
+  for (uint64_t id = 100; id < 100 + ServiceHub::kMaxSessions - 1; ++id) {
+    others.push_back(Connect(&hub, psk, id));
+    ASSERT_TRUE(others.back().Retrieve(0).ok());
+  }
+  engine.Open();
+  call.join();
+  // The call completes, sealed by the session it started under.
+  ASSERT_TRUE(in_flight.ok()) << in_flight.status();
+  EXPECT_EQ(*in_flight, Bytes{kGated});
+  EXPECT_FALSE(first.Retrieve(1).ok());
+
+  // Its clock did not land on the replacement, which has sent nothing:
+  // the next newcomer evicts the replacement, not the oldest sender.
+  PirServiceClient newcomer = Connect(&hub, psk, 5000);
+  EXPECT_EQ(hub.sessions(), ServiceHub::kMaxSessions);
+  const Result<Bytes> refused = second.Retrieve(1);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(others.front().Retrieve(2).ok());
+}
+
+TEST(ServiceHubTest, EvictionDuringAnInFlightCall) {
+  GateEngine engine(kGated);
+  const Bytes psk(32, 0x23);
+  obs::MetricsRegistry metrics;
+  ServiceHub hub(&engine, psk, /*rng_seed=*/3, &metrics);
+  PirServiceClient stale = Connect(&hub, psk, 1);
+  Result<Bytes> in_flight = InternalError("not run");
+  std::jthread call([&] { in_flight = stale.Retrieve(kGated); });
+  ASSERT_TRUE(engine.AwaitEntered(1));
+
+  // Every other session sends data, so the one whose call is in flight
+  // holds the oldest clock, and a newcomer evicts it.
+  std::vector<PirServiceClient> active;
+  for (uint64_t id = 2; id <= ServiceHub::kMaxSessions; ++id) {
+    active.push_back(Connect(&hub, psk, id));
+    ASSERT_TRUE(active.back().Retrieve(0).ok());
+  }
+  PirServiceClient newcomer = Connect(&hub, psk, 5000);
+  EXPECT_EQ(metrics.FindOrCreateCounter("shpir_net_sessions_evicted_total")
+                ->Value(),
+            1u);
+  engine.Open();
+  call.join();
+  ASSERT_TRUE(in_flight.ok()) << in_flight.status();
+  EXPECT_EQ(*in_flight, Bytes{kGated});
+  // The evicted session stays gone: completing its call revived nothing.
+  EXPECT_EQ(hub.sessions(), ServiceHub::kMaxSessions);
+  const Result<Bytes> refused = stale.Retrieve(1);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(newcomer.Retrieve(2).ok());
+}
+
+TEST(ServiceHubTest, TcpClientsSoakThroughAShardedHub) {
+  // N clients, each on its own connection and listener thread, through
+  // one hub into the sharded runtime. Every payload is checked, and
+  // every logical request makes exactly one round on every shard.
+  constexpr uint64_t kShards = 2;
+  constexpr int kClients = 4;
+  constexpr int kOpsPerClient = 40;
+  constexpr uint64_t kPages = 64;
+  constexpr size_t kPage = 16;
+  shard::ShardedPirEngine::Options options;
+  options.num_pages = kPages;
+  options.page_size = kPage;
+  options.cache_pages = 8;
+  options.privacy_c = 2.0;
+  options.shards = kShards;
+  options.seed = 41;
+  auto made = shard::ShardedPirEngine::Create(options);
+  ASSERT_TRUE(made.ok()) << made.status();
+  std::unique_ptr<shard::ShardedPirEngine> engine = std::move(made).value();
+  std::vector<storage::Page> pages;
+  for (uint64_t id = 0; id < kPages; ++id) {
+    pages.emplace_back(id, Bytes(kPage, static_cast<uint8_t>(id)));
+  }
+  ASSERT_TRUE(engine->Initialize(pages).ok());
+  std::vector<uint64_t> rounds_before(kShards);
+  for (uint64_t s = 0; s < kShards; ++s) {
+    rounds_before[s] = engine->shard_engine(s)->stats().queries;
+  }
+
+  const Bytes psk(32, 0x24);
+  ServiceHub hub(engine.get(), psk, /*rng_seed=*/4);
+  auto listener = TcpFrameListener::Listen(
+      [&hub](ByteSpan frame) { return hub.HandleFrame(frame); }, 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  std::thread server([&] { (*listener)->Run(); });
+
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      auto transport =
+          TcpTransport::Connect("127.0.0.1", (*listener)->port());
+      if (!transport.ok()) {
+        failures += kOpsPerClient;
+        return;
+      }
+      const uint64_t client_id = 900 + static_cast<uint64_t>(c);
+      crypto::SecureRandom rng(client_id);
+      Bytes nonce(SecureSession::kNonceSize);
+      rng.Fill(nonce);
+      Result<Bytes> hello =
+          (*transport)->RoundTrip(ServiceHub::MakeHello(client_id, nonce));
+      Result<SecureSession> session =
+          hello.ok() ? ServiceHub::CompleteHandshake(*hello, psk, client_id,
+                                                     nonce)
+                     : Result<SecureSession>(hello.status());
+      if (!session.ok()) {
+        failures += kOpsPerClient;
+        return;
+      }
+      Transport* wire = transport->get();
+      PirServiceClient client(
+          std::move(session).value(), [wire, client_id](ByteSpan record) {
+            return wire->RoundTrip(ServiceHub::MakeData(client_id, record));
+          });
+      // Each client owns the pages congruent to c, so it knows every
+      // payload it should read back.
+      std::vector<Bytes> expected;
+      for (uint64_t id = static_cast<uint64_t>(c); id < kPages;
+           id += kClients) {
+        expected.push_back(Bytes(kPage, static_cast<uint8_t>(id)));
+      }
+      for (int op = 0; op < kOpsPerClient; ++op) {
+        const size_t slot = rng.UniformInt(expected.size());
+        const storage::PageId id = static_cast<storage::PageId>(c) +
+                                   slot * static_cast<uint64_t>(kClients);
+        if (op % 4 == 3) {
+          Bytes data(kPage, static_cast<uint8_t>(0x80 + op));
+          if (!client.Modify(id, data).ok()) {
+            ++failures;
+          }
+          expected[slot] = data;
+          continue;
+        }
+        Result<Bytes> page = client.Retrieve(id);
+        if (!page.ok()) {
+          ++failures;
+        } else if (*page != expected[slot]) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  (*listener)->Stop();
+  server.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  engine->WaitIdle();
+  for (uint64_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(engine->shard_engine(s)->stats().queries - rounds_before[s],
+              static_cast<uint64_t>(kClients * kOpsPerClient))
+        << "shard " << s;
+  }
 }
 
 }  // namespace

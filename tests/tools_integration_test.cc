@@ -226,6 +226,22 @@ class ToolsIntegrationTest : public ::testing::Test {
     EXPECT_EQ(Stats(prefix + "--no-such-flag").exit_code, 2);
   }
 
+  /// Runs `shpir_stats PREFIX health` while another client holds an idle
+  /// connection to the provider, and expects a ready answer. The CLI
+  /// gets 10 s, so a provider that serves one connection at a time
+  /// fails the test rather than hanging it.
+  void ExpectHealthPastAnIdleConnection(const std::string& prefix) {
+    Result<std::unique_ptr<net::TcpTransport>> idle =
+        net::TcpTransport::Connect("127.0.0.1", port_);
+    ASSERT_TRUE(idle.ok()) << idle.status().ToString();
+    const CommandResult health =
+        RunShell("timeout 10 " + BinDir() + "/shpir_stats " + prefix +
+                 "health --port " + std::to_string(port_));
+    EXPECT_EQ(health.exit_code, 0) << health.output;
+    EXPECT_NE(health.output.find("\"ready\":true"), std::string::npos)
+        << health.output;
+  }
+
   /// The owner's geometry for `pages` x 128B pages, cache 8, c=2: init
   /// prints the numbers even when no provider runs.
   ::testing::AssertionResult Geometry(uint64_t pages, uint64_t* slots,
@@ -386,10 +402,7 @@ TEST_F(ToolsIntegrationTest, ObservabilityCliSuiteAgainstLiveHub) {
                        "--control-c-bound 4 --control-interval-ms 60000"));
 
   // Drive real queries through the sealed session so the hub's
-  // profiler, tracer, and SLO tracker all see traffic. The listener
-  // serves one connection at a time, so all in-process client work —
-  // including the sealed slo fetch — happens before the CLIs connect,
-  // and the transport is closed in between.
+  // profiler, tracer, and SLO tracker all see traffic.
   std::string slo_json;
   {
     std::unique_ptr<net::TcpTransport> transport;
@@ -437,6 +450,16 @@ TEST_F(ToolsIntegrationTest, ObservabilityCliSuiteAgainstLiveHub) {
   // to authenticate before the document is ever looked up.
   EXPECT_NE(Stats("hub --psk wrongpsk control unfreeze").exit_code, 0);
   Document(hub + "control", "controller: frozen=true");
+}
+
+TEST_F(ToolsIntegrationTest, StorageHealthAnswersPastAnIdleConnection) {
+  ASSERT_TRUE(StartProvider(16, 64));
+  ExpectHealthPastAnIdleConnection("");
+}
+
+TEST_F(ToolsIntegrationTest, HubHealthAnswersPastAnIdleConnection) {
+  ASSERT_TRUE(StartHub());
+  ExpectHealthPastAnIdleConnection("hub --psk testpsk ");
 }
 
 // Every CLI refuses a misspelled flag, a non-numeric number and a

@@ -5,7 +5,8 @@
 //   shpir_provider <disk-file> <slots> <slot-size> [port]
 //
 // Creates the disk file if it does not exist. Prints the bound port
-// (port 0, the default, picks a free one) and serves until killed.
+// (port 0, the default, picks a free one) and serves until killed. Both
+// modes serve each connection on its own thread, up to 64 at once.
 //
 // Hub mode instead runs the full three-party service in-process over
 // the sharded serving runtime (src/shard/): S independent c-approximate
@@ -362,8 +363,12 @@ int ServeStorage(const Flags& args) {
   net::StorageServer server(&metered, &metrics, o.tracer.get(),
                             o.profiler.get(), slo.get(), o.eventlog.get(),
                             o.recorder.get(), &o.admin);
-  Result<std::unique_ptr<net::TcpStorageListener>> listener =
-      net::TcpStorageListener::Listen(&server, port);
+  Result<std::unique_ptr<net::TcpFrameListener>> listener =
+      net::TcpFrameListener::Listen(
+          [&server](ByteSpan frame) -> Result<Bytes> {
+            return server.Handle(frame);
+          },
+          port);
   if (!listener.ok()) {
     return Fail(listener.status());
   }
