@@ -26,14 +26,14 @@ void Attack(const char* workload_name, uint64_t n, uint64_t m, uint64_t k,
   options.page_size = 32;
   options.cache_pages = m;
   options.block_size = k;
-  auto rig = bench::MakeEngineRig(options, seed);
+  storage::AccessTrace trace;
+  auto stack = bench::MakeStack(options, seed, &trace);
   crypto::SecureRandom workload(seed + 99);
   auto report = analysis::RunLinkageAttack(
-      *rig->engine, rig->trace, 6000,
-      [&]() { return pick(workload); });
+      stack->engine(), trace, 6000, [&]() { return pick(workload); });
   SHPIR_CHECK(report.ok());
   std::printf("%-22s %5llu %7.3f %10.1f%% %10.1f%%\n", workload_name,
-              (unsigned long long)k, rig->engine->achieved_privacy(),
+              (unsigned long long)k, stack->engine().achieved_privacy(),
               100.0 * report->coverage(), 100.0 * report->precision());
 }
 
@@ -44,7 +44,6 @@ void Attack(const char* workload_name, uint64_t n, uint64_t m, uint64_t k,
 void FrequencyContrast() {
   constexpr uint64_t kN = 64;
   constexpr size_t kPageSize = 32;
-  constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
   constexpr int kRequests = 20000;
 
   // Zipf prior shared by the workload and the adversary.
@@ -73,7 +72,7 @@ void FrequencyContrast() {
 
   // Static encrypted store: encryption alone.
   {
-    storage::MemoryDisk disk(kN, kSealedSize);
+    storage::MemoryDisk disk(kN, storage::PageCipher::SealedSize(kPageSize));
     auto cpu = hardware::SecureCoprocessor::Create(
         hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, 31);
     SHPIR_CHECK(cpu.ok());
@@ -104,19 +103,20 @@ void FrequencyContrast() {
     options.page_size = kPageSize;
     options.cache_pages = 8;
     options.block_size = 8;
-    auto rig = bench::MakeEngineRig(options, 33);
+    storage::AccessTrace trace;
+    auto stack = bench::MakeStack(options, 33, &trace);
     crypto::SecureRandom rng(34);
-    const uint64_t k = rig->engine->block_size();
+    const uint64_t k = stack->engine().block_size();
     std::vector<storage::Location> observed;
     std::vector<storage::PageId> truth;
-    size_t cursor = rig->trace.events().size();
+    size_t cursor = trace.events().size();
     for (int i = 0; i < kRequests; ++i) {
       const storage::PageId id = draw(rng);
-      SHPIR_CHECK(rig->engine->Retrieve(id).ok());
+      SHPIR_CHECK(stack->engine().Retrieve(id).ok());
       truth.push_back(id);
       uint64_t reads = 0;
-      for (; cursor < rig->trace.events().size(); ++cursor) {
-        const auto& event = rig->trace.events()[cursor];
+      for (; cursor < trace.events().size(); ++cursor) {
+        const auto& event = trace.events()[cursor];
         if (event.op == storage::AccessEvent::Op::kRead) {
           ++reads;
           if (reads == k + 1) {

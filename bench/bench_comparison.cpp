@@ -23,6 +23,7 @@ using namespace shpir;
 
 constexpr uint64_t kNumPages = 4096;
 constexpr size_t kPageSize = 256;
+constexpr size_t kSlotSize = storage::PageCipher::SealedSize(kPageSize);
 constexpr int kQueries = 2000;
 
 struct LatencyStats {
@@ -85,19 +86,20 @@ int main() {
     options.page_size = kPageSize;
     options.cache_pages = 256;
     options.privacy_c = 2.0;
-    auto rig = bench::MakeEngineRig(options, 1);
-    auto lat = Drive(*rig->engine, *rig->cpu, 100);
+    storage::AccessTrace trace;
+    auto stack = bench::MakeStack(options, 1, &trace);
+    auto lat = Drive(stack->engine(), stack->cpu(), 100);
     const auto stats = Summarize(lat);
     Report("c-approx", stats);
     std::printf("%-12s  (k = %llu, achieved c = %.3f — constant cost by "
                 "construction)\n",
-                "", (unsigned long long)rig->engine->block_size(),
-                rig->engine->achieved_privacy());
+                "", (unsigned long long)stack->engine().block_size(),
+                stack->engine().achieved_privacy());
   }
 
   // Trivial PIR: perfect privacy, O(n) per query.
   {
-    storage::MemoryDisk disk(kNumPages, bench::SealedSize(kPageSize));
+    storage::MemoryDisk disk(kNumPages, kSlotSize);
     auto cpu = hardware::SecureCoprocessor::Create(profile, &disk,
                                                    kPageSize, 2);
     SHPIR_CHECK(cpu.ok());
@@ -111,7 +113,7 @@ int main() {
 
   // Wang et al.: O(1) until the storage fills, then an O(n) reshuffle.
   {
-    storage::MemoryDisk disk(kNumPages, bench::SealedSize(kPageSize));
+    storage::MemoryDisk disk(kNumPages, kSlotSize);
     auto cpu = hardware::SecureCoprocessor::Create(profile, &disk,
                                                    kPageSize, 3);
     SHPIR_CHECK(cpu.ok());
@@ -137,7 +139,7 @@ int main() {
     options.page_size = kPageSize;
     auto slots = baselines::SqrtOram::DiskSlots(options);
     SHPIR_CHECK(slots.ok());
-    storage::MemoryDisk disk(*slots, bench::SealedSize(kPageSize));
+    storage::MemoryDisk disk(*slots, kSlotSize);
     auto cpu = hardware::SecureCoprocessor::Create(profile, &disk,
                                                    kPageSize, 5);
     SHPIR_CHECK(cpu.ok());
@@ -160,7 +162,7 @@ int main() {
     options.stash_pages = 8;
     auto slots = baselines::PyramidOram::DiskSlots(options);
     SHPIR_CHECK(slots.ok());
-    storage::MemoryDisk disk(*slots, bench::SealedSize(kPageSize));
+    storage::MemoryDisk disk(*slots, kSlotSize);
     auto cpu = hardware::SecureCoprocessor::Create(profile, &disk,
                                                    kPageSize, 4);
     SHPIR_CHECK(cpu.ok());

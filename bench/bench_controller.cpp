@@ -63,7 +63,8 @@ uint64_t ServiceNs(uint64_t k) {
 /// One simulated shard: a real engine + monitor fed by the simulation,
 /// an SLO tracker on simulated time, and a FIFO queue.
 struct SimShard {
-  std::unique_ptr<bench::EngineRig> rig;
+  storage::AccessTrace trace;
+  std::unique_ptr<core::EngineStack> stack;
   std::unique_ptr<obs::PrivacyMonitor> monitor;
   std::unique_ptr<obs::SloTracker> slo;
   std::unique_ptr<workload::DiurnalBurstyWorkload> arrivals;
@@ -90,17 +91,17 @@ class SimPlant : public control::ControlPlant {
 
   uint64_t shards() const override { return shards_->size(); }
   uint64_t disk_slots(uint64_t shard) const override {
-    return (*shards_)[shard].rig->engine->disk_slots();
+    return (*shards_)[shard].stack->engine().disk_slots();
   }
   uint64_t cache_pages(uint64_t shard) const override {
-    return (*shards_)[shard].rig->engine->cache_pages();
+    return (*shards_)[shard].stack->engine().cache_pages();
   }
 
   control::ShardSignals Read(uint64_t shard) override {
     SimShard& s = (*shards_)[shard];
     control::ShardSignals signals;
-    signals.block_size = s.rig->engine->published_block_size();
-    signals.pending_block_size = s.rig->engine->pending_block_size();
+    signals.block_size = s.stack->engine().published_block_size();
+    signals.pending_block_size = s.stack->engine().pending_block_size();
     signals.c_estimate = s.monitor->EstimateOrZero();
     signals.queue_fraction =
         std::min(1.0, static_cast<double>(s.queue.size()) /
@@ -121,7 +122,7 @@ class SimPlant : public control::ControlPlant {
   }
 
   Status RequestBlockSize(uint64_t shard, uint64_t new_k) override {
-    return (*shards_)[shard].rig->engine->RequestBlockSize(new_k);
+    return (*shards_)[shard].stack->engine().RequestBlockSize(new_k);
   }
 
  private:
@@ -153,12 +154,12 @@ std::vector<SimShard> MakeShards(uint64_t seed) {
     options.cache_pages = kCachePages;
     options.block_size = kStaticK;
     options.insert_reserve = kInsertReserve;
-    shards[i].rig = bench::MakeEngineRig(options, seed + i);
+    shards[i].stack = bench::MakeStack(options, seed + i, &shards[i].trace);
     obs::PrivacyMonitor::Options mopts;
-    mopts.scan_period = shards[i].rig->engine->scan_period();
+    mopts.scan_period = shards[i].stack->engine().scan_period();
     mopts.window = 4096;
     shards[i].monitor = std::make_unique<obs::PrivacyMonitor>(mopts);
-    shards[i].rig->engine->AttachPrivacyMonitor(shards[i].monitor.get());
+    shards[i].stack->engine().AttachPrivacyMonitor(shards[i].monitor.get());
     obs::SloTracker::Objectives objectives;
     objectives.latency_threshold_ns = kSloThresholdNs;
     shards[i].slo = std::make_unique<obs::SloTracker>(objectives);
@@ -232,8 +233,8 @@ RunResult Simulate(bool adaptive, uint64_t seed) {
         shard.queue.pop_front();
         // The real engine round: transitions apply only at true
         // scan-period boundaries, the monitor sees real relocations.
-        SHPIR_CHECK(shard.rig->engine->Retrieve(head.page).ok());
-        const uint64_t k = shard.rig->engine->published_block_size();
+        SHPIR_CHECK(shard.stack->engine().Retrieve(head.page).ok());
+        const uint64_t k = shard.stack->engine().published_block_size();
         const uint64_t finish = start + ServiceNs(k);
         shard.server_free_ns = finish;
         const uint64_t sojourn = finish - head.arrival_ns;
@@ -272,7 +273,7 @@ RunResult Simulate(bool adaptive, uint64_t seed) {
   for (SimShard& shard : shards) {
     result.total += shard.served;
     result.missed += shard.missed;
-    result.transitions += shard.rig->engine->block_size_transitions();
+    result.transitions += shard.stack->engine().block_size_transitions();
   }
   if (controller != nullptr) {
     result.clamps = controller->emergency_clamps();

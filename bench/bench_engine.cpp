@@ -34,13 +34,14 @@ void BM_CApproxRetrieve(benchmark::State& state) {
   options.page_size = 1024;
   options.cache_pages = options.num_pages / 16;
   options.privacy_c = 2.0;
-  auto rig = bench::MakeEngineRig(options, 42);
+  storage::AccessTrace trace;
+  auto stack = bench::MakeStack(options, 42, &trace);
   crypto::SecureRandom rng(1);
   for (auto _ : state) {
-    auto data = rig->engine->Retrieve(rng.UniformInt(options.num_pages));
+    auto data = stack->engine().Retrieve(rng.UniformInt(options.num_pages));
     benchmark::DoNotOptimize(data);
   }
-  state.counters["k"] = static_cast<double>(rig->engine->block_size());
+  state.counters["k"] = static_cast<double>(stack->engine().block_size());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CApproxRetrieve)->Arg(1024)->Arg(4096)->Arg(16384);
@@ -55,18 +56,19 @@ void BM_CApproxRetrieveInstrumented(benchmark::State& state) {
   options.page_size = 1024;
   options.cache_pages = options.num_pages / 16;
   options.privacy_c = 2.0;
-  // The registry must outlive the rig: detaching happens in destructors
+  // The registry must outlive the stack: detaching happens in destructors
   // (e.g. ~CApproxPir releases secure memory through the attached gauge).
   obs::MetricsRegistry registry;
-  auto rig = bench::MakeEngineRig(options, 42);
-  rig->cpu->AttachMetrics(&registry);
-  rig->engine->EnableMetrics(&registry);
+  storage::AccessTrace trace;
+  auto stack = bench::MakeStack(options, 42, &trace);
+  stack->cpu().AttachMetrics(&registry);
+  stack->engine().EnableMetrics(&registry);
   crypto::SecureRandom rng(1);
   for (auto _ : state) {
-    auto data = rig->engine->Retrieve(rng.UniformInt(options.num_pages));
+    auto data = stack->engine().Retrieve(rng.UniformInt(options.num_pages));
     benchmark::DoNotOptimize(data);
   }
-  state.counters["k"] = static_cast<double>(rig->engine->block_size());
+  state.counters["k"] = static_cast<double>(stack->engine().block_size());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CApproxRetrieveInstrumented)->Arg(1024)->Arg(4096)->Arg(16384);
@@ -77,19 +79,20 @@ void BM_CApproxRetrieveByPrivacy(benchmark::State& state) {
   options.page_size = 1024;
   options.cache_pages = 256;
   options.privacy_c = 1.0 + static_cast<double>(state.range(0)) / 100.0;
-  auto rig = bench::MakeEngineRig(options, 42);
+  storage::AccessTrace trace;
+  auto stack = bench::MakeStack(options, 42, &trace);
   crypto::SecureRandom rng(1);
   for (auto _ : state) {
-    auto data = rig->engine->Retrieve(rng.UniformInt(options.num_pages));
+    auto data = stack->engine().Retrieve(rng.UniformInt(options.num_pages));
     benchmark::DoNotOptimize(data);
   }
-  state.counters["k"] = static_cast<double>(rig->engine->block_size());
+  state.counters["k"] = static_cast<double>(stack->engine().block_size());
 }
 BENCHMARK(BM_CApproxRetrieveByPrivacy)->Arg(5)->Arg(10)->Arg(50)->Arg(100);
 
 void BM_WangRetrieve(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
-  storage::MemoryDisk disk(n, bench::SealedSize(1024));
+  storage::MemoryDisk disk(n, storage::PageCipher::SealedSize(1024));
   auto cpu = hardware::SecureCoprocessor::Create(
       hardware::HardwareProfile::Ibm4764(), &disk, 1024, 7);
   SHPIR_CHECK(cpu.ok());
@@ -117,7 +120,7 @@ void BM_PyramidOramRetrieve(benchmark::State& state) {
   options.stash_pages = 8;
   auto slots = baselines::PyramidOram::DiskSlots(options);
   SHPIR_CHECK(slots.ok());
-  storage::MemoryDisk disk(*slots, bench::SealedSize(1024));
+  storage::MemoryDisk disk(*slots, storage::PageCipher::SealedSize(1024));
   auto cpu = hardware::SecureCoprocessor::Create(
       hardware::HardwareProfile::Ibm4764(), &disk, 1024, 8);
   SHPIR_CHECK(cpu.ok());
@@ -140,12 +143,13 @@ void BM_EngineUpdates(benchmark::State& state) {
   options.cache_pages = 128;
   options.privacy_c = 2.0;
   options.insert_reserve = 256;
-  auto rig = bench::MakeEngineRig(options, 42);
+  storage::AccessTrace trace;
+  auto stack = bench::MakeStack(options, 42, &trace);
   crypto::SecureRandom rng(4);
   Bytes payload(1024, 0x42);
   for (auto _ : state) {
     SHPIR_CHECK_OK(
-        rig->engine->Modify(rng.UniformInt(options.num_pages), payload));
+        stack->engine().Modify(rng.UniformInt(options.num_pages), payload));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -173,19 +177,12 @@ void BM_PrivateIndexLookup(benchmark::State& state) {
   options.page_size = 1024;
   options.cache_pages = std::max<uint64_t>(16, pages.size() / 16);
   options.privacy_c = 2.0;
-  auto slots = core::CApproxPir::DiskSlots(options);
-  SHPIR_CHECK(slots.ok());
-  storage::MemoryDisk disk(*slots, bench::SealedSize(1024));
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, 1024, 11);
-  SHPIR_CHECK(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  SHPIR_CHECK(engine.ok());
-  SHPIR_CHECK_OK((*engine)->Initialize(pages));
+  auto stack = bench::MakeStack(options, 11, nullptr, pages);
+  core::CApproxPir* engine = &stack->engine();
 
   crypto::SecureRandom rng(12);
   if (use_hash) {
-    auto idx = index::HashIndex::Open(engine->get());
+    auto idx = index::HashIndex::Open(engine);
     SHPIR_CHECK(idx.ok());
     for (auto _ : state) {
       auto r = (*idx)->Lookup(entries[rng.UniformInt(kKeys)].first);
@@ -194,7 +191,7 @@ void BM_PrivateIndexLookup(benchmark::State& state) {
     state.counters["fetches/op"] =
         static_cast<double>((*idx)->probe_width());
   } else {
-    auto idx = index::BPlusTree::Open(engine->get());
+    auto idx = index::BPlusTree::Open(engine);
     SHPIR_CHECK(idx.ok());
     for (auto _ : state) {
       auto r = (*idx)->Lookup(entries[rng.UniformInt(kKeys)].first);
@@ -208,13 +205,13 @@ BENCHMARK(BM_PrivateIndexLookup)
     ->Arg(0)   // B+-tree.
     ->Arg(1);  // Hash index.
 
-// Timed chunk of `queries` retrieves over an existing rig, drawing
+// Timed chunk of `queries` retrieves over an existing engine, drawing
 // page ids from `rng`; returns wall ns/query.
-double TimedRetrieveChunk(bench::EngineRig& rig, uint64_t queries,
+double TimedRetrieveChunk(core::CApproxPir& engine, uint64_t queries,
                           crypto::SecureRandom& rng) {
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < queries; ++i) {
-    auto data = rig.engine->Retrieve(rng.UniformInt(4096));
+    auto data = engine.Retrieve(rng.UniformInt(4096));
     benchmark::DoNotOptimize(data);
   }
   const auto stop = std::chrono::steady_clock::now();
@@ -239,10 +236,13 @@ void WriteEngineJson(const char* path, uint64_t kQueries, int kReps) {
   options.page_size = 1024;
   options.cache_pages = 256;
   options.privacy_c = 2.0;
-  auto plain_rig = bench::MakeEngineRig(options, 42);
-  auto inst_rig = bench::MakeEngineRig(options, 42);
-  inst_rig->cpu->AttachMetrics(&registry);
-  inst_rig->engine->EnableMetrics(&registry);
+  storage::AccessTrace plain_trace, inst_trace;
+  auto plain_stack = bench::MakeStack(options, 42, &plain_trace);
+  auto inst_stack = bench::MakeStack(options, 42, &inst_trace);
+  inst_stack->cpu().AttachMetrics(&registry);
+  inst_stack->engine().EnableMetrics(&registry);
+  core::CApproxPir& plain = plain_stack->engine();
+  core::CApproxPir& inst = inst_stack->engine();
 
   constexpr uint64_t kChunkQueries = 25;
   const int chunks = static_cast<int>(
@@ -251,15 +251,13 @@ void WriteEngineJson(const char* path, uint64_t kQueries, int kReps) {
   crypto::SecureRandom plain_rng(1);
   crypto::SecureRandom inst_rng(1);
   // Warm both rigs' caches and page maps before timing.
-  (void)TimedRetrieveChunk(*plain_rig, 64, plain_rng);
-  (void)TimedRetrieveChunk(*inst_rig, 64, inst_rng);
+  (void)TimedRetrieveChunk(plain, 64, plain_rng);
+  (void)TimedRetrieveChunk(inst, 64, inst_rng);
 
   std::vector<double> plain_chunks, ratios;
   for (int chunk = 0; chunk < chunks; ++chunk) {
-    const double p = TimedRetrieveChunk(*plain_rig, kChunkQueries,
-                                        plain_rng);
-    const double i = TimedRetrieveChunk(*inst_rig, kChunkQueries,
-                                        inst_rng);
+    const double p = TimedRetrieveChunk(plain, kChunkQueries, plain_rng);
+    const double i = TimedRetrieveChunk(inst, kChunkQueries, inst_rng);
     plain_chunks.push_back(p);
     ratios.push_back(i / p);
   }

@@ -10,10 +10,9 @@
 #include "bench/bench_util.h"
 #include "crypto/secure_random.h"
 #include "model/cost_model.h"
-#include "net/remote_disk.h"
+#include "net/owner_session.h"
 #include "net/storage_server.h"
 
-using shpir::hardware::HardwareProfile;
 using shpir::model::FigurePoint;
 using shpir::model::GenerateFig7;
 
@@ -29,37 +28,32 @@ void LiveRunOne(uint64_t cache_pages) {
   options.privacy_c = 2.0;
   auto slots = core::CApproxPir::DiskSlots(options);
   SHPIR_CHECK(slots.ok());
-  storage::MemoryDisk provider_disk(*slots,
-                                    shpir::bench::SealedSize(kPageSize));
+  storage::MemoryDisk provider_disk(
+      *slots, storage::PageCipher::SealedSize(kPageSize));
   net::StorageServer server(&provider_disk);
   net::DirectTransport transport(&server);
-  auto remote = net::RemoteDisk::Connect(&transport);
-  SHPIR_CHECK(remote.ok());
-  const HardwareProfile profile =
-      HardwareProfile::TwoPartyOwner(1ull * hardware::kGB);
-  auto cpu = hardware::SecureCoprocessor::Create(profile, remote->get(),
-                                                 kPageSize, 7);
-  SHPIR_CHECK(cpu.ok());
-  (*remote)->set_accountant(&(*cpu)->cost());
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  SHPIR_CHECK(engine.ok());
-  SHPIR_CHECK_OK((*engine)->Initialize({}));
+  // The owner of shpir_owner; the sweep never saves its state.
+  auto session = net::OwnerSession::Create(&transport, options, "fig7", "");
+  SHPIR_CHECK(session.ok());
+  core::CApproxPir& engine = (*session)->engine();
+  hardware::SecureCoprocessor& cpu = (*session)->cpu();
+  SHPIR_CHECK_OK(engine.Initialize({}));
 
   crypto::SecureRandom rng(8);
-  const auto before = (*cpu)->cost().Snapshot();
+  const auto before = cpu.cost().Snapshot();
   constexpr int kQueries = 200;
   for (int i = 0; i < kQueries; ++i) {
-    SHPIR_CHECK((*engine)->Retrieve(rng.UniformInt(5000)).ok());
+    SHPIR_CHECK(engine.Retrieve(rng.UniformInt(5000)).ok());
   }
-  const auto delta = (*cpu)->cost().Snapshot() - before;
+  const auto delta = cpu.cost().Snapshot() - before;
   std::printf("%8llu %8llu %8.3f %10.1f %12.1f %12.1f\n",
               (unsigned long long)cache_pages,
-              (unsigned long long)(*engine)->block_size(),
-              (*engine)->achieved_privacy(),
+              (unsigned long long)engine.block_size(),
+              engine.achieved_privacy(),
               static_cast<double>(delta.network_round_trips) / kQueries,
               static_cast<double>(delta.network_bytes) / kQueries / 1000.0,
               1000.0 *
-                  hardware::CostAccountant::Seconds(delta, profile) /
+                  hardware::CostAccountant::Seconds(delta, cpu.profile()) /
                   kQueries);
 }
 

@@ -28,22 +28,16 @@ void IndexCost(uint64_t num_keys) {
   options.page_size = kPageSize;
   options.cache_pages = std::max<uint64_t>(16, pages->size() / 16);
   options.privacy_c = 2.0;
-  auto slots = core::CApproxPir::DiskSlots(options);
-  SHPIR_CHECK(slots.ok());
-  storage::MemoryDisk disk(*slots, bench::SealedSize(kPageSize));
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, num_keys);
-  SHPIR_CHECK(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  SHPIR_CHECK(engine.ok());
-  SHPIR_CHECK_OK((*engine)->Initialize(*pages));
+  auto stack = bench::MakeStack(options, num_keys, nullptr, *pages);
+  core::CApproxPir& engine = stack->engine();
+  hardware::SecureCoprocessor& cpu = stack->cpu();
 
-  auto tree = index::BPlusTree::Open(engine->get());
+  auto tree = index::BPlusTree::Open(&engine);
   SHPIR_CHECK(tree.ok());
 
   crypto::SecureRandom rng(9);
   constexpr int kLookups = 50;
-  const auto before = (*cpu)->cost().Snapshot();
+  const auto before = cpu.cost().Snapshot();
   const uint64_t retrievals_before = (*tree)->retrievals();
   for (int i = 0; i < kLookups; ++i) {
     auto result =
@@ -51,10 +45,9 @@ void IndexCost(uint64_t num_keys) {
     SHPIR_CHECK(result.ok());
     SHPIR_CHECK(result->has_value());
   }
-  const auto delta = (*cpu)->cost().Snapshot() - before;
+  const auto delta = cpu.cost().Snapshot() - before;
   const double ms_per_lookup =
-      1000.0 *
-      hardware::CostAccountant::Seconds(delta, (*cpu)->profile()) /
+      1000.0 * hardware::CostAccountant::Seconds(delta, cpu.profile()) /
       kLookups;
   const double fetches =
       static_cast<double>((*tree)->retrievals() - retrievals_before) /
@@ -62,7 +55,7 @@ void IndexCost(uint64_t num_keys) {
   std::printf("%10llu %10zu %8llu %10llu %12.1f %14.1f\n",
               (unsigned long long)num_keys, pages->size(),
               (unsigned long long)(*tree)->height(),
-              (unsigned long long)(*engine)->block_size(), fetches,
+              (unsigned long long)engine.block_size(), fetches,
               ms_per_lookup);
 }
 

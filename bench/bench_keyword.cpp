@@ -140,7 +140,9 @@ BuildRow RunFuseBuild() {
 /// engine: the audit and end-to-end numbers run against this.
 struct KeywordRig {
   keyword::BuiltKeywordStore store;
-  std::unique_ptr<bench::EngineRig> engine_rig;
+  std::unique_ptr<storage::AccessTrace> trace =
+      std::make_unique<storage::AccessTrace>();
+  std::unique_ptr<core::EngineStack> stack;
   std::unique_ptr<keyword::KeywordClient> client;
   uint64_t num_keys = 0;
 };
@@ -162,28 +164,12 @@ KeywordRig MakeKeywordRig(uint64_t num_keys, uint64_t engine_seed) {
   engine_options.cache_pages =
       std::max<uint64_t>(8, engine_options.num_pages / 16);
   engine_options.privacy_c = kPrivacyC;
-  rig.engine_rig = std::make_unique<bench::EngineRig>();
-  bench::EngineRig& er = *rig.engine_rig;
-  Result<uint64_t> slots = core::CApproxPir::DiskSlots(engine_options);
-  SHPIR_CHECK(slots.ok());
-  er.disk = std::make_unique<storage::MemoryDisk>(
-      *slots, bench::SealedSize(engine_options.page_size));
-  er.tracing_disk =
-      std::make_unique<storage::TracingDisk>(er.disk.get(), &er.trace);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), er.tracing_disk.get(),
-      engine_options.page_size, engine_seed);
-  SHPIR_CHECK(cpu.ok());
-  er.cpu = std::move(cpu).value();
-  auto engine = core::CApproxPir::Create(er.cpu.get(), engine_options,
-                                         &er.trace);
-  SHPIR_CHECK(engine.ok());
-  er.engine = std::move(engine).value();
-  SHPIR_CHECK_OK(er.engine->Initialize(rig.store.pages));
+  rig.stack = bench::MakeStack(engine_options, engine_seed, rig.trace.get(),
+                               rig.store.pages);
 
   auto client = keyword::KeywordClient::Create(
       rig.store.manifest,
-      keyword::KeywordClient::EngineFetch(er.engine.get()));
+      keyword::KeywordClient::EngineFetch(&rig.stack->engine()));
   SHPIR_CHECK(client.ok());
   rig.client = std::move(client).value();
   return rig;
@@ -237,7 +223,7 @@ analysis::PrivacyReport RunKeywordAudit(KeywordRig& rig) {
   }
   size_t cursor = 0;
   auto report = analysis::RunPrivacyAudit(
-      *rig.engine_rig->engine, stream.size(),
+      rig.stack->engine(), stream.size(),
       [&stream, &cursor] { return stream[cursor++]; });
   SHPIR_CHECK(report.ok());
   return *report;

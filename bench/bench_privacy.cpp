@@ -16,15 +16,16 @@ using namespace shpir;
 
 void Audit(const char* label, core::CApproxPir::Options options,
            uint64_t seed, uint64_t requests) {
-  auto rig = bench::MakeEngineRig(options, seed);
+  storage::AccessTrace trace;
+  auto stack = bench::MakeStack(options, seed, &trace);
   crypto::SecureRandom workload(seed + 1000);
   const uint64_t n = options.num_pages;
   auto report = analysis::RunPrivacyAudit(
-      *rig->engine, requests, [&]() { return workload.UniformInt(n); });
+      stack->engine(), requests, [&]() { return workload.UniformInt(n); });
   SHPIR_CHECK(report.ok());
   std::printf("%-26s %6llu %6llu %10.3f %10.3f %8.3f %8.3f\n", label,
-              (unsigned long long)rig->engine->block_size(),
-              (unsigned long long)rig->engine->scan_period(),
+              (unsigned long long)stack->engine().block_size(),
+              (unsigned long long)stack->engine().scan_period(),
               report->analytic_c, report->measured_c,
               report->max_relative_deviation, report->slot_entropy);
 }

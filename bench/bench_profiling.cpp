@@ -59,13 +59,13 @@ constexpr double kBudgetDisabledPct = 1.0;
 constexpr double kBudgetSampledPct = 5.0;
 constexpr double kMaxUncoveredFraction = 0.10;
 
-std::unique_ptr<bench::EngineRig> MakeRig() {
+core::CApproxPir::Options StackOptions() {
   core::CApproxPir::Options options;
   options.num_pages = kNumPages;
   options.page_size = kPageSize;
   options.cache_pages = kCachePages;
   options.privacy_c = kPrivacyC;
-  return bench::MakeEngineRig(options, 42);
+  return options;
 }
 
 /// One timed chunk of kChunkQueries retrieves drawn from `rng`;
@@ -111,8 +111,9 @@ int main(int argc, char** argv) {
       (unsigned long long)kNumPages, kPageSize, g_chunks_per_config,
       kChunkQueries);
 
-  auto rig = MakeRig();
-  core::CApproxPir& engine = *rig->engine;
+  storage::AccessTrace trace;
+  auto stack = bench::MakeStack(StackOptions(), 42, &trace);
+  core::CApproxPir& engine = stack->engine();
 
   obs::Profiler::Options disabled_options;
   disabled_options.sample_every = 0;  // Attached but never samples.

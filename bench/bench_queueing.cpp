@@ -24,6 +24,7 @@ using namespace shpir;
 
 constexpr uint64_t kNumPages = 4096;
 constexpr size_t kPageSize = 256;
+constexpr size_t kSlotSize = storage::PageCipher::SealedSize(kPageSize);
 int g_queries = 3000;  // Reduced by --short.
 
 std::vector<double> ServiceTimes(core::PirEngine& engine,
@@ -123,8 +124,9 @@ int main(int argc, char** argv) {
     options.page_size = kPageSize;
     options.cache_pages = 256;
     options.privacy_c = 2.0;
-    auto rig = bench::MakeEngineRig(options, 1);
-    capprox_service = ServiceTimes(*rig->engine, *rig->cpu, 100);
+    storage::AccessTrace trace;
+    auto stack = bench::MakeStack(options, 1, &trace);
+    capprox_service = ServiceTimes(stack->engine(), stack->cpu(), 100);
   }
   double mean = 0;
   for (double s : capprox_service) {
@@ -140,7 +142,7 @@ int main(int argc, char** argv) {
   Report("c-approx", capprox_service, arrival_rate);
 
   {
-    storage::MemoryDisk disk(kNumPages, bench::SealedSize(kPageSize));
+    storage::MemoryDisk disk(kNumPages, kSlotSize);
     auto cpu = hardware::SecureCoprocessor::Create(profile, &disk,
                                                    kPageSize, 2);
     SHPIR_CHECK(cpu.ok());
@@ -160,7 +162,7 @@ int main(int argc, char** argv) {
     options.stash_pages = 8;
     auto slots = baselines::PyramidOram::DiskSlots(options);
     SHPIR_CHECK(slots.ok());
-    storage::MemoryDisk disk(*slots, bench::SealedSize(kPageSize));
+    storage::MemoryDisk disk(*slots, kSlotSize);
     auto cpu = hardware::SecureCoprocessor::Create(profile, &disk,
                                                    kPageSize, 3);
     SHPIR_CHECK(cpu.ok());

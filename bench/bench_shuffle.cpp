@@ -14,7 +14,7 @@ using namespace shpir;
 
 void ShuffleCost(uint64_t n) {
   constexpr size_t kPageSize = 256;
-  storage::MemoryDisk disk(n, bench::SealedSize(kPageSize));
+  storage::MemoryDisk disk(n, storage::PageCipher::SealedSize(kPageSize));
   auto cpu = hardware::SecureCoprocessor::Create(
       hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, n);
   SHPIR_CHECK(cpu.ok());
@@ -34,7 +34,7 @@ void ShuffleCost(uint64_t n) {
 
   // The trusted bulk load touches each slot once, sequentially.
   const double bulk_seconds =
-      static_cast<double>(n) * bench::SealedSize(kPageSize) *
+      static_cast<double>(n) * storage::PageCipher::SealedSize(kPageSize) *
           (1.0 / 100e6 + 1.0 / 80e6) +
       static_cast<double>(n) * kPageSize / 10e6 + 0.005;
 

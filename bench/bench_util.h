@@ -6,11 +6,9 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/capprox_pir.h"
-#include "hardware/coprocessor.h"
+#include "core/engine_stack.h"
 #include "hardware/profile.h"
 #include "storage/access_trace.h"
-#include "storage/disk.h"
 
 namespace shpir::bench {
 
@@ -29,39 +27,18 @@ inline void PrintTable2(const hardware::HardwareProfile& profile) {
               static_cast<double>(profile.secure_memory_bytes) / 1e6);
 }
 
-inline size_t SealedSize(size_t page_size) {
-  return 12 + 8 + page_size + 32;
-}
-
-/// A ready-to-query c-approximate PIR stack over an in-memory disk.
-struct EngineRig {
-  std::unique_ptr<storage::MemoryDisk> disk;
-  std::unique_ptr<storage::TracingDisk> tracing_disk;
-  storage::AccessTrace trace;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<core::CApproxPir> engine;
-};
-
-inline std::unique_ptr<EngineRig> MakeEngineRig(
-    core::CApproxPir::Options options, uint64_t seed,
-    hardware::HardwareProfile profile = hardware::HardwareProfile::Ibm4764()) {
-  auto rig = std::make_unique<EngineRig>();
-  Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-  SHPIR_CHECK(slots.ok());
-  rig->disk = std::make_unique<storage::MemoryDisk>(
-      *slots, SealedSize(options.page_size));
-  rig->tracing_disk =
-      std::make_unique<storage::TracingDisk>(rig->disk.get(), &rig->trace);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      profile, rig->tracing_disk.get(), options.page_size, seed);
-  SHPIR_CHECK(cpu.ok());
-  rig->cpu = std::move(cpu).value();
-  auto engine =
-      core::CApproxPir::Create(rig->cpu.get(), options, &rig->trace);
-  SHPIR_CHECK(engine.ok());
-  rig->engine = std::move(engine).value();
-  SHPIR_CHECK_OK(rig->engine->Initialize({}));
-  return rig;
+/// An Ibm4764 stack over an in-memory disk, traced into `trace` (unowned;
+/// must outlive the stack) unless it is null, and loaded with `pages`
+/// (zero-filled by default). Aborts on error.
+inline std::unique_ptr<core::EngineStack> MakeStack(
+    const core::CApproxPir::Options& options, uint64_t seed,
+    storage::AccessTrace* trace,
+    const std::vector<storage::Page>& pages = {}) {
+  auto stack = core::EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764(), seed, nullptr, trace);
+  SHPIR_CHECK(stack.ok());
+  SHPIR_CHECK_OK((*stack)->engine().Initialize(pages));
+  return std::move(stack).value();
 }
 
 }  // namespace shpir::bench

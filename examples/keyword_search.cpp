@@ -12,11 +12,9 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "crypto/sha256.h"
-#include "hardware/coprocessor.h"
 #include "index/bplus_tree.h"
-#include "storage/disk.h"
 
 namespace {
 
@@ -55,17 +53,13 @@ int main() {
   options.page_size = kPageSize;
   options.cache_pages = 8;
   options.block_size = 4;
-  auto slots = core::CApproxPir::DiskSlots(options);
-  SHPIR_CHECK(slots.ok());
-  storage::MemoryDisk disk(*slots, 12 + 8 + kPageSize + 32);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize);
-  SHPIR_CHECK(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  SHPIR_CHECK(engine.ok());
-  SHPIR_CHECK_OK((*engine)->Initialize(*pages));
+  auto stack = core::EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764(), std::nullopt);
+  SHPIR_CHECK(stack.ok());
+  core::CApproxPir& engine = (*stack)->engine();
+  SHPIR_CHECK_OK(engine.Initialize(*pages));
 
-  auto tree = index::BPlusTree::Open(engine->get());
+  auto tree = index::BPlusTree::Open(&engine);
   SHPIR_CHECK(tree.ok());
 
   // --- Client: sensitive searches ------------------------------------
@@ -85,6 +79,6 @@ int main() {
               (unsigned long long)(*tree)->retrievals(),
               (unsigned long long)(*tree)->height());
   std::printf("simulated server time: %.1f ms\n",
-              1000.0 * (*cpu)->ElapsedSeconds());
+              1000.0 * (*stack)->cpu().ElapsedSeconds());
   return 0;
 }

@@ -12,12 +12,10 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "index/bplus_tree.h"
 #include "storage/access_trace.h"
-#include "storage/disk.h"
 
 namespace {
 
@@ -64,19 +62,15 @@ int main() {
   options.page_size = kPageSize;
   options.cache_pages = 32;
   options.privacy_c = 2.0;
-  auto slots = core::CApproxPir::DiskSlots(options);
-  SHPIR_CHECK(slots.ok());
-  storage::MemoryDisk disk(*slots, 12 + 8 + kPageSize + 32);
   storage::AccessTrace trace;
-  storage::TracingDisk tracing_disk(&disk, &trace);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &tracing_disk, kPageSize);
-  SHPIR_CHECK(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options, &trace);
-  SHPIR_CHECK(engine.ok());
-  SHPIR_CHECK_OK((*engine)->Initialize(*tree_pages));
+  auto stack = core::EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764(), std::nullopt, nullptr,
+      &trace);
+  SHPIR_CHECK(stack.ok());
+  core::CApproxPir& engine = (*stack)->engine();
+  SHPIR_CHECK_OK(engine.Initialize(*tree_pages));
 
-  auto tree = index::BPlusTree::Open(engine->get());
+  auto tree = index::BPlusTree::Open(&engine);
   SHPIR_CHECK(tree.ok());
 
   // --- Client side: "what's near (x, y)?" ----------------------------
@@ -109,7 +103,7 @@ int main() {
   std::printf("private page retrievals issued: %llu\n",
               (unsigned long long)lookups);
   std::printf("simulated server time: %.1f ms\n",
-              1000.0 * (*cpu)->ElapsedSeconds());
+              1000.0 * (*stack)->cpu().ElapsedSeconds());
   std::printf("server's view: %zu opaque accesses — every query reads the "
               "next round-robin block plus one page,\nso cells near the "
               "user are indistinguishable from cells anywhere else.\n",

@@ -10,12 +10,10 @@
 #include <cstdio>
 
 #include "common/check.h"
-#include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "index/rtree.h"
 #include "storage/access_trace.h"
-#include "storage/disk.h"
 
 int main() {
   using namespace shpir;
@@ -43,29 +41,26 @@ int main() {
   options.page_size = kPageSize;
   options.cache_pages = 64;
   options.privacy_c = 2.0;
-  auto slots = core::CApproxPir::DiskSlots(options);
-  SHPIR_CHECK(slots.ok());
-  storage::MemoryDisk disk(*slots, 12 + 8 + kPageSize + 32);
   storage::AccessTrace trace;
-  storage::TracingDisk tracing_disk(&disk, &trace);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &tracing_disk, kPageSize);
-  SHPIR_CHECK(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options, &trace);
-  SHPIR_CHECK(engine.ok());
-  SHPIR_CHECK_OK((*engine)->Initialize(*pages));
+  auto stack = core::EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764(), std::nullopt, nullptr,
+      &trace);
+  SHPIR_CHECK(stack.ok());
+  core::CApproxPir& engine = (*stack)->engine();
+  hardware::SecureCoprocessor& cpu = (*stack)->cpu();
+  SHPIR_CHECK_OK(engine.Initialize(*pages));
 
-  auto tree = index::RTree::Open(engine->get());
+  auto tree = index::RTree::Open(&engine);
   SHPIR_CHECK(tree.ok());
 
   // --- Client: "the 5 POIs nearest to me" -----------------------------
   const uint32_t user_x = 424242, user_y = 777777;
   const uint64_t before_fetches = (*tree)->retrievals();
-  const auto t0 = (*cpu)->ElapsedSeconds();
+  const auto t0 = cpu.ElapsedSeconds();
   auto nn = (*tree)->NearestNeighbors(user_x, user_y, 5);
   SHPIR_CHECK(nn.ok());
   const uint64_t fetches = (*tree)->retrievals() - before_fetches;
-  const double seconds = (*cpu)->ElapsedSeconds() - t0;
+  const double seconds = cpu.ElapsedSeconds() - t0;
 
   std::printf("\n5 nearest POIs to the (undisclosed) location:\n");
   for (const auto& poi : *nn) {

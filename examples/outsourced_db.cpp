@@ -8,18 +8,16 @@
 #include <cstdio>
 
 #include "common/check.h"
-#include "core/capprox_pir.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
-#include "net/remote_disk.h"
+#include "net/owner_session.h"
 #include "net/storage_server.h"
 #include "storage/disk.h"
+#include "storage/page_cipher.h"
 
 int main() {
   using namespace shpir;
 
   constexpr size_t kPageSize = 1024;
-  constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
 
   core::CApproxPir::Options options;
   options.num_pages = 2000;
@@ -30,47 +28,42 @@ int main() {
   SHPIR_CHECK(slots.ok());
 
   // --- Provider: a dumb block store, sees only ciphertext ------------
-  storage::MemoryDisk provider_disk(*slots, kSealedSize);
+  storage::MemoryDisk provider_disk(
+      *slots, storage::PageCipher::SealedSize(kPageSize));
   net::StorageServer server(&provider_disk);
   net::DirectTransport transport(&server);
 
-  // --- Owner: coprocessor-less PIR stack over the network ------------
-  auto remote = net::RemoteDisk::Connect(&transport);
-  SHPIR_CHECK(remote.ok());
-  // 50ms RTT WiFi-class link, as in the paper's experiment.
-  const hardware::HardwareProfile profile =
-      hardware::HardwareProfile::TwoPartyOwner(1ull * hardware::kGB);
-  auto cpu = hardware::SecureCoprocessor::Create(profile, remote->get(),
-                                                 kPageSize);
-  SHPIR_CHECK(cpu.ok());
-  (*remote)->set_accountant(&(*cpu)->cost());
-
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  SHPIR_CHECK(engine.ok());
+  // --- Owner: the PIR stack over a 50ms-RTT WiFi-class link, as in the
+  // paper's experiment; it never saves its state, so it names no file.
+  auto session =
+      net::OwnerSession::Create(&transport, options, "demo-passphrase", "");
+  SHPIR_CHECK(session.ok());
+  core::CApproxPir& engine = (*session)->engine();
+  hardware::SecureCoprocessor& cpu = (*session)->cpu();
 
   std::vector<storage::Page> pages;
   for (uint64_t id = 0; id < options.num_pages; ++id) {
     pages.emplace_back(id, Bytes(kPageSize, static_cast<uint8_t>(id)));
   }
-  SHPIR_CHECK_OK((*engine)->Initialize(pages));
+  SHPIR_CHECK_OK(engine.Initialize(pages));
 
   std::printf("outsourced %llu pages (k = %llu, achieved c = %.3f)\n\n",
               (unsigned long long)options.num_pages,
-              (unsigned long long)(*engine)->block_size(),
-              (*engine)->achieved_privacy());
+              (unsigned long long)engine.block_size(),
+              engine.achieved_privacy());
 
   crypto::SecureRandom rng(3);
-  const auto before = (*cpu)->cost().Snapshot();
+  const auto before = cpu.cost().Snapshot();
   constexpr int kQueries = 50;
   for (int i = 0; i < kQueries; ++i) {
     const uint64_t id = rng.UniformInt(options.num_pages);
-    auto data = (*engine)->Retrieve(id);
+    auto data = engine.Retrieve(id);
     SHPIR_CHECK(data.ok());
     SHPIR_CHECK((*data)[0] == static_cast<uint8_t>(id));
   }
-  const auto delta = (*cpu)->cost().Snapshot() - before;
+  const auto delta = cpu.cost().Snapshot() - before;
   const double seconds =
-      hardware::CostAccountant::Seconds(delta, profile) / kQueries;
+      hardware::CostAccountant::Seconds(delta, cpu.profile()) / kQueries;
 
   std::printf("%d private queries, all verified.\n", kQueries);
   std::printf("per query: %llu network round trips, %.1f KB transferred\n",

@@ -6,11 +6,9 @@
 #include <cstdio>
 
 #include "common/check.h"
-#include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "storage/access_trace.h"
-#include "storage/disk.h"
 
 int main() {
   using namespace shpir;
@@ -24,22 +22,16 @@ int main() {
   options.cache_pages = 256;
   options.privacy_c = 2.0;
 
-  // 2. Assemble the stack: an (in-memory) untrusted disk, an access
-  //    trace playing the role of the adversary's notebook, and the
-  //    simulated tamper-resistant coprocessor holding all keys.
-  Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-  SHPIR_CHECK(slots.ok());
-  const size_t sealed_size = 12 + 8 + options.page_size + 32;
-  storage::MemoryDisk disk(*slots, sealed_size);
+  // 2. Assemble the stack: the simulated tamper-resistant coprocessor,
+  //    holding all keys, over an in-memory untrusted disk, with an
+  //    access trace playing the role of the adversary's notebook.
   storage::AccessTrace trace;
-  storage::TracingDisk tracing_disk(&disk, &trace);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &tracing_disk,
-      options.page_size);
-  SHPIR_CHECK(cpu.ok());
-
-  auto engine = core::CApproxPir::Create(cpu->get(), options, &trace);
-  SHPIR_CHECK(engine.ok());
+  auto stack = core::EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764(), std::nullopt, nullptr,
+      &trace);
+  SHPIR_CHECK(stack.ok());
+  core::CApproxPir& engine = (*stack)->engine();
+  hardware::SecureCoprocessor& cpu = (*stack)->cpu();
 
   // 3. Load the database: page i holds a recognizable payload.
   std::vector<storage::Page> pages;
@@ -47,38 +39,38 @@ int main() {
     Bytes data(options.page_size, static_cast<uint8_t>(id % 251));
     pages.emplace_back(id, std::move(data));
   }
-  SHPIR_CHECK_OK((*engine)->Initialize(pages));
+  SHPIR_CHECK_OK(engine.Initialize(pages));
 
   std::printf("database:        %llu pages x %zu B\n",
               (unsigned long long)options.num_pages, options.page_size);
   std::printf("block size k:    %llu (scan period T = %llu)\n",
-              (unsigned long long)(*engine)->block_size(),
-              (unsigned long long)(*engine)->scan_period());
+              (unsigned long long)engine.block_size(),
+              (unsigned long long)engine.scan_period());
   std::printf("achieved c:      %.4f (requested %.1f)\n\n",
-              (*engine)->achieved_privacy(), options.privacy_c);
+              engine.achieved_privacy(), options.privacy_c);
 
   // 4. Query privately. Every call costs the same 4 seeks + 2(k+1)
   //    page transfers, no matter which page is asked or whether it was
   //    cached.
   crypto::SecureRandom rng(7);
-  const auto before = (*cpu)->cost().Snapshot();
+  const auto before = cpu.cost().Snapshot();
   constexpr int kQueries = 1000;
   for (int i = 0; i < kQueries; ++i) {
     const uint64_t id = rng.UniformInt(options.num_pages);
-    Result<Bytes> data = (*engine)->Retrieve(id);
+    Result<Bytes> data = engine.Retrieve(id);
     SHPIR_CHECK(data.ok());
     SHPIR_CHECK((*data)[0] == static_cast<uint8_t>(id % 251));
   }
-  const auto delta = (*cpu)->cost().Snapshot() - before;
+  const auto delta = cpu.cost().Snapshot() - before;
   const double seconds = hardware::CostAccountant::Seconds(
-      delta, (*cpu)->profile());
+      delta, cpu.profile());
 
   std::printf("%d queries, all payloads verified.\n", kQueries);
   std::printf("simulated time:  %.3f s total, %.3f ms/query (constant)\n",
               seconds, 1000.0 * seconds / kQueries);
   std::printf("cache hits:      %llu, block hits: %llu\n",
-              (unsigned long long)(*engine)->stats().cache_hits,
-              (unsigned long long)(*engine)->stats().block_hits);
+              (unsigned long long)engine.stats().cache_hits,
+              (unsigned long long)engine.stats().block_hits);
   std::printf("adversary saw:   %zu disk accesses, all ciphertext\n",
               trace.events().size());
   return 0;

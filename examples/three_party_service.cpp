@@ -8,13 +8,11 @@
 #include <cstdio>
 
 #include "common/check.h"
-#include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "net/pir_service.h"
 #include "net/secure_channel.h"
 #include "storage/access_trace.h"
-#include "storage/disk.h"
 
 int main() {
   using namespace shpir;
@@ -28,21 +26,18 @@ int main() {
   options.insert_reserve = 16;
 
   // --- Server site: untrusted host + trusted coprocessor -------------
-  auto slots = core::CApproxPir::DiskSlots(options);
-  SHPIR_CHECK(slots.ok());
-  storage::MemoryDisk disk(*slots, 12 + 8 + kPageSize + 32);
   storage::AccessTrace trace;  // What the untrusted host can see.
-  storage::TracingDisk tracing_disk(&disk, &trace);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &tracing_disk, kPageSize);
-  SHPIR_CHECK(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options, &trace);
-  SHPIR_CHECK(engine.ok());
+  auto stack = core::EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764(), std::nullopt, nullptr,
+      &trace);
+  SHPIR_CHECK(stack.ok());
+  core::CApproxPir& engine = (*stack)->engine();
+  hardware::SecureCoprocessor& cpu = (*stack)->cpu();
   std::vector<storage::Page> pages;
   for (uint64_t id = 0; id < options.num_pages; ++id) {
     pages.emplace_back(id, Bytes(kPageSize, static_cast<uint8_t>(id % 251)));
   }
-  SHPIR_CHECK_OK((*engine)->Initialize(pages));
+  SHPIR_CHECK_OK(engine.Initialize(pages));
 
   // --- Handshake: client and coprocessor share a key; the nonces are
   //     exchanged through the relay in the clear (they are public).
@@ -59,7 +54,7 @@ int main() {
   SHPIR_CHECK(client_session.ok());
   SHPIR_CHECK(server_session.ok());
 
-  net::PirServiceServer service(engine->get(),
+  net::PirServiceServer service(&engine,
                                 std::move(server_session).value());
 
   // The untrusted relay: forwards records, tallying what it "learns".
@@ -103,9 +98,9 @@ int main() {
               trace.events().size());
   std::printf("\nsimulated coprocessor time: %.2f s (%0.1f ms/op, constant; "
               "k = %llu, c = %.3f)\n",
-              (*cpu)->ElapsedSeconds(),
-              1000.0 * (*cpu)->ElapsedSeconds() / (kQueries + 3),
-              (unsigned long long)(*engine)->block_size(),
-              (*engine)->achieved_privacy());
+              cpu.ElapsedSeconds(),
+              1000.0 * cpu.ElapsedSeconds() / (kQueries + 3),
+              (unsigned long long)engine.block_size(),
+              engine.achieved_privacy());
   return 0;
 }

@@ -14,12 +14,6 @@ namespace shpir::shard {
 
 namespace {
 
-/// Ciphertext slot size for payload size B: nonce + (id + payload) + tag.
-size_t SealedSlotSize(size_t page_size) {
-  return storage::PageCipher::kNonceSize + 8 + page_size +
-         storage::PageCipher::kTagSize;
-}
-
 /// Offset for deriving per-shard dummy-generator seeds, far from the
 /// per-shard device seeds (seed + i) so the streams never collide for
 /// any realistic shard count.
@@ -70,29 +64,22 @@ Result<std::unique_ptr<ShardedPirEngine>> ShardedPirEngine::Create(
             ? crypto::SecureRandom(*options.seed + kDummySeedOffset + i)
             : crypto::SecureRandom());
     shard->disk = std::make_unique<storage::MemoryDisk>(
-        slots, SealedSlotSize(options.page_size));
-    storage::Disk* target = shard->disk.get();
-    if (options.enable_traces) {
-      shard->trace = std::make_unique<storage::AccessTrace>();
-      shard->traced_disk = std::make_unique<storage::TracingDisk>(
-          shard->disk.get(), shard->trace.get());
-      target = shard->traced_disk.get();
-    }
+        slots, storage::PageCipher::SealedSize(options.page_size));
     // Always in the stack: a pure pass-through until EnableTracing
     // attaches a collector.
-    shard->span_disk = std::make_unique<storage::SpanDisk>(target);
-    target = shard->span_disk.get();
+    shard->span_disk = std::make_unique<storage::SpanDisk>(shard->disk.get());
+    if (options.enable_traces) {
+      shard->trace = std::make_unique<storage::AccessTrace>();
+    }
     SHPIR_ASSIGN_OR_RETURN(
-        shard->device,
-        hardware::SecureCoprocessor::Create(
-            options.profile, target, options.page_size,
+        shard->stack,
+        core::EngineStack::Create(
+            eopts, options.profile,
             options.seed.has_value()
                 ? std::optional<uint64_t>(*options.seed + i)
-                : std::nullopt));
-    SHPIR_ASSIGN_OR_RETURN(shard->engine,
-                           core::CApproxPir::Create(shard->device.get(),
-                                                    eopts,
-                                                    shard->trace.get()));
+                : std::nullopt,
+            shard->span_disk.get(), shard->trace.get()));
+    shard->engine = &shard->stack->engine();
     engine->shards_.push_back(std::move(shard));
   }
   Dispatcher::Options dopts;
@@ -234,7 +221,7 @@ Result<Bytes> ShardedPirEngine::FanOut(
                 }
                 ++shard->requests_served;
                 Result<Bytes> r =
-                    real(shard->engine.get(), local, query_span.context());
+                    real(shard->engine, local, query_span.context());
                 shard->span_disk->clear_context();
                 return r;
               }()

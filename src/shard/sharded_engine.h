@@ -11,6 +11,7 @@
 
 #include "common/result.h"
 #include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "core/pir_engine.h"
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
@@ -167,10 +168,10 @@ class ShardedPirEngine : public core::PirEngine {
   /// Per-shard internals, exposed for analysis and benches (ground
   /// truth a deployment would keep inside each device).
   core::CApproxPir* shard_engine(uint64_t shard) {
-    return shards_[shard]->engine.get();
+    return shards_[shard]->engine;
   }
   hardware::SecureCoprocessor* shard_device(uint64_t shard) {
-    return shards_[shard]->device.get();
+    return &shards_[shard]->stack->cpu();
   }
   /// Null unless Options::enable_traces.
   storage::AccessTrace* shard_trace(uint64_t shard) {
@@ -274,13 +275,12 @@ class ShardedPirEngine : public core::PirEngine {
   /// One shard's stack, in destruction-order-sensitive member order.
   struct Shard {
     std::unique_ptr<storage::MemoryDisk> disk;
-    std::unique_ptr<storage::AccessTrace> trace;        // Optional.
-    std::unique_ptr<storage::TracingDisk> traced_disk;  // Optional.
     std::unique_ptr<storage::SpanDisk> span_disk;
-    std::unique_ptr<hardware::SecureCoprocessor> device;
+    std::unique_ptr<storage::AccessTrace> trace;   // Optional.
     std::unique_ptr<obs::PrivacyMonitor> monitor;  // Optional; pre-engine.
     std::unique_ptr<obs::SloTracker> slo;          // Optional.
-    std::unique_ptr<core::CApproxPir> engine;
+    std::unique_ptr<core::EngineStack> stack;
+    core::CApproxPir* engine = nullptr;  // The stack's.
     /// Touched only by this shard's worker thread.
     crypto::SecureRandom dummy_rng;
     uint64_t requests_served = 0;

@@ -92,6 +92,29 @@ class TracingDisk : public Disk {
     return inner_->Write(loc, data);
   }
 
+  // Runs reach the inner disk as runs, so a decorator below (a shard's
+  // SpanDisk) sees the same calls with or without a trace above it.
+  Status ReadRun(Location start, uint64_t count,
+                 std::vector<Bytes>& out) override {
+    if (!RunFits(start, count, num_slots())) {
+      return OutOfRangeError("run extends past end of disk");
+    }
+    for (uint64_t i = 0; i < count; ++i) {
+      trace_->RecordRead(start + i);
+    }
+    return inner_->ReadRun(start, count, out);
+  }
+
+  Status WriteRun(Location start, const std::vector<Bytes>& slots) override {
+    if (!RunFits(start, slots.size(), num_slots())) {
+      return OutOfRangeError("run extends past end of disk");
+    }
+    for (uint64_t i = 0; i < slots.size(); ++i) {
+      trace_->RecordWrite(start + i);
+    }
+    return inner_->WriteRun(start, slots);
+  }
+
  private:
   Disk* inner_;
   AccessTrace* trace_;

@@ -30,10 +30,13 @@ class PageCipher {
   static Result<PageCipher> Create(ByteSpan enc_key, ByteSpan mac_key,
                                    size_t page_size);
 
-  /// Ciphertext slot size: nonce + encrypted (id + payload) + tag.
-  size_t sealed_size() const {
-    return kNonceSize + codec_.serialized_size() + kTagSize;
+  /// Ciphertext slot size for `page_size` payload bytes: nonce +
+  /// encrypted (id + payload) + tag. Disks are sized with it.
+  static constexpr size_t SealedSize(size_t page_size) {
+    return kNonceSize + PageCodec::kHeaderSize + page_size + kTagSize;
   }
+
+  size_t sealed_size() const { return SealedSize(codec_.page_size()); }
 
   size_t page_size() const { return codec_.page_size(); }
 

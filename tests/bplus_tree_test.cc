@@ -9,8 +9,7 @@
 #include "common/check.h"
 #include "core/capprox_pir.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
-#include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::index {
 namespace {
@@ -18,7 +17,6 @@ namespace {
 using storage::Page;
 
 constexpr size_t kPageSize = 128;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
 
 std::vector<std::pair<uint64_t, uint64_t>> MakeEntries(uint64_t n,
                                                        uint64_t stride = 3) {
@@ -206,19 +204,10 @@ TEST(BPlusTreeTest, WorksOverCApproxPir) {
   options.page_size = kPageSize;
   options.cache_pages = 8;
   options.block_size = 4;
-  Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk disk(*slots, kSealedSize);
-  Result<std::unique_ptr<hardware::SecureCoprocessor>> cpu =
-      hardware::SecureCoprocessor::Create(
-          hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, 42);
-  ASSERT_TRUE(cpu.ok());
-  Result<std::unique_ptr<core::CApproxPir>> engine =
-      core::CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Initialize(*pages).ok());
+  auto stack = test::LoadedStack(options, 42, *pages);
+  core::CApproxPir& engine = stack->engine();
 
-  Result<std::unique_ptr<BPlusTree>> tree = BPlusTree::Open(engine->get());
+  Result<std::unique_ptr<BPlusTree>> tree = BPlusTree::Open(&engine);
   ASSERT_TRUE(tree.ok()) << tree.status();
   crypto::SecureRandom rng(1);
   for (int i = 0; i < 50; ++i) {

@@ -3,15 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <set>
 #include <vector>
 
 #include "common/check.h"
+#include "core/engine_stack.h"
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
 #include "obs/metrics.h"
 #include "storage/access_trace.h"
 #include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::core {
 namespace {
@@ -20,7 +23,7 @@ using storage::Page;
 using storage::PageId;
 
 constexpr size_t kPageSize = 24;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+constexpr size_t kSealedSize = storage::PageCipher::SealedSize(kPageSize);
 
 Bytes PayloadFor(PageId id) {
   Bytes data(kPageSize);
@@ -30,42 +33,32 @@ Bytes PayloadFor(PageId id) {
   return data;
 }
 
-/// Test harness holding a disk + coprocessor + engine.
-struct Rig {
-  std::unique_ptr<storage::MemoryDisk> disk;
-  std::unique_ptr<storage::TracingDisk> tracing_disk;
-  storage::AccessTrace trace;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<CApproxPir> engine;
-
-  static Rig Make(CApproxPir::Options options, uint64_t seed = 42,
-                  bool load = true) {
-    Rig rig;
-    Result<uint64_t> slots = CApproxPir::DiskSlots(options);
-    SHPIR_CHECK(slots.ok());
-    rig.disk = std::make_unique<storage::MemoryDisk>(*slots, kSealedSize);
-    rig.tracing_disk =
-        std::make_unique<storage::TracingDisk>(rig.disk.get(), &rig.trace);
-    hardware::HardwareProfile profile = hardware::HardwareProfile::Ibm4764();
-    Result<std::unique_ptr<hardware::SecureCoprocessor>> cpu =
-        hardware::SecureCoprocessor::Create(profile, rig.tracing_disk.get(),
-                                            options.page_size, seed);
-    SHPIR_CHECK(cpu.ok());
-    rig.cpu = std::move(cpu).value();
-    Result<std::unique_ptr<CApproxPir>> engine =
-        CApproxPir::Create(rig.cpu.get(), options, &rig.trace);
-    SHPIR_CHECK(engine.ok());
-    rig.engine = std::move(engine).value();
-    if (load) {
-      std::vector<Page> pages;
-      for (PageId id = 0; id < options.num_pages; ++id) {
-        pages.emplace_back(id, PayloadFor(id));
-      }
-      SHPIR_CHECK_OK(rig.engine->Initialize(pages));
+/// Every stack a test makes is traced; the fixture keeps the traces
+/// alive until the test ends.
+class CApproxPirTest : public ::testing::Test {
+ protected:
+  /// A stack traced into traces_.back() and, unless `load` is false,
+  /// loaded with PayloadFor(id) at every page id.
+  std::unique_ptr<EngineStack> MakeStack(const CApproxPir::Options& options,
+                                         uint64_t seed = 42,
+                                         bool load = true) {
+    storage::AccessTrace* trace = &traces_.emplace_back();
+    if (!load) {
+      auto stack = EngineStack::Create(
+          options, hardware::HardwareProfile::Ibm4764(), seed, nullptr, trace);
+      SHPIR_CHECK(stack.ok());
+      return std::move(stack).value();
     }
-    return rig;
+    std::vector<Page> pages;
+    for (PageId id = 0; id < options.num_pages; ++id) {
+      pages.emplace_back(id, PayloadFor(id));
+    }
+    return test::LoadedStack(options, seed, pages, trace);
   }
+
+  std::deque<storage::AccessTrace> traces_;
 };
+using CApproxPirRetuneTest = CApproxPirTest;
 
 CApproxPir::Options SmallOptions() {
   CApproxPir::Options options;
@@ -76,78 +69,79 @@ CApproxPir::Options SmallOptions() {
   return options;
 }
 
-TEST(CApproxPirTest, RetrieveReturnsCorrectPayloads) {
-  Rig rig = Rig::Make(SmallOptions());
+TEST_F(CApproxPirTest, RetrieveReturnsCorrectPayloads) {
+  auto stack = MakeStack(SmallOptions());
   for (PageId id = 0; id < 50; ++id) {
-    Result<Bytes> data = rig.engine->Retrieve(id);
+    Result<Bytes> data = stack->engine().Retrieve(id);
     ASSERT_TRUE(data.ok()) << "id=" << id << ": " << data.status();
     EXPECT_EQ(*data, PayloadFor(id)) << "id=" << id;
   }
 }
 
-TEST(CApproxPirTest, CorrectUnderHeavyRandomChurn) {
+TEST_F(CApproxPirTest, CorrectUnderHeavyRandomChurn) {
   // 2000 random retrieves must all return correct data — this exercises
   // every path: cache hits, block hits, disk reads, evictions.
-  Rig rig = Rig::Make(SmallOptions(), 7);
+  auto stack = MakeStack(SmallOptions(), 7);
   crypto::SecureRandom rng(99);
   for (int i = 0; i < 2000; ++i) {
     const PageId id = rng.UniformInt(50);
-    Result<Bytes> data = rig.engine->Retrieve(id);
+    Result<Bytes> data = stack->engine().Retrieve(id);
     ASSERT_TRUE(data.ok()) << "query " << i;
     ASSERT_EQ(*data, PayloadFor(id)) << "query " << i << " id " << id;
   }
   // All hit categories must have been exercised.
-  const CApproxPir::Stats& stats = rig.engine->stats();
+  const CApproxPir::Stats& stats = stack->engine().stats();
   EXPECT_EQ(stats.queries, 2000u);
   EXPECT_GT(stats.cache_hits, 0u);
   EXPECT_GT(stats.block_hits, 0u);
 }
 
-TEST(CApproxPirTest, RepeatedRequestsForSamePage) {
-  Rig rig = Rig::Make(SmallOptions());
+TEST_F(CApproxPirTest, RepeatedRequestsForSamePage) {
+  auto stack = MakeStack(SmallOptions());
   for (int i = 0; i < 100; ++i) {
-    Result<Bytes> data = rig.engine->Retrieve(17);
+    Result<Bytes> data = stack->engine().Retrieve(17);
     ASSERT_TRUE(data.ok());
     EXPECT_EQ(*data, PayloadFor(17));
   }
-  EXPECT_GT(rig.engine->stats().cache_hits, 50u);
+  EXPECT_GT(stack->engine().stats().cache_hits, 50u);
 }
 
-TEST(CApproxPirTest, PageMapStaysConsistentPermutation) {
+TEST_F(CApproxPirTest, PageMapStaysConsistentPermutation) {
   // After heavy churn, the uncached pages' locations must form a
   // permutation of the disk slots and cached pages must fill the cache.
-  Rig rig = Rig::Make(SmallOptions(), 3);
+  auto stack = MakeStack(SmallOptions(), 3);
   crypto::SecureRandom rng(4);
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(rng.UniformInt(50)).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(rng.UniformInt(50)).ok());
   }
   const uint64_t id_space =
-      rig.engine->disk_slots() + rig.engine->cache_pages();
+      stack->engine().disk_slots() + stack->engine().cache_pages();
   std::set<uint64_t> locations;
   uint64_t cached = 0;
   for (PageId id = 0; id < id_space; ++id) {
-    if (rig.engine->DebugIsCached(id)) {
+    if (stack->engine().DebugIsCached(id)) {
       ++cached;
       continue;
     }
-    Result<storage::Location> loc = rig.engine->DebugLocation(id);
+    Result<storage::Location> loc = stack->engine().DebugLocation(id);
     ASSERT_TRUE(loc.ok());
     EXPECT_TRUE(locations.insert(*loc).second)
         << "duplicate location " << *loc;
   }
-  EXPECT_EQ(cached, rig.engine->cache_pages());
-  EXPECT_EQ(locations.size(), rig.engine->disk_slots());
-  EXPECT_EQ(*locations.rbegin(), rig.engine->disk_slots() - 1);
+  EXPECT_EQ(cached, stack->engine().cache_pages());
+  EXPECT_EQ(locations.size(), stack->engine().disk_slots());
+  EXPECT_EQ(*locations.rbegin(), stack->engine().disk_slots() - 1);
 }
 
-TEST(CApproxPirTest, ConstantCostPerQuery) {
-  Rig rig = Rig::Make(SmallOptions());
-  const uint64_t k = rig.engine->block_size();
+TEST_F(CApproxPirTest, ConstantCostPerQuery) {
+  auto stack = MakeStack(SmallOptions());
+  const uint64_t k = stack->engine().block_size();
   crypto::SecureRandom rng(5);
-  hardware::CostAccountant::Counters prev = rig.cpu->cost().Snapshot();
+  hardware::CostAccountant::Counters prev = stack->cpu().cost().Snapshot();
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(rng.UniformInt(50)).ok());
-    const hardware::CostAccountant::Counters now = rig.cpu->cost().Snapshot();
+    ASSERT_TRUE(stack->engine().Retrieve(rng.UniformInt(50)).ok());
+    const hardware::CostAccountant::Counters now =
+        stack->cpu().cost().Snapshot();
     const hardware::CostAccountant::Counters delta = now - prev;
     prev = now;
     // Paper §5: 4 random accesses, k+1 pages transferred twice, k+1
@@ -159,32 +153,32 @@ TEST(CApproxPirTest, ConstantCostPerQuery) {
   }
 }
 
-TEST(CApproxPirTest, UpdatesAreCostIndistinguishableFromQueries) {
+TEST_F(CApproxPirTest, UpdatesAreCostIndistinguishableFromQueries) {
   CApproxPir::Options options = SmallOptions();
   options.insert_reserve = 10;
-  Rig rig = Rig::Make(options);
-  const uint64_t k = rig.engine->block_size();
+  auto stack = MakeStack(options);
+  const uint64_t k = stack->engine().block_size();
   const auto cost_of = [&](auto&& fn) {
-    const auto before = rig.cpu->cost().Snapshot();
+    const auto before = stack->cpu().cost().Snapshot();
     fn();
-    const auto delta = rig.cpu->cost().Snapshot() - before;
+    const auto delta = stack->cpu().cost().Snapshot() - before;
     EXPECT_EQ(delta.seeks, 4u);
     EXPECT_EQ(delta.disk_bytes, 2 * (k + 1) * kSealedSize);
     return delta;
   };
-  cost_of([&] { ASSERT_TRUE(rig.engine->Retrieve(1).ok()); });
-  cost_of([&] { ASSERT_TRUE(rig.engine->Modify(2, PayloadFor(99)).ok()); });
-  cost_of([&] { ASSERT_TRUE(rig.engine->Remove(3).ok()); });
-  cost_of([&] { ASSERT_TRUE(rig.engine->Insert(PayloadFor(77)).ok()); });
+  cost_of([&] { ASSERT_TRUE(stack->engine().Retrieve(1).ok()); });
+  cost_of([&] { ASSERT_TRUE(stack->engine().Modify(2, PayloadFor(99)).ok()); });
+  cost_of([&] { ASSERT_TRUE(stack->engine().Remove(3).ok()); });
+  cost_of([&] { ASSERT_TRUE(stack->engine().Insert(PayloadFor(77)).ok()); });
 }
 
-TEST(CApproxPirTest, TraceShapePerQuery) {
-  Rig rig = Rig::Make(SmallOptions());
-  rig.trace.Clear();
-  const uint64_t k = rig.engine->block_size();
-  ASSERT_TRUE(rig.engine->Retrieve(0).ok());
+TEST_F(CApproxPirTest, TraceShapePerQuery) {
+  auto stack = MakeStack(SmallOptions());
+  traces_.back().Clear();
+  const uint64_t k = stack->engine().block_size();
+  ASSERT_TRUE(stack->engine().Retrieve(0).ok());
   // k block reads + 1 extra read + k block writes + 1 extra write.
-  const auto& events = rig.trace.events();
+  const auto& events = traces_.back().events();
   ASSERT_EQ(events.size(), 2 * (k + 1));
   uint64_t reads = 0, writes = 0;
   for (const auto& e : events) {
@@ -205,16 +199,16 @@ TEST(CApproxPirTest, TraceShapePerQuery) {
   }
 }
 
-TEST(CApproxPirTest, RoundRobinBlockSchedule) {
-  Rig rig = Rig::Make(SmallOptions());
-  const uint64_t k = rig.engine->block_size();
-  const uint64_t T = rig.engine->scan_period();
-  rig.trace.Clear();
+TEST_F(CApproxPirTest, RoundRobinBlockSchedule) {
+  auto stack = MakeStack(SmallOptions());
+  const uint64_t k = stack->engine().block_size();
+  const uint64_t T = stack->engine().scan_period();
+  traces_.back().Clear();
   for (uint64_t q = 0; q < T + 2; ++q) {
-    ASSERT_TRUE(rig.engine->Retrieve(q % 50).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(q % 50).ok());
   }
   // Query q must start reading at block (q mod T) * k.
-  const auto& events = rig.trace.events();
+  const auto& events = traces_.back().events();
   uint64_t idx = 0;
   for (uint64_t q = 0; q < T + 2; ++q) {
     EXPECT_EQ(events[idx].location, (q % T) * k) << "query " << q;
@@ -222,97 +216,97 @@ TEST(CApproxPirTest, RoundRobinBlockSchedule) {
   }
 }
 
-TEST(CApproxPirTest, ModifyThenRetrieve) {
-  Rig rig = Rig::Make(SmallOptions());
+TEST_F(CApproxPirTest, ModifyThenRetrieve) {
+  auto stack = MakeStack(SmallOptions());
   const Bytes new_data = PayloadFor(1234);
-  ASSERT_TRUE(rig.engine->Modify(10, new_data).ok());
-  Result<Bytes> data = rig.engine->Retrieve(10);
+  ASSERT_TRUE(stack->engine().Modify(10, new_data).ok());
+  Result<Bytes> data = stack->engine().Retrieve(10);
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, new_data);
   // Modify a page that is currently cached.
-  ASSERT_TRUE(rig.engine->Retrieve(11).ok());
-  if (rig.engine->DebugIsCached(11)) {
+  ASSERT_TRUE(stack->engine().Retrieve(11).ok());
+  if (stack->engine().DebugIsCached(11)) {
     const Bytes other = PayloadFor(4321);
-    ASSERT_TRUE(rig.engine->Modify(11, other).ok());
-    EXPECT_EQ(*rig.engine->Retrieve(11), other);
+    ASSERT_TRUE(stack->engine().Modify(11, other).ok());
+    EXPECT_EQ(*stack->engine().Retrieve(11), other);
   }
 }
 
-TEST(CApproxPirTest, ModifyUnderChurnPersists) {
-  Rig rig = Rig::Make(SmallOptions(), 21);
+TEST_F(CApproxPirTest, ModifyUnderChurnPersists) {
+  auto stack = MakeStack(SmallOptions(), 21);
   crypto::SecureRandom rng(22);
-  ASSERT_TRUE(rig.engine->Modify(5, PayloadFor(500)).ok());
+  ASSERT_TRUE(stack->engine().Modify(5, PayloadFor(500)).ok());
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(rng.UniformInt(50)).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(rng.UniformInt(50)).ok());
   }
-  EXPECT_EQ(*rig.engine->Retrieve(5), PayloadFor(500));
+  EXPECT_EQ(*stack->engine().Retrieve(5), PayloadFor(500));
 }
 
-TEST(CApproxPirTest, RemoveMakesPageUnreachable) {
-  Rig rig = Rig::Make(SmallOptions());
-  ASSERT_TRUE(rig.engine->Remove(7).ok());
-  Result<Bytes> data = rig.engine->Retrieve(7);
+TEST_F(CApproxPirTest, RemoveMakesPageUnreachable) {
+  auto stack = MakeStack(SmallOptions());
+  ASSERT_TRUE(stack->engine().Remove(7).ok());
+  Result<Bytes> data = stack->engine().Retrieve(7);
   EXPECT_FALSE(data.ok());
   EXPECT_EQ(data.status().code(), StatusCode::kNotFound);
   // Other pages unaffected.
-  EXPECT_EQ(*rig.engine->Retrieve(8), PayloadFor(8));
+  EXPECT_EQ(*stack->engine().Retrieve(8), PayloadFor(8));
 }
 
-TEST(CApproxPirTest, RemoveCachedPage) {
-  Rig rig = Rig::Make(SmallOptions());
+TEST_F(CApproxPirTest, RemoveCachedPage) {
+  auto stack = MakeStack(SmallOptions());
   // Pull page 9 into the cache, then delete it.
-  ASSERT_TRUE(rig.engine->Retrieve(9).ok());
-  ASSERT_TRUE(rig.engine->Remove(9).ok());
+  ASSERT_TRUE(stack->engine().Retrieve(9).ok());
+  ASSERT_TRUE(stack->engine().Remove(9).ok());
   // The dead page must no longer occupy a cache slot.
-  EXPECT_FALSE(rig.engine->DebugIsCached(9));
-  EXPECT_FALSE(rig.engine->Retrieve(9).ok());
+  EXPECT_FALSE(stack->engine().DebugIsCached(9));
+  EXPECT_FALSE(stack->engine().Retrieve(9).ok());
 }
 
-TEST(CApproxPirTest, InsertReturnsRetrievablePage) {
+TEST_F(CApproxPirTest, InsertReturnsRetrievablePage) {
   CApproxPir::Options options = SmallOptions();
   options.insert_reserve = 5;
-  Rig rig = Rig::Make(options);
+  auto stack = MakeStack(options);
   const Bytes payload = PayloadFor(999);
-  Result<PageId> id = rig.engine->Insert(payload);
+  Result<PageId> id = stack->engine().Insert(payload);
   ASSERT_TRUE(id.ok()) << id.status();
   EXPECT_GE(*id, options.num_pages);
-  Result<Bytes> data = rig.engine->Retrieve(*id);
+  Result<Bytes> data = stack->engine().Retrieve(*id);
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(*data, payload);
 }
 
-TEST(CApproxPirTest, InsertSurvivesChurn) {
+TEST_F(CApproxPirTest, InsertSurvivesChurn) {
   CApproxPir::Options options = SmallOptions();
   options.insert_reserve = 5;
-  Rig rig = Rig::Make(options, 31);
-  Result<PageId> id = rig.engine->Insert(PayloadFor(600));
+  auto stack = MakeStack(options, 31);
+  Result<PageId> id = stack->engine().Insert(PayloadFor(600));
   ASSERT_TRUE(id.ok());
   crypto::SecureRandom rng(32);
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(rng.UniformInt(50)).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(rng.UniformInt(50)).ok());
   }
-  EXPECT_EQ(*rig.engine->Retrieve(*id), PayloadFor(600));
+  EXPECT_EQ(*stack->engine().Retrieve(*id), PayloadFor(600));
 }
 
-TEST(CApproxPirTest, RemoveThenInsertReusesSlot) {
-  Rig rig = Rig::Make(SmallOptions());  // No insert reserve...
+TEST_F(CApproxPirTest, RemoveThenInsertReusesSlot) {
+  auto stack = MakeStack(SmallOptions());  // No insert reserve...
   // ...but dummies from padding + cache seeding are available, so drain
   // them first to prove Remove replenishes the pool.
   int inserted = 0;
-  while (rig.engine->Insert(PayloadFor(1)).ok()) {
+  while (stack->engine().Insert(PayloadFor(1)).ok()) {
     ++inserted;
   }
   EXPECT_GT(inserted, 0);
-  ASSERT_TRUE(rig.engine->Remove(0).ok());
-  Result<PageId> id = rig.engine->Insert(PayloadFor(2));
+  ASSERT_TRUE(stack->engine().Remove(0).ok());
+  Result<PageId> id = stack->engine().Insert(PayloadFor(2));
   ASSERT_TRUE(id.ok()) << id.status();
-  EXPECT_EQ(*rig.engine->Retrieve(*id), PayloadFor(2));
+  EXPECT_EQ(*stack->engine().Retrieve(*id), PayloadFor(2));
 }
 
-TEST(CApproxPirTest, MixedWorkloadEndToEnd) {
+TEST_F(CApproxPirTest, MixedWorkloadEndToEnd) {
   CApproxPir::Options options = SmallOptions();
   options.insert_reserve = 20;
-  Rig rig = Rig::Make(options, 77);
+  auto stack = MakeStack(options, 77);
   crypto::SecureRandom rng(78);
   // Shadow model of expected contents.
   std::vector<std::pair<PageId, Bytes>> live;
@@ -323,21 +317,21 @@ TEST(CApproxPirTest, MixedWorkloadEndToEnd) {
     const uint64_t action = rng.UniformInt(10);
     if (action < 6 && !live.empty()) {
       const size_t pick = rng.UniformInt(live.size());
-      Result<Bytes> data = rig.engine->Retrieve(live[pick].first);
+      Result<Bytes> data = stack->engine().Retrieve(live[pick].first);
       ASSERT_TRUE(data.ok()) << "step " << step;
       ASSERT_EQ(*data, live[pick].second) << "step " << step;
     } else if (action < 8 && !live.empty()) {
       const size_t pick = rng.UniformInt(live.size());
       Bytes data = PayloadFor(rng.UniformInt(100000));
-      ASSERT_TRUE(rig.engine->Modify(live[pick].first, data).ok());
+      ASSERT_TRUE(stack->engine().Modify(live[pick].first, data).ok());
       live[pick].second = data;
     } else if (action == 8 && !live.empty()) {
       const size_t pick = rng.UniformInt(live.size());
-      ASSERT_TRUE(rig.engine->Remove(live[pick].first).ok());
+      ASSERT_TRUE(stack->engine().Remove(live[pick].first).ok());
       live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
     } else {
       Bytes data = PayloadFor(rng.UniformInt(100000));
-      Result<PageId> id = rig.engine->Insert(data);
+      Result<PageId> id = stack->engine().Insert(data);
       if (id.ok()) {
         live.emplace_back(*id, data);
       }
@@ -345,42 +339,42 @@ TEST(CApproxPirTest, MixedWorkloadEndToEnd) {
   }
   // Final sweep: everything still correct.
   for (const auto& [id, data] : live) {
-    ASSERT_EQ(*rig.engine->Retrieve(id), data) << "final sweep id " << id;
+    ASSERT_EQ(*stack->engine().Retrieve(id), data) << "final sweep id " << id;
   }
 }
 
-TEST(CApproxPirTest, RelocationObserverFiresOncePerQuery) {
-  Rig rig = Rig::Make(SmallOptions());
+TEST_F(CApproxPirTest, RelocationObserverFiresOncePerQuery) {
+  auto stack = MakeStack(SmallOptions());
   uint64_t events = 0;
   uint64_t last_request = 0;
-  rig.engine->set_relocation_observer(
+  stack->engine().set_relocation_observer(
       [&](PageId, storage::Location loc, uint64_t request_index) {
         ++events;
         last_request = request_index;
-        EXPECT_LT(loc, rig.engine->disk_slots());
+        EXPECT_LT(loc, stack->engine().disk_slots());
       });
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(static_cast<PageId>(i)).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(static_cast<PageId>(i)).ok());
   }
   EXPECT_EQ(events, 20u);
   EXPECT_EQ(last_request, 19u);
 }
 
-TEST(CApproxPirTest, PrivacyDerivedBlockSize) {
+TEST_F(CApproxPirTest, PrivacyDerivedBlockSize) {
   CApproxPir::Options options;
   options.num_pages = 2000;
   options.page_size = kPageSize;
   options.cache_pages = 50;
   options.privacy_c = 2.0;
   options.block_size = 0;  // Derive via Eq. 6.
-  Rig rig = Rig::Make(options);
-  EXPECT_GT(rig.engine->block_size(), 1u);
-  EXPECT_LE(rig.engine->achieved_privacy(), 2.0 * 1.01);
-  EXPECT_GT(rig.engine->achieved_privacy(), 1.0);
-  EXPECT_EQ(*rig.engine->Retrieve(123), PayloadFor(123));
+  auto stack = MakeStack(options);
+  EXPECT_GT(stack->engine().block_size(), 1u);
+  EXPECT_LE(stack->engine().achieved_privacy(), 2.0 * 1.01);
+  EXPECT_GT(stack->engine().achieved_privacy(), 1.0);
+  EXPECT_EQ(*stack->engine().Retrieve(123), PayloadFor(123));
 }
 
-TEST(CApproxPirTest, SecureMemoryEnforced) {
+TEST_F(CApproxPirTest, SecureMemoryEnforced) {
   CApproxPir::Options options = SmallOptions();
   storage::MemoryDisk disk(*CApproxPir::DiskSlots(options), kSealedSize);
   hardware::HardwareProfile profile = hardware::HardwareProfile::Ibm4764();
@@ -394,7 +388,7 @@ TEST(CApproxPirTest, SecureMemoryEnforced) {
   EXPECT_EQ(engine.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(CApproxPirTest, SecureMemoryReleasedOnDestruction) {
+TEST_F(CApproxPirTest, SecureMemoryReleasedOnDestruction) {
   CApproxPir::Options options = SmallOptions();
   storage::MemoryDisk disk(*CApproxPir::DiskSlots(options), kSealedSize);
   Result<std::unique_ptr<hardware::SecureCoprocessor>> cpu =
@@ -410,7 +404,7 @@ TEST(CApproxPirTest, SecureMemoryReleasedOnDestruction) {
   EXPECT_EQ((*cpu)->secure_memory_used(), 0u);
 }
 
-TEST(CApproxPirTest, CreateValidation) {
+TEST_F(CApproxPirTest, CreateValidation) {
   CApproxPir::Options options = SmallOptions();
   storage::MemoryDisk disk(*CApproxPir::DiskSlots(options), kSealedSize);
   Result<std::unique_ptr<hardware::SecureCoprocessor>> cpu =
@@ -440,40 +434,40 @@ TEST(CApproxPirTest, CreateValidation) {
   EXPECT_FALSE(CApproxPir::Create(cpu2->get(), options).ok());
 }
 
-TEST(CApproxPirTest, OperationsBeforeInitializeFail) {
-  Rig rig = Rig::Make(SmallOptions(), 42, /*load=*/false);
-  EXPECT_EQ(rig.engine->Retrieve(0).status().code(),
+TEST_F(CApproxPirTest, OperationsBeforeInitializeFail) {
+  auto stack = MakeStack(SmallOptions(), 42, /*load=*/false);
+  EXPECT_EQ(stack->engine().Retrieve(0).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(rig.engine->Insert(Bytes(4, 0)).status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(CApproxPirTest, DoubleInitializeFails) {
-  Rig rig = Rig::Make(SmallOptions());
-  EXPECT_EQ(rig.engine->Initialize({}).code(),
+  EXPECT_EQ(stack->engine().Insert(Bytes(4, 0)).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
-TEST(CApproxPirTest, RejectsOutOfRangeIds) {
-  Rig rig = Rig::Make(SmallOptions());
-  EXPECT_FALSE(rig.engine->Retrieve(50).ok());  // Dummies not addressable.
-  EXPECT_FALSE(rig.engine->Retrieve(100000).ok());
-  EXPECT_FALSE(rig.engine->Modify(50, Bytes(4, 0)).ok());
-  EXPECT_FALSE(rig.engine->Remove(50).ok());
+TEST_F(CApproxPirTest, DoubleInitializeFails) {
+  auto stack = MakeStack(SmallOptions());
+  EXPECT_EQ(stack->engine().Initialize({}).code(),
+            StatusCode::kFailedPrecondition);
 }
 
-TEST(CApproxPirTest, RejectsOversizedPayloads) {
+TEST_F(CApproxPirTest, RejectsOutOfRangeIds) {
+  auto stack = MakeStack(SmallOptions());
+  EXPECT_FALSE(stack->engine().Retrieve(50).ok());  // Dummies not addressable.
+  EXPECT_FALSE(stack->engine().Retrieve(100000).ok());
+  EXPECT_FALSE(stack->engine().Modify(50, Bytes(4, 0)).ok());
+  EXPECT_FALSE(stack->engine().Remove(50).ok());
+}
+
+TEST_F(CApproxPirTest, RejectsOversizedPayloads) {
   CApproxPir::Options options = SmallOptions();
   options.insert_reserve = 2;
-  Rig rig = Rig::Make(options);
-  EXPECT_FALSE(rig.engine->Modify(0, Bytes(kPageSize + 1, 0)).ok());
-  EXPECT_FALSE(rig.engine->Insert(Bytes(kPageSize + 1, 0)).ok());
+  auto stack = MakeStack(options);
+  EXPECT_FALSE(stack->engine().Modify(0, Bytes(kPageSize + 1, 0)).ok());
+  EXPECT_FALSE(stack->engine().Insert(Bytes(kPageSize + 1, 0)).ok());
 }
 
-TEST(CApproxPirTest, ShortPayloadsZeroPadded) {
-  Rig rig = Rig::Make(SmallOptions());
-  ASSERT_TRUE(rig.engine->Modify(0, Bytes{1, 2, 3}).ok());
-  Result<Bytes> data = rig.engine->Retrieve(0);
+TEST_F(CApproxPirTest, ShortPayloadsZeroPadded) {
+  auto stack = MakeStack(SmallOptions());
+  ASSERT_TRUE(stack->engine().Modify(0, Bytes{1, 2, 3}).ok());
+  Result<Bytes> data = stack->engine().Retrieve(0);
   ASSERT_TRUE(data.ok());
   ASSERT_EQ(data->size(), kPageSize);
   EXPECT_EQ((*data)[0], 1);
@@ -481,7 +475,7 @@ TEST(CApproxPirTest, ShortPayloadsZeroPadded) {
   EXPECT_EQ((*data)[3], 0);
 }
 
-TEST(CApproxPirTest, TinyConfigurations) {
+TEST_F(CApproxPirTest, TinyConfigurations) {
   // Smallest viable setups must still work.
   for (uint64_t m : {2u, 3u}) {
     for (uint64_t k : {1u, 2u, 3u}) {
@@ -490,33 +484,33 @@ TEST(CApproxPirTest, TinyConfigurations) {
       options.page_size = kPageSize;
       options.cache_pages = m;
       options.block_size = k;
-      Rig rig = Rig::Make(options, 1000 + m * 10 + k);
+      auto stack = MakeStack(options, 1000 + m * 10 + k);
       crypto::SecureRandom rng(m * 100 + k);
       for (int i = 0; i < 200; ++i) {
         const PageId id = rng.UniformInt(6);
-        ASSERT_EQ(*rig.engine->Retrieve(id), PayloadFor(id))
+        ASSERT_EQ(*stack->engine().Retrieve(id), PayloadFor(id))
             << "m=" << m << " k=" << k << " i=" << i;
       }
     }
   }
 }
 
-TEST(CApproxPirTest, StatsTracking) {
+TEST_F(CApproxPirTest, StatsTracking) {
   CApproxPir::Options options = SmallOptions();
   options.insert_reserve = 4;
-  Rig rig = Rig::Make(options);
-  ASSERT_TRUE(rig.engine->Retrieve(0).ok());
-  ASSERT_TRUE(rig.engine->Modify(1, Bytes{9}).ok());
-  ASSERT_TRUE(rig.engine->Remove(2).ok());
-  ASSERT_TRUE(rig.engine->Insert(Bytes{8}).ok());
-  const CApproxPir::Stats& stats = rig.engine->stats();
+  auto stack = MakeStack(options);
+  ASSERT_TRUE(stack->engine().Retrieve(0).ok());
+  ASSERT_TRUE(stack->engine().Modify(1, Bytes{9}).ok());
+  ASSERT_TRUE(stack->engine().Remove(2).ok());
+  ASSERT_TRUE(stack->engine().Insert(Bytes{8}).ok());
+  const CApproxPir::Stats& stats = stack->engine().stats();
   EXPECT_EQ(stats.queries, 4u);
   EXPECT_EQ(stats.modifies, 1u);
   EXPECT_EQ(stats.removes, 1u);
   EXPECT_EQ(stats.inserts, 1u);
 }
 
-TEST(CApproxPirTest, DiskSlotsPadsToBlockMultiple) {
+TEST_F(CApproxPirTest, DiskSlotsPadsToBlockMultiple) {
   CApproxPir::Options options = SmallOptions();  // n=50, k=8.
   Result<uint64_t> slots = CApproxPir::DiskSlots(options);
   ASSERT_TRUE(slots.ok());
@@ -524,34 +518,34 @@ TEST(CApproxPirTest, DiskSlotsPadsToBlockMultiple) {
   EXPECT_GE(*slots, 56u);  // >= n rounded up.
 }
 
-TEST(CApproxPirTest, PartialLoadZeroFillsMissingPages) {
+TEST_F(CApproxPirTest, PartialLoadZeroFillsMissingPages) {
   CApproxPir::Options options = SmallOptions();
-  Rig rig = Rig::Make(options, 42, /*load=*/false);
+  auto stack = MakeStack(options, 42, /*load=*/false);
   std::vector<Page> pages;
   pages.emplace_back(0, PayloadFor(0));  // Only page 0 provided.
-  ASSERT_TRUE(rig.engine->Initialize(pages).ok());
-  EXPECT_EQ(*rig.engine->Retrieve(0), PayloadFor(0));
-  EXPECT_EQ(*rig.engine->Retrieve(1), Bytes(kPageSize, 0));
+  ASSERT_TRUE(stack->engine().Initialize(pages).ok());
+  EXPECT_EQ(*stack->engine().Retrieve(0), PayloadFor(0));
+  EXPECT_EQ(*stack->engine().Retrieve(1), Bytes(kPageSize, 0));
 }
 
-TEST(CApproxPirTest, MetricsMirrorEngineActivity) {
+TEST_F(CApproxPirTest, MetricsMirrorEngineActivity) {
   CApproxPir::Options options = SmallOptions();
   options.insert_reserve = 4;
   // The registry must outlive the rig: destructors release secure memory
   // through attached gauges.
   obs::MetricsRegistry registry;
-  Rig rig = Rig::Make(options);
-  rig.engine->EnableMetrics(&registry);
+  auto stack = MakeStack(options);
+  stack->engine().EnableMetrics(&registry);
 
   for (PageId id = 0; id < 10; ++id) {
-    ASSERT_TRUE(rig.engine->Retrieve(id).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(id).ok());
   }
-  ASSERT_TRUE(rig.engine->Modify(3, PayloadFor(3)).ok());
-  ASSERT_TRUE(rig.engine->Remove(5).ok());
-  Result<PageId> inserted = rig.engine->Insert(PayloadFor(7));
+  ASSERT_TRUE(stack->engine().Modify(3, PayloadFor(3)).ok());
+  ASSERT_TRUE(stack->engine().Remove(5).ok());
+  Result<PageId> inserted = stack->engine().Insert(PayloadFor(7));
   ASSERT_TRUE(inserted.ok());
-  ASSERT_TRUE(rig.engine->OfflineReshuffle().ok());
-  ASSERT_TRUE(rig.engine->RotateKeys().ok());
+  ASSERT_TRUE(stack->engine().OfflineReshuffle().ok());
+  ASSERT_TRUE(stack->engine().RotateKeys().ok());
 
   auto counter = [&](const std::string& name) {
     return registry.FindOrCreateCounter(name)->Value();
@@ -566,9 +560,9 @@ TEST(CApproxPirTest, MetricsMirrorEngineActivity) {
   EXPECT_EQ(counter("shpir_engine_key_rotations_total"), 1u);
   // The counter mirrors agree with the legacy Stats struct.
   EXPECT_EQ(counter("shpir_engine_cache_hits_total"),
-            rig.engine->stats().cache_hits);
+            stack->engine().stats().cache_hits);
   EXPECT_EQ(counter("shpir_engine_block_hits_total"),
-            rig.engine->stats().block_hits);
+            stack->engine().stats().block_hits);
 
   // Gauges expose the round-robin cursor and the paper's parameters.
   auto gauge = [&](const std::string& name) {
@@ -576,9 +570,9 @@ TEST(CApproxPirTest, MetricsMirrorEngineActivity) {
   };
   EXPECT_EQ(gauge("shpir_engine_block_cursor"), 0.0);  // Reshuffle reset.
   EXPECT_DOUBLE_EQ(gauge("shpir_engine_achieved_privacy_c"),
-                   rig.engine->achieved_privacy());
+                   stack->engine().achieved_privacy());
   EXPECT_DOUBLE_EQ(gauge("shpir_engine_block_size_k"),
-                   static_cast<double>(rig.engine->block_size()));
+                   static_cast<double>(stack->engine().block_size()));
   EXPECT_DOUBLE_EQ(gauge("shpir_engine_cache_pages_m"), 8.0);
 
   // Latency histograms: one whole-query sample per round, one sample per
@@ -592,32 +586,32 @@ TEST(CApproxPirTest, MetricsMirrorEngineActivity) {
   EXPECT_EQ(reencrypt->Count(), 13u);
 
   // Disabling restores the unmetered path; counters stop moving.
-  rig.engine->EnableMetrics(nullptr);
-  ASSERT_TRUE(rig.engine->Retrieve(0).ok());
+  stack->engine().EnableMetrics(nullptr);
+  ASSERT_TRUE(stack->engine().Retrieve(0).ok());
   EXPECT_EQ(counter("shpir_engine_queries_total"), 13u);
   EXPECT_EQ(latency->Count(), 13u);
 }
 
-TEST(CApproxPirTest, MetricsDoNotPerturbResults) {
+TEST_F(CApproxPirTest, MetricsDoNotPerturbResults) {
   // Instrumented and uninstrumented engines with the same seed must make
   // identical RNG draws, hence identical disk layouts and results.
   CApproxPir::Options options = SmallOptions();
   obs::MetricsRegistry registry;
-  Rig plain = Rig::Make(options, 99);
-  Rig metered = Rig::Make(options, 99);
-  metered.engine->EnableMetrics(&registry);
+  auto plain = MakeStack(options, 99);
+  auto metered = MakeStack(options, 99);
+  metered->engine().EnableMetrics(&registry);
   for (PageId id = 0; id < 30; ++id) {
-    Result<Bytes> a = plain.engine->Retrieve(id % 50);
-    Result<Bytes> b = metered.engine->Retrieve(id % 50);
+    Result<Bytes> a = plain->engine().Retrieve(id % 50);
+    Result<Bytes> b = metered->engine().Retrieve(id % 50);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(*a, *b);
   }
   // Identical adversary-visible access sequences.
-  EXPECT_EQ(plain.trace.events().size(), metered.trace.events().size());
-  EXPECT_TRUE(std::equal(plain.trace.events().begin(),
-                         plain.trace.events().end(),
-                         metered.trace.events().begin()));
+  EXPECT_EQ(traces_[0].events().size(), traces_[1].events().size());
+  EXPECT_TRUE(std::equal(traces_[0].events().begin(),
+                         traces_[0].events().end(),
+                         traces_[1].events().begin()));
 }
 
 // --- Online block-size retuning (the privacy/cost dial, live) ----------
@@ -633,116 +627,116 @@ CApproxPir::Options RetuneOptions() {
   return options;
 }
 
-TEST(CApproxPirRetuneTest, ValidatesRequestedBlockSizes) {
-  Rig rig = Rig::Make(RetuneOptions());
-  ASSERT_EQ(rig.engine->disk_slots(), 64u);
+TEST_F(CApproxPirRetuneTest, ValidatesRequestedBlockSizes) {
+  auto stack = MakeStack(RetuneOptions());
+  ASSERT_EQ(stack->engine().disk_slots(), 64u);
 
-  EXPECT_FALSE(rig.engine->RequestBlockSize(0).ok());
-  EXPECT_FALSE(rig.engine->RequestBlockSize(7).ok());   // Not a divisor.
-  EXPECT_FALSE(rig.engine->RequestBlockSize(24).ok());  // Not a divisor.
-  EXPECT_FALSE(rig.engine->RequestBlockSize(64).ok());  // 2k > slots.
-  EXPECT_TRUE(rig.engine->RequestBlockSize(32).ok());
-  EXPECT_TRUE(rig.engine->RequestBlockSize(16).ok());
+  EXPECT_FALSE(stack->engine().RequestBlockSize(0).ok());
+  EXPECT_FALSE(stack->engine().RequestBlockSize(7).ok());   // Not a divisor.
+  EXPECT_FALSE(stack->engine().RequestBlockSize(24).ok());  // Not a divisor.
+  EXPECT_FALSE(stack->engine().RequestBlockSize(64).ok());  // 2k > slots.
+  EXPECT_TRUE(stack->engine().RequestBlockSize(32).ok());
+  EXPECT_TRUE(stack->engine().RequestBlockSize(16).ok());
 
-  Rig cold = Rig::Make(RetuneOptions(), 42, /*load=*/false);
-  EXPECT_FALSE(cold.engine->RequestBlockSize(16).ok());
+  auto cold = MakeStack(RetuneOptions(), 42, /*load=*/false);
+  EXPECT_FALSE(cold->engine().RequestBlockSize(16).ok());
 }
 
-TEST(CApproxPirRetuneTest, AppliesOnlyAtScanPeriodBoundary) {
-  Rig rig = Rig::Make(RetuneOptions());
-  ASSERT_EQ(rig.engine->scan_period(), 8u);
+TEST_F(CApproxPirRetuneTest, AppliesOnlyAtScanPeriodBoundary) {
+  auto stack = MakeStack(RetuneOptions());
+  ASSERT_EQ(stack->engine().scan_period(), 8u);
 
   // Walk three rounds into the scan, then request a retune: it must
   // stay pending until the block cursor wraps, never landing mid-scan.
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(0).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(0).ok());
   }
-  ASSERT_TRUE(rig.engine->RequestBlockSize(16).ok());
-  EXPECT_EQ(rig.engine->pending_block_size(), 16u);
+  ASSERT_TRUE(stack->engine().RequestBlockSize(16).ok());
+  EXPECT_EQ(stack->engine().pending_block_size(), 16u);
 
   for (int i = 3; i < 8; ++i) {  // Rounds 4..8 finish the scan.
-    ASSERT_TRUE(rig.engine->Retrieve(0).ok());
-    EXPECT_EQ(rig.engine->published_block_size(), 8u);
-    EXPECT_EQ(rig.engine->block_size_transitions(), 0u);
+    ASSERT_TRUE(stack->engine().Retrieve(0).ok());
+    EXPECT_EQ(stack->engine().published_block_size(), 8u);
+    EXPECT_EQ(stack->engine().block_size_transitions(), 0u);
   }
   // The next round starts a fresh scan and applies the transition.
-  ASSERT_TRUE(rig.engine->Retrieve(0).ok());
-  EXPECT_EQ(rig.engine->published_block_size(), 16u);
-  EXPECT_EQ(rig.engine->pending_block_size(), 0u);
-  EXPECT_EQ(rig.engine->block_size_transitions(), 1u);
-  EXPECT_EQ(rig.engine->scan_period(), 4u);  // 64 / 16.
+  ASSERT_TRUE(stack->engine().Retrieve(0).ok());
+  EXPECT_EQ(stack->engine().published_block_size(), 16u);
+  EXPECT_EQ(stack->engine().pending_block_size(), 0u);
+  EXPECT_EQ(stack->engine().block_size_transitions(), 1u);
+  EXPECT_EQ(stack->engine().scan_period(), 4u);  // 64 / 16.
 }
 
-TEST(CApproxPirRetuneTest, RequestingCurrentSizeCancelsPending) {
-  Rig rig = Rig::Make(RetuneOptions());
-  ASSERT_TRUE(rig.engine->Retrieve(0).ok());  // Leave the boundary.
-  ASSERT_TRUE(rig.engine->RequestBlockSize(16).ok());
-  EXPECT_EQ(rig.engine->pending_block_size(), 16u);
-  ASSERT_TRUE(rig.engine->RequestBlockSize(8).ok());
-  EXPECT_EQ(rig.engine->pending_block_size(), 0u);
+TEST_F(CApproxPirRetuneTest, RequestingCurrentSizeCancelsPending) {
+  auto stack = MakeStack(RetuneOptions());
+  ASSERT_TRUE(stack->engine().Retrieve(0).ok());  // Leave the boundary.
+  ASSERT_TRUE(stack->engine().RequestBlockSize(16).ok());
+  EXPECT_EQ(stack->engine().pending_block_size(), 16u);
+  ASSERT_TRUE(stack->engine().RequestBlockSize(8).ok());
+  EXPECT_EQ(stack->engine().pending_block_size(), 0u);
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(0).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(0).ok());
   }
-  EXPECT_EQ(rig.engine->published_block_size(), 8u);
-  EXPECT_EQ(rig.engine->block_size_transitions(), 0u);
+  EXPECT_EQ(stack->engine().published_block_size(), 8u);
+  EXPECT_EQ(stack->engine().block_size_transitions(), 0u);
 }
 
-TEST(CApproxPirRetuneTest, LaterRequestReplacesPending) {
-  Rig rig = Rig::Make(RetuneOptions());
-  ASSERT_TRUE(rig.engine->Retrieve(0).ok());
-  ASSERT_TRUE(rig.engine->RequestBlockSize(32).ok());
-  ASSERT_TRUE(rig.engine->RequestBlockSize(4).ok());
-  EXPECT_EQ(rig.engine->pending_block_size(), 4u);
+TEST_F(CApproxPirRetuneTest, LaterRequestReplacesPending) {
+  auto stack = MakeStack(RetuneOptions());
+  ASSERT_TRUE(stack->engine().Retrieve(0).ok());
+  ASSERT_TRUE(stack->engine().RequestBlockSize(32).ok());
+  ASSERT_TRUE(stack->engine().RequestBlockSize(4).ok());
+  EXPECT_EQ(stack->engine().pending_block_size(), 4u);
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(0).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(0).ok());
   }
-  EXPECT_EQ(rig.engine->published_block_size(), 4u);
-  EXPECT_EQ(rig.engine->block_size_transitions(), 1u);
+  EXPECT_EQ(stack->engine().published_block_size(), 4u);
+  EXPECT_EQ(stack->engine().block_size_transitions(), 1u);
 }
 
-TEST(CApproxPirRetuneTest, DataSurvivesRepeatedRetunes) {
-  Rig rig = Rig::Make(RetuneOptions());
+TEST_F(CApproxPirRetuneTest, DataSurvivesRepeatedRetunes) {
+  auto stack = MakeStack(RetuneOptions());
   const std::vector<uint64_t> schedule = {16, 4, 32, 8, 2, 16};
   uint64_t expected_transitions = 0;
   for (const uint64_t k : schedule) {
-    ASSERT_TRUE(rig.engine->RequestBlockSize(k).ok());
+    ASSERT_TRUE(stack->engine().RequestBlockSize(k).ok());
     // Drive well past a boundary, reading every page: payloads must be
     // intact across every transition.
     for (PageId id = 0; id < 60; ++id) {
-      Result<Bytes> got = rig.engine->Retrieve(id);
+      Result<Bytes> got = stack->engine().Retrieve(id);
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_EQ(*got, PayloadFor(id)) << "page " << id << " under k=" << k;
     }
     ++expected_transitions;
-    EXPECT_EQ(rig.engine->published_block_size(), k);
-    EXPECT_EQ(rig.engine->block_size_transitions(), expected_transitions);
+    EXPECT_EQ(stack->engine().published_block_size(), k);
+    EXPECT_EQ(stack->engine().block_size_transitions(), expected_transitions);
   }
 }
 
-TEST(CApproxPirRetuneTest, GrowthReservesSecureMemoryUpFront) {
+TEST_F(CApproxPirRetuneTest, GrowthReservesSecureMemoryUpFront) {
   // The Eq. 7 budget must cover the larger block buffer from request
   // time: a target the device cannot fit is rejected immediately and
   // leaves no pending transition behind.
-  Rig rig = Rig::Make(RetuneOptions());
+  auto stack = MakeStack(RetuneOptions());
   // Eat the device's remaining secure memory down to (at most) a few
   // bytes, far less than the (32 - 8) extra buffer pages k=32 needs.
   for (const uint64_t chunk : {uint64_t{1} << 20, uint64_t{1} << 10,
                                uint64_t{16}}) {
-    while (rig.cpu->ReserveSecureMemory(chunk, "test ballast").ok()) {
+    while (stack->cpu().ReserveSecureMemory(chunk, "test ballast").ok()) {
     }
   }
-  const Status grown = rig.engine->RequestBlockSize(32);
+  const Status grown = stack->engine().RequestBlockSize(32);
   EXPECT_EQ(grown.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(rig.engine->pending_block_size(), 0u);
+  EXPECT_EQ(stack->engine().pending_block_size(), 0u);
   // Shrinking needs no new reservation and still works; the engine
   // keeps serving correctly at the reduced k.
-  ASSERT_TRUE(rig.engine->RequestBlockSize(4).ok());
+  ASSERT_TRUE(stack->engine().RequestBlockSize(4).ok());
   for (PageId id = 0; id < 20; ++id) {
-    Result<Bytes> got = rig.engine->Retrieve(id);
+    Result<Bytes> got = stack->engine().Retrieve(id);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, PayloadFor(id));
   }
-  EXPECT_EQ(rig.engine->published_block_size(), 4u);
+  EXPECT_EQ(stack->engine().published_block_size(), 4u);
 }
 
 }  // namespace

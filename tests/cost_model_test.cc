@@ -8,7 +8,7 @@
 #include "core/capprox_pir.h"
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
-#include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::model {
 namespace {
@@ -163,31 +163,22 @@ TEST(CostModelTest, SimulatorCrossValidatesEq8) {
   // per-query time with Eq. 8. The simulator transfers sealed pages
   // (B + 52 bytes), so allow that overhead.
   constexpr size_t kPageSize = 1000;
-  constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
   core::CApproxPir::Options options;
   options.num_pages = 256;
   options.page_size = kPageSize;
   options.cache_pages = 16;
   options.block_size = 16;
-  Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk disk(*slots, kSealedSize);
-  Result<std::unique_ptr<hardware::SecureCoprocessor>> cpu =
-      hardware::SecureCoprocessor::Create(HardwareProfile::Ibm4764(), &disk,
-                                          kPageSize, 5);
-  ASSERT_TRUE(cpu.ok());
-  Result<std::unique_ptr<core::CApproxPir>> engine =
-      core::CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Initialize({}).ok());
+  auto stack = test::LoadedStack(options, 5);
+  core::CApproxPir& engine = stack->engine();
+  hardware::SecureCoprocessor& cpu = stack->cpu();
 
   crypto::SecureRandom rng(6);
-  const auto before = (*cpu)->cost().Snapshot();
+  const auto before = cpu.cost().Snapshot();
   constexpr int kQueries = 100;
   for (int i = 0; i < kQueries; ++i) {
-    ASSERT_TRUE((*engine)->Retrieve(rng.UniformInt(256)).ok());
+    ASSERT_TRUE(engine.Retrieve(rng.UniformInt(256)).ok());
   }
-  const auto delta = (*cpu)->cost().Snapshot() - before;
+  const auto delta = cpu.cost().Snapshot() - before;
   const double simulated = hardware::CostAccountant::Seconds(
                                delta, HardwareProfile::Ibm4764()) /
                            kQueries;

@@ -7,17 +7,16 @@
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "core/security_parameter.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "model/cost_model.h"
-#include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir {
 namespace {
 
 constexpr size_t kPageSize = 1000;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
 
 /// Simulated mean per-query seconds for a (n, m, k) geometry.
 double MeasureQuerySeconds(uint64_t n, uint64_t m, uint64_t k,
@@ -27,22 +26,15 @@ double MeasureQuerySeconds(uint64_t n, uint64_t m, uint64_t k,
   options.page_size = kPageSize;
   options.cache_pages = m;
   options.block_size = k;
-  Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-  SHPIR_CHECK(slots.ok());
-  storage::MemoryDisk disk(*slots, kSealedSize);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, seed);
-  SHPIR_CHECK(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  SHPIR_CHECK(engine.ok());
-  SHPIR_CHECK_OK((*engine)->Initialize({}));
+  auto stack = test::LoadedStack(options, seed);
+  core::CApproxPir& engine = stack->engine();
   crypto::SecureRandom rng(seed + 1);
-  const auto before = (*cpu)->cost().Snapshot();
+  const auto before = stack->cpu().cost().Snapshot();
   constexpr int kQueries = 30;
   for (int i = 0; i < kQueries; ++i) {
-    SHPIR_CHECK((*engine)->Retrieve(rng.UniformInt(n)).ok());
+    SHPIR_CHECK(engine.Retrieve(rng.UniformInt(n)).ok());
   }
-  const auto delta = (*cpu)->cost().Snapshot() - before;
+  const auto delta = stack->cpu().cost().Snapshot() - before;
   return hardware::CostAccountant::Seconds(
              delta, hardware::HardwareProfile::Ibm4764()) /
          kQueries;
@@ -56,24 +48,13 @@ TEST(DeploymentTest, MultiUnitArrayUnlocksBiggerCaches) {
   options.page_size = kPageSize;
   options.cache_pages = 100000;  // 100MB of cache pages.
   options.block_size = 16;
-  Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-
-  storage::MemoryDisk disk1(*slots, kSealedSize);
-  auto one_unit = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk1, kPageSize, 1);
-  ASSERT_TRUE(one_unit.ok());
-  Result<std::unique_ptr<core::CApproxPir>> too_big =
-      core::CApproxPir::Create(one_unit->get(), options);
+  auto too_big = core::EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764(), 1);
   EXPECT_FALSE(too_big.ok());
   EXPECT_EQ(too_big.status().code(), StatusCode::kResourceExhausted);
 
-  storage::MemoryDisk disk2(*slots, kSealedSize);
-  auto two_units = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764Array(2), &disk2, kPageSize, 2);
-  ASSERT_TRUE(two_units.ok());
-  Result<std::unique_ptr<core::CApproxPir>> fits =
-      core::CApproxPir::Create(two_units->get(), options);
+  auto fits = core::EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764Array(2), 2);
   EXPECT_TRUE(fits.ok()) << fits.status();
 }
 

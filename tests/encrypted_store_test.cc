@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "hardware/coprocessor.h"
-#include "storage/access_trace.h"
 #include "storage/disk.h"
 
 namespace shpir::baselines {
@@ -17,7 +16,7 @@ using storage::Page;
 using storage::PageId;
 
 constexpr size_t kPageSize = 24;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+constexpr size_t kSealedSize = storage::PageCipher::SealedSize(kPageSize);
 
 TEST(StaticEncryptedStoreTest, RetrievesCorrectPages) {
   storage::MemoryDisk disk(20, kSealedSize);

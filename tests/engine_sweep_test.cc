@@ -13,13 +13,13 @@
 #include "core/capprox_pir.h"
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
-#include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::core {
 namespace {
 
 constexpr size_t kPageSize = 16;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+constexpr size_t kSealedSize = storage::PageCipher::SealedSize(kPageSize);
 
 using Geometry = std::tuple<uint64_t, uint64_t, uint64_t>;  // n, m, k.
 
@@ -40,30 +40,23 @@ TEST_P(EngineSweepTest, CorrectnessAndConstantCost) {
   options.page_size = kPageSize;
   options.cache_pages = m;
   options.block_size = k;
-  Result<uint64_t> slots = CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok()) << slots.status();
-  storage::MemoryDisk disk(*slots, kSealedSize);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize,
-      n * 1000 + m * 10 + k);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok()) << engine.status();
   std::vector<storage::Page> pages;
   for (storage::PageId id = 0; id < n; ++id) {
     pages.emplace_back(id, PayloadFor(id));
   }
-  ASSERT_TRUE((*engine)->Initialize(pages).ok());
+  auto stack = test::LoadedStack(options, n * 1000 + m * 10 + k, pages);
+  core::CApproxPir& engine = stack->engine();
+  hardware::SecureCoprocessor& cpu = stack->cpu();
 
   crypto::SecureRandom rng(n + m + k);
-  auto prev = (*cpu)->cost().Snapshot();
+  auto prev = cpu.cost().Snapshot();
   const uint64_t queries = 300;
   for (uint64_t i = 0; i < queries; ++i) {
     const storage::PageId id = rng.UniformInt(n);
-    Result<Bytes> data = (*engine)->Retrieve(id);
+    Result<Bytes> data = engine.Retrieve(id);
     ASSERT_TRUE(data.ok()) << "query " << i;
     ASSERT_EQ(*data, PayloadFor(id)) << "query " << i << " id " << id;
-    const auto now = (*cpu)->cost().Snapshot();
+    const auto now = cpu.cost().Snapshot();
     const auto delta = now - prev;
     prev = now;
     ASSERT_EQ(delta.seeks, 4u) << i;
@@ -72,20 +65,20 @@ TEST_P(EngineSweepTest, CorrectnessAndConstantCost) {
 
   // pageMap invariant: uncached locations form a permutation.
   const uint64_t id_space =
-      (*engine)->disk_slots() + (*engine)->cache_pages();
+      engine.disk_slots() + engine.cache_pages();
   std::set<uint64_t> locations;
   uint64_t cached = 0;
   for (storage::PageId id = 0; id < id_space; ++id) {
-    if ((*engine)->DebugIsCached(id)) {
+    if (engine.DebugIsCached(id)) {
       ++cached;
     } else {
-      Result<storage::Location> loc = (*engine)->DebugLocation(id);
+      Result<storage::Location> loc = engine.DebugLocation(id);
       ASSERT_TRUE(loc.ok());
       ASSERT_TRUE(locations.insert(*loc).second);
     }
   }
   EXPECT_EQ(cached, m);
-  EXPECT_EQ(locations.size(), (*engine)->disk_slots());
+  EXPECT_EQ(locations.size(), engine.disk_slots());
 }
 
 INSTANTIATE_TEST_SUITE_P(

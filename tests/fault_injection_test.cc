@@ -4,9 +4,10 @@
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir {
 namespace {
@@ -15,7 +16,7 @@ using storage::Location;
 using storage::MemoryDisk;
 
 constexpr size_t kPageSize = 24;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+constexpr size_t kSealedSize = storage::PageCipher::SealedSize(kPageSize);
 
 /// Disk decorator that starts failing after a budget of operations, or
 /// corrupts reads — simulates media failures under the engine.
@@ -62,8 +63,7 @@ class FaultyDisk : public storage::Disk {
 struct Rig {
   std::unique_ptr<MemoryDisk> inner;
   std::unique_ptr<FaultyDisk> disk;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<core::CApproxPir> engine;
+  std::unique_ptr<core::EngineStack> stack;
 
   static Rig Make(uint64_t seed) {
     core::CApproxPir::Options options;
@@ -76,15 +76,7 @@ struct Rig {
     SHPIR_CHECK(slots.ok());
     rig.inner = std::make_unique<MemoryDisk>(*slots, kSealedSize);
     rig.disk = std::make_unique<FaultyDisk>(rig.inner.get());
-    auto cpu = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), rig.disk.get(), kPageSize,
-        seed);
-    SHPIR_CHECK(cpu.ok());
-    rig.cpu = std::move(cpu).value();
-    auto engine = core::CApproxPir::Create(rig.cpu.get(), options);
-    SHPIR_CHECK(engine.ok());
-    rig.engine = std::move(engine).value();
-    SHPIR_CHECK_OK(rig.engine->Initialize({}));
+    rig.stack = test::LoadedStack(options, seed, {}, nullptr, rig.disk.get());
     return rig;
   }
 };
@@ -92,7 +84,7 @@ struct Rig {
 TEST(FaultInjectionTest, ReadFailureSurfacesAsError) {
   Rig rig = Rig::Make(1);
   rig.disk->FailAfter(0);
-  Result<Bytes> data = rig.engine->Retrieve(0);
+  Result<Bytes> data = rig.stack->engine().Retrieve(0);
   EXPECT_FALSE(data.ok());
   EXPECT_EQ(data.status().code(), StatusCode::kInternal);
 }
@@ -101,17 +93,17 @@ TEST(FaultInjectionTest, MidRoundFailureSurfacesAsError) {
   Rig rig = Rig::Make(2);
   // Fail in the middle of the block read (8 reads + 1 extra + writes).
   rig.disk->FailAfter(3);
-  EXPECT_FALSE(rig.engine->Retrieve(0).ok());
+  EXPECT_FALSE(rig.stack->engine().Retrieve(0).ok());
   // Fail during write-back.
   Rig rig2 = Rig::Make(3);
   rig2.disk->FailAfter(10);  // Past the 9 reads, into the writes.
-  EXPECT_FALSE(rig2.engine->Retrieve(0).ok());
+  EXPECT_FALSE(rig2.stack->engine().Retrieve(0).ok());
 }
 
 TEST(FaultInjectionTest, CorruptedCiphertextDetectedAsDataLoss) {
   Rig rig = Rig::Make(4);
   rig.disk->CorruptReads(true);
-  Result<Bytes> data = rig.engine->Retrieve(0);
+  Result<Bytes> data = rig.stack->engine().Retrieve(0);
   EXPECT_FALSE(data.ok());
   EXPECT_EQ(data.status().code(), StatusCode::kDataLoss);
 }
@@ -119,12 +111,12 @@ TEST(FaultInjectionTest, CorruptedCiphertextDetectedAsDataLoss) {
 TEST(FaultInjectionTest, RecoversWhenFaultClears) {
   Rig rig = Rig::Make(5);
   rig.disk->CorruptReads(true);
-  EXPECT_FALSE(rig.engine->Retrieve(0).ok());
+  EXPECT_FALSE(rig.stack->engine().Retrieve(0).ok());
   rig.disk->CorruptReads(false);
   // A transient MAC failure during the read phase did not mutate any
   // state: the engine keeps serving (the round-robin cursor advanced,
   // which is harmless).
-  Result<Bytes> data = rig.engine->Retrieve(0);
+  Result<Bytes> data = rig.stack->engine().Retrieve(0);
   EXPECT_TRUE(data.ok()) << data.status();
 }
 
@@ -139,12 +131,10 @@ TEST(FaultInjectionTest, InitializeFailureSurfaces) {
   MemoryDisk inner(*slots, kSealedSize);
   FaultyDisk disk(&inner);
   disk.FailAfter(0);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, 6);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_FALSE((*engine)->Initialize({}).ok());
+  auto stack = core::EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764(), 6, &disk);
+  ASSERT_TRUE(stack.ok()) << stack.status();
+  EXPECT_FALSE((*stack)->engine().Initialize({}).ok());
 }
 
 }  // namespace

@@ -10,12 +10,13 @@
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
 #include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::analysis {
 namespace {
 
 constexpr size_t kPageSize = 16;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+constexpr size_t kSealedSize = storage::PageCipher::SealedSize(kPageSize);
 constexpr uint64_t kN = 64;
 
 /// Zipf-ish workload generator with the adversary's matching prior.
@@ -79,26 +80,18 @@ TEST(FrequencyAttackTest, CApproxEngineResists) {
   options.page_size = kPageSize;
   options.cache_pages = 8;
   options.block_size = 8;
-  auto slots = core::CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk disk(*slots, kSealedSize);
   storage::AccessTrace trace;
-  storage::TracingDisk tracing_disk(&disk, &trace);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &tracing_disk, kPageSize, 3);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options, &trace);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Initialize({}).ok());
+  auto stack = test::LoadedStack(options, 3, {}, &trace);
+  core::CApproxPir& engine = stack->engine();
 
   Workload workload(4);
   std::vector<storage::PageId> truth;
-  const uint64_t k = (*engine)->block_size();
+  const uint64_t k = engine.block_size();
   size_t cursor = trace.events().size();
   std::vector<storage::Location> observed;
   for (int i = 0; i < 20000; ++i) {
     const storage::PageId id = workload.Next();
-    ASSERT_TRUE((*engine)->Retrieve(id).ok());
+    ASSERT_TRUE(engine.Retrieve(id).ok());
     truth.push_back(id);
     // The data-dependent access is the (k+1)-th read of the request.
     uint64_t reads = 0;

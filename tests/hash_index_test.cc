@@ -8,8 +8,7 @@
 #include "common/check.h"
 #include "core/capprox_pir.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
-#include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::index {
 namespace {
@@ -142,17 +141,10 @@ TEST(HashIndexTest, WorksOverCApproxPir) {
   options.page_size = kPageSize;
   options.cache_pages = 16;
   options.privacy_c = 2.0;
-  auto slots = core::CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk disk(*slots, 12 + 8 + kPageSize + 32);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, 13);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Initialize(*pages).ok());
+  auto stack = test::LoadedStack(options, 13, *pages);
+  core::CApproxPir& engine = stack->engine();
 
-  auto index = HashIndex::Open(engine->get());
+  auto index = HashIndex::Open(&engine);
   ASSERT_TRUE(index.ok());
   crypto::SecureRandom rng(14);
   for (int i = 0; i < 100; ++i) {

@@ -8,13 +8,12 @@
 
 #include "common/check.h"
 #include "common/secret.h"
-#include "core/capprox_pir.h"
-#include "hardware/coprocessor.h"
+#include "core/engine_stack.h"
 #include "keyword/keyword_cuckoo.h"
 #include "keyword/keyword_fuse.h"
 #include "storage/access_trace.h"
-#include "storage/disk.h"
 #include "workload/workload.h"
+#include "test_stack.h"
 
 namespace shpir::keyword {
 namespace {
@@ -36,11 +35,8 @@ std::vector<KeyValue> MakeEntries(uint64_t count) {
 /// A keyword store served by a real c-approximate engine behind a
 /// tracing disk — the adversary's full view of each lookup.
 struct Rig {
-  std::unique_ptr<storage::MemoryDisk> disk;
-  std::unique_ptr<storage::TracingDisk> tracing_disk;
   storage::AccessTrace trace;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<core::CApproxPir> engine;
+  std::unique_ptr<core::EngineStack> stack;
   std::unique_ptr<KeywordClient> client;
 
   static Rig Make(const BuiltKeywordStore& store, uint64_t seed = 42) {
@@ -50,24 +46,9 @@ struct Rig {
     options.page_size = store.map->page_size();
     options.cache_pages = 8;
     options.block_size = 8;
-    const size_t sealed = 12 + 8 + options.page_size + 32;
-    Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-    SHPIR_CHECK(slots.ok());
-    rig.disk = std::make_unique<storage::MemoryDisk>(*slots, sealed);
-    rig.tracing_disk =
-        std::make_unique<storage::TracingDisk>(rig.disk.get(), &rig.trace);
-    auto cpu = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), rig.tracing_disk.get(),
-        options.page_size, seed);
-    SHPIR_CHECK(cpu.ok());
-    rig.cpu = std::move(cpu).value();
-    auto engine =
-        core::CApproxPir::Create(rig.cpu.get(), options, &rig.trace);
-    SHPIR_CHECK(engine.ok());
-    rig.engine = std::move(engine).value();
-    SHPIR_CHECK_OK(rig.engine->Initialize(store.pages));
+    rig.stack = test::LoadedStack(options, seed, store.pages, &rig.trace);
     auto client = KeywordClient::Create(
-        store.manifest, KeywordClient::EngineFetch(rig.engine.get()));
+        store.manifest, KeywordClient::EngineFetch(&rig.stack->engine()));
     SHPIR_CHECK(client.ok());
     rig.client = std::move(client).value();
     return rig;

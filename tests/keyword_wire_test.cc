@@ -8,9 +8,9 @@
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "core/thread_safe_engine.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "keyword/keyword_cuckoo.h"
 #include "keyword/keyword_map.h"
 #include "net/remote_disk.h"
@@ -18,6 +18,7 @@
 #include "net/storage_server.h"
 #include "storage/disk.h"
 #include "workload/workload.h"
+#include "test_stack.h"
 
 namespace shpir::net {
 namespace {
@@ -169,12 +170,9 @@ TEST(KeywordManifestStorageTest, RejectsMalformedRequestPayloads) {
 // --- Sealed service protocol (client <-> secure hardware) -------------
 
 constexpr size_t kPageSize = 32;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
 
 struct ServiceRig {
-  std::unique_ptr<storage::MemoryDisk> disk;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<core::CApproxPir> engine;
+  std::unique_ptr<core::EngineStack> stack;
   /// The hub's engine must take concurrent calls; this serializes them.
   std::unique_ptr<core::ThreadSafeEngine> safe;
   std::unique_ptr<ServiceHub> hub;
@@ -188,23 +186,12 @@ struct ServiceRig {
     options.cache_pages = 4;
     options.block_size = 8;
     ServiceRig rig;
-    Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-    SHPIR_CHECK(slots.ok());
-    rig.disk = std::make_unique<storage::MemoryDisk>(*slots, kSealedSize);
-    auto cpu = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), rig.disk.get(), kPageSize,
-        seed);
-    SHPIR_CHECK(cpu.ok());
-    rig.cpu = std::move(cpu).value();
-    auto engine = core::CApproxPir::Create(rig.cpu.get(), options);
-    SHPIR_CHECK(engine.ok());
-    rig.engine = std::move(engine).value();
     std::vector<storage::Page> pages;
     for (uint64_t id = 0; id < 40; ++id) {
       pages.emplace_back(id, Bytes(kPageSize, static_cast<uint8_t>(id + 1)));
     }
-    SHPIR_CHECK_OK(rig.engine->Initialize(pages));
-    rig.safe = std::make_unique<core::ThreadSafeEngine>(rig.engine.get());
+    rig.stack = test::LoadedStack(options, seed, pages);
+    rig.safe = std::make_unique<core::ThreadSafeEngine>(&rig.stack->engine());
     rig.hub = std::make_unique<ServiceHub>(
         rig.safe.get(), rig.psk, seed + 1, /*metrics=*/nullptr,
         /*tracer=*/nullptr, /*admin=*/nullptr, std::move(provider));
@@ -279,7 +266,7 @@ TEST(KeywordManifestServiceTest, RejectsMalformedSealedPayloads) {
                                client_nonce, server_nonce);
   ASSERT_TRUE(client_session.ok());
   ASSERT_TRUE(server_session.ok());
-  PirServiceServer server(rig.engine.get(),
+  PirServiceServer server(&rig.stack->engine(),
                           std::move(server_session).value(),
                           /*tracer=*/nullptr, /*admin=*/nullptr,
                           [published]() { return published; });

@@ -6,53 +6,17 @@
 
 #include "common/check.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
-#include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::analysis {
 namespace {
 
-constexpr size_t kPageSize = 16;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
-
-struct Rig {
-  std::unique_ptr<storage::MemoryDisk> disk;
-  storage::AccessTrace trace;
-  std::unique_ptr<storage::TracingDisk> tracing_disk;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<core::CApproxPir> engine;
-
-  static Rig Make(uint64_t n, uint64_t m, uint64_t k, uint64_t seed) {
-    core::CApproxPir::Options options;
-    options.num_pages = n;
-    options.page_size = kPageSize;
-    options.cache_pages = m;
-    options.block_size = k;
-    Rig rig;
-    Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-    SHPIR_CHECK(slots.ok());
-    rig.disk = std::make_unique<storage::MemoryDisk>(*slots, kSealedSize);
-    rig.tracing_disk =
-        std::make_unique<storage::TracingDisk>(rig.disk.get(), &rig.trace);
-    auto cpu = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), rig.tracing_disk.get(),
-        kPageSize, seed);
-    SHPIR_CHECK(cpu.ok());
-    rig.cpu = std::move(cpu).value();
-    auto engine = core::CApproxPir::Create(rig.cpu.get(), options,
-                                           &rig.trace);
-    SHPIR_CHECK(engine.ok());
-    rig.engine = std::move(engine).value();
-    SHPIR_CHECK_OK(rig.engine->Initialize({}));
-    return rig;
-  }
-};
-
 TEST(LinkageAttackTest, ReportsAreConsistent) {
-  Rig rig = Rig::Make(128, 8, 8, 1);
+  storage::AccessTrace trace;
+  auto stack = test::ZeroFilledStack(&trace, 128, 8, 8, 1);
   crypto::SecureRandom workload(2);
   Result<LinkageAttackReport> report = RunLinkageAttack(
-      *rig.engine, rig.trace, 2000, [&]() { return workload.UniformInt(128); });
+      stack->engine(), trace, 2000, [&]() { return workload.UniformInt(128); });
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->requests, 2000u);
   EXPECT_LE(report->correct, report->guesses);
@@ -64,10 +28,11 @@ TEST(LinkageAttackTest, ReportsAreConsistent) {
 TEST(LinkageAttackTest, AttackNeverReachesCertainty) {
   // Even the strongest linkage heuristic stays far from precision 1 on
   // a uniform workload: the c-approximate smearing works.
-  Rig rig = Rig::Make(128, 16, 16, 3);
+  storage::AccessTrace trace;
+  auto stack = test::ZeroFilledStack(&trace, 128, 16, 16, 3);
   crypto::SecureRandom workload(4);
   Result<LinkageAttackReport> report = RunLinkageAttack(
-      *rig.engine, rig.trace, 4000,
+      stack->engine(), trace, 4000,
       [&]() { return workload.UniformInt(128); });
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->guesses, 100u);  // The adversary does try.
@@ -81,18 +46,20 @@ TEST(LinkageAttackTest, LargerBlocksWeakenTheAttack) {
   double precision_small_k;
   double precision_large_k;
   {
-    Rig rig = Rig::Make(256, 8, 8, 5);  // T = 32.
+    storage::AccessTrace trace;
+    auto stack = test::ZeroFilledStack(&trace, 256, 8, 8, 5);  // T = 32.
     crypto::SecureRandom workload(6);
-    auto report = RunLinkageAttack(*rig.engine, rig.trace, 6000, [&]() {
+    auto report = RunLinkageAttack(stack->engine(), trace, 6000, [&]() {
       return workload.UniformInt(256);
     });
     ASSERT_TRUE(report.ok());
     precision_small_k = report->precision();
   }
   {
-    Rig rig = Rig::Make(256, 8, 64, 7);  // T = 4.
+    storage::AccessTrace trace;
+    auto stack = test::ZeroFilledStack(&trace, 256, 8, 64, 7);  // T = 4.
     crypto::SecureRandom workload(8);
-    auto report = RunLinkageAttack(*rig.engine, rig.trace, 6000, [&]() {
+    auto report = RunLinkageAttack(stack->engine(), trace, 6000, [&]() {
       return workload.UniformInt(256);
     });
     ASSERT_TRUE(report.ok());
@@ -107,20 +74,22 @@ TEST(LinkageAttackTest, RepeatHeavyWorkloadIsTheWorstCase) {
   double uniform_precision;
   double repeat_precision;
   {
-    Rig rig = Rig::Make(128, 8, 8, 9);
+    storage::AccessTrace trace;
+    auto stack = test::ZeroFilledStack(&trace, 128, 8, 8, 9);
     crypto::SecureRandom workload(10);
-    auto report = RunLinkageAttack(*rig.engine, rig.trace, 4000, [&]() {
+    auto report = RunLinkageAttack(stack->engine(), trace, 4000, [&]() {
       return workload.UniformInt(128);
     });
     ASSERT_TRUE(report.ok());
     uniform_precision = report->precision();
   }
   {
-    Rig rig = Rig::Make(128, 8, 8, 11);
+    storage::AccessTrace trace;
+    auto stack = test::ZeroFilledStack(&trace, 128, 8, 8, 11);
     crypto::SecureRandom workload(12);
     // Ping-pong over two hot pages.
     uint64_t i = 0;
-    auto report = RunLinkageAttack(*rig.engine, rig.trace, 4000, [&]() {
+    auto report = RunLinkageAttack(stack->engine(), trace, 4000, [&]() {
       return (i++ / 2) % 2;
     });
     ASSERT_TRUE(report.ok());

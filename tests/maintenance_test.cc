@@ -5,10 +5,10 @@
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "core/thread_safe_engine.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
-#include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::core {
 namespace {
@@ -17,85 +17,67 @@ using storage::Page;
 using storage::PageId;
 
 constexpr size_t kPageSize = 24;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+constexpr size_t kSealedSize = storage::PageCipher::SealedSize(kPageSize);
 
 Bytes PayloadFor(PageId id) {
   return Bytes(kPageSize, static_cast<uint8_t>(id * 7 + 1));
 }
 
-struct Rig {
-  std::unique_ptr<storage::MemoryDisk> disk;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<CApproxPir> engine;
-
-  static Rig Make(uint64_t seed, uint64_t reserve = 8) {
-    CApproxPir::Options options;
-    options.num_pages = 60;
-    options.page_size = kPageSize;
-    options.cache_pages = 8;
-    options.block_size = 8;
-    options.insert_reserve = reserve;
-    Rig rig;
-    Result<uint64_t> slots = CApproxPir::DiskSlots(options);
-    SHPIR_CHECK(slots.ok());
-    rig.disk = std::make_unique<storage::MemoryDisk>(*slots, kSealedSize);
-    auto cpu = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), rig.disk.get(), kPageSize,
-        seed);
-    SHPIR_CHECK(cpu.ok());
-    rig.cpu = std::move(cpu).value();
-    auto engine = CApproxPir::Create(rig.cpu.get(), options);
-    SHPIR_CHECK(engine.ok());
-    rig.engine = std::move(engine).value();
-    std::vector<Page> pages;
-    for (PageId id = 0; id < 60; ++id) {
-      pages.emplace_back(id, PayloadFor(id));
-    }
-    SHPIR_CHECK_OK(rig.engine->Initialize(pages));
-    return rig;
+/// A stack loaded with PayloadFor(id) at all 60 page ids.
+std::unique_ptr<EngineStack> MakeStack(uint64_t seed, uint64_t reserve = 8) {
+  CApproxPir::Options options;
+  options.num_pages = 60;
+  options.page_size = kPageSize;
+  options.cache_pages = 8;
+  options.block_size = 8;
+  options.insert_reserve = reserve;
+  std::vector<Page> pages;
+  for (PageId id = 0; id < 60; ++id) {
+    pages.emplace_back(id, PayloadFor(id));
   }
-};
+  return test::LoadedStack(options, seed, pages);
+}
 
 TEST(OfflineReshuffleTest, PreservesLivePages) {
-  Rig rig = Rig::Make(1);
+  auto stack = MakeStack(1);
   crypto::SecureRandom rng(2);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(rng.UniformInt(60)).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(rng.UniformInt(60)).ok());
   }
-  ASSERT_TRUE(rig.engine->OfflineReshuffle().ok());
+  ASSERT_TRUE(stack->engine().OfflineReshuffle().ok());
   for (PageId id = 0; id < 60; ++id) {
-    ASSERT_EQ(*rig.engine->Retrieve(id), PayloadFor(id)) << id;
+    ASSERT_EQ(*stack->engine().Retrieve(id), PayloadFor(id)) << id;
   }
 }
 
 TEST(OfflineReshuffleTest, DestroysDeadContentAndKeepsSparesUsable) {
-  Rig rig = Rig::Make(3);
-  ASSERT_TRUE(rig.engine->Remove(5).ok());
-  ASSERT_TRUE(rig.engine->Remove(6).ok());
-  ASSERT_TRUE(rig.engine->OfflineReshuffle().ok());
-  EXPECT_FALSE(rig.engine->Retrieve(5).ok());
+  auto stack = MakeStack(3);
+  ASSERT_TRUE(stack->engine().Remove(5).ok());
+  ASSERT_TRUE(stack->engine().Remove(6).ok());
+  ASSERT_TRUE(stack->engine().OfflineReshuffle().ok());
+  EXPECT_FALSE(stack->engine().Retrieve(5).ok());
   // The purged slots can still back future inserts.
-  Result<PageId> id = rig.engine->Insert(PayloadFor(99));
+  Result<PageId> id = stack->engine().Insert(PayloadFor(99));
   ASSERT_TRUE(id.ok());
-  EXPECT_EQ(*rig.engine->Retrieve(*id), PayloadFor(99));
+  EXPECT_EQ(*stack->engine().Retrieve(*id), PayloadFor(99));
   // Other pages intact.
-  EXPECT_EQ(*rig.engine->Retrieve(7), PayloadFor(7));
+  EXPECT_EQ(*stack->engine().Retrieve(7), PayloadFor(7));
 }
 
 TEST(OfflineReshuffleTest, MovesPages) {
-  Rig rig = Rig::Make(4);
+  auto stack = MakeStack(4);
   // Record locations of all uncached pages, reshuffle, compare.
   std::vector<std::pair<PageId, storage::Location>> before;
   for (PageId id = 0; id < 60; ++id) {
-    if (!rig.engine->DebugIsCached(id)) {
-      before.emplace_back(id, *rig.engine->DebugLocation(id));
+    if (!stack->engine().DebugIsCached(id)) {
+      before.emplace_back(id, *stack->engine().DebugLocation(id));
     }
   }
-  ASSERT_TRUE(rig.engine->OfflineReshuffle().ok());
+  ASSERT_TRUE(stack->engine().OfflineReshuffle().ok());
   int moved = 0;
   for (const auto& [id, loc] : before) {
-    if (rig.engine->DebugIsCached(id) ||
-        *rig.engine->DebugLocation(id) != loc) {
+    if (stack->engine().DebugIsCached(id) ||
+        *stack->engine().DebugLocation(id) != loc) {
       ++moved;
     }
   }
@@ -104,68 +86,69 @@ TEST(OfflineReshuffleTest, MovesPages) {
 }
 
 TEST(OfflineReshuffleTest, ResetsScanCursor) {
-  Rig rig = Rig::Make(5);
-  ASSERT_TRUE(rig.engine->Retrieve(0).ok());
-  ASSERT_TRUE(rig.engine->Retrieve(1).ok());
-  ASSERT_TRUE(rig.engine->OfflineReshuffle().ok());
+  auto stack = MakeStack(5);
+  ASSERT_TRUE(stack->engine().Retrieve(0).ok());
+  ASSERT_TRUE(stack->engine().Retrieve(1).ok());
+  ASSERT_TRUE(stack->engine().OfflineReshuffle().ok());
   // Next query scans block 0 again: check via cost/trace-free proxy —
   // the engine still answers correctly for a full scan period.
-  for (uint64_t i = 0; i < rig.engine->scan_period() + 1; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(i % 60).ok());
+  for (uint64_t i = 0; i < stack->engine().scan_period() + 1; ++i) {
+    ASSERT_TRUE(stack->engine().Retrieve(i % 60).ok());
   }
 }
 
 TEST(KeyRotationTest, PagesSurviveRotation) {
-  Rig rig = Rig::Make(10);
+  auto stack = MakeStack(10);
   crypto::SecureRandom rng(11);
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(rng.UniformInt(60)).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(rng.UniformInt(60)).ok());
   }
-  ASSERT_TRUE(rig.engine->RotateKeys().ok());
+  ASSERT_TRUE(stack->engine().RotateKeys().ok());
   for (PageId id = 0; id < 60; ++id) {
-    ASSERT_EQ(*rig.engine->Retrieve(id), PayloadFor(id)) << id;
+    ASSERT_EQ(*stack->engine().Retrieve(id), PayloadFor(id)) << id;
   }
 }
 
 TEST(KeyRotationTest, OldCiphertextsUnreadableAfterRotation) {
-  Rig rig = Rig::Make(12);
+  auto stack = MakeStack(12);
   // Keep a pre-rotation sealed slot.
   Bytes old_slot(kSealedSize);
-  ASSERT_TRUE(rig.disk->Read(0, old_slot).ok());
-  ASSERT_TRUE(rig.engine->RotateKeys().ok());
+  ASSERT_TRUE(stack->cpu().disk()->Read(0, old_slot).ok());
+  ASSERT_TRUE(stack->engine().RotateKeys().ok());
   // The retained old ciphertext no longer verifies under the new keys.
-  Result<Page> opened = rig.cpu->OpenPage(old_slot);
+  Result<Page> opened = stack->cpu().OpenPage(old_slot);
   EXPECT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(KeyRotationTest, RotationChangesAllCiphertexts) {
-  Rig rig = Rig::Make(13);
-  std::vector<Bytes> before(rig.disk->num_slots(), Bytes(kSealedSize));
-  for (uint64_t i = 0; i < rig.disk->num_slots(); ++i) {
-    ASSERT_TRUE(rig.disk->Read(i, before[i]).ok());
+  auto stack = MakeStack(13);
+  storage::Disk& disk = *stack->cpu().disk();
+  std::vector<Bytes> before(disk.num_slots(), Bytes(kSealedSize));
+  for (uint64_t i = 0; i < disk.num_slots(); ++i) {
+    ASSERT_TRUE(disk.Read(i, before[i]).ok());
   }
-  ASSERT_TRUE(rig.engine->RotateKeys().ok());
-  for (uint64_t i = 0; i < rig.disk->num_slots(); ++i) {
+  ASSERT_TRUE(stack->engine().RotateKeys().ok());
+  for (uint64_t i = 0; i < disk.num_slots(); ++i) {
     Bytes after(kSealedSize);
-    ASSERT_TRUE(rig.disk->Read(i, after).ok());
+    ASSERT_TRUE(disk.Read(i, after).ok());
     EXPECT_NE(after, before[i]) << "slot " << i;
   }
 }
 
 TEST(KeyRotationTest, UpdatesComposeWithRotation) {
-  Rig rig = Rig::Make(14);
-  ASSERT_TRUE(rig.engine->Modify(3, PayloadFor(300)).ok());
-  ASSERT_TRUE(rig.engine->RotateKeys().ok());
-  EXPECT_EQ(*rig.engine->Retrieve(3), PayloadFor(300));
-  ASSERT_TRUE(rig.engine->Remove(4).ok());
-  ASSERT_TRUE(rig.engine->RotateKeys().ok());
-  EXPECT_FALSE(rig.engine->Retrieve(4).ok());
+  auto stack = MakeStack(14);
+  ASSERT_TRUE(stack->engine().Modify(3, PayloadFor(300)).ok());
+  ASSERT_TRUE(stack->engine().RotateKeys().ok());
+  EXPECT_EQ(*stack->engine().Retrieve(3), PayloadFor(300));
+  ASSERT_TRUE(stack->engine().Remove(4).ok());
+  ASSERT_TRUE(stack->engine().RotateKeys().ok());
+  EXPECT_FALSE(stack->engine().Retrieve(4).ok());
 }
 
 TEST(ThreadSafeEngineTest, ConcurrentRetrievesStayCorrect) {
-  Rig rig = Rig::Make(6);
-  ThreadSafeEngine safe(rig.engine.get());
+  auto stack = MakeStack(6);
+  ThreadSafeEngine safe(&stack->engine());
   constexpr int kThreads = 4;
   constexpr int kPerThread = 100;
   std::vector<std::thread> threads;
@@ -188,16 +171,16 @@ TEST(ThreadSafeEngineTest, ConcurrentRetrievesStayCorrect) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(failures[t], 0) << "thread " << t;
   }
-  EXPECT_EQ(rig.engine->stats().queries,
+  EXPECT_EQ(stack->engine().stats().queries,
             static_cast<uint64_t>(kThreads * kPerThread));
 }
 
 TEST(ThreadSafeEngineTest, ForwardsMetadata) {
-  Rig rig = Rig::Make(7);
-  ThreadSafeEngine safe(rig.engine.get());
-  EXPECT_EQ(safe.num_pages(), rig.engine->num_pages());
-  EXPECT_EQ(safe.page_size(), rig.engine->page_size());
-  EXPECT_STREQ(safe.name(), rig.engine->name());
+  auto stack = MakeStack(7);
+  ThreadSafeEngine safe(&stack->engine());
+  EXPECT_EQ(safe.num_pages(), stack->engine().num_pages());
+  EXPECT_EQ(safe.page_size(), stack->engine().page_size());
+  EXPECT_STREQ(safe.name(), stack->engine().name());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
 #include "net/remote_disk.h"
@@ -215,7 +216,6 @@ TEST(TwoPartyTest, FullPirStackOverTheWire) {
   // The paper's two-party model: owner-side coprocessor + engine over a
   // RemoteDisk; provider sees only sealed pages.
   constexpr size_t kPageSize = 24;
-  constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
   core::CApproxPir::Options options;
   options.num_pages = 40;
   options.page_size = kPageSize;
@@ -224,49 +224,47 @@ TEST(TwoPartyTest, FullPirStackOverTheWire) {
   Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
   ASSERT_TRUE(slots.ok());
 
-  storage::MemoryDisk provider_disk(*slots, kSealedSize);
+  storage::MemoryDisk provider_disk(
+      *slots, storage::PageCipher::SealedSize(kPageSize));
   StorageServer server(&provider_disk);
   DirectTransport transport(&server);
   Result<std::unique_ptr<RemoteDisk>> remote = RemoteDisk::Connect(&transport);
   ASSERT_TRUE(remote.ok());
 
-  Result<std::unique_ptr<hardware::SecureCoprocessor>> cpu =
-      hardware::SecureCoprocessor::Create(
-          hardware::HardwareProfile::TwoPartyOwner(64 * hardware::kMB),
-          remote->get(), kPageSize, 9);
-  ASSERT_TRUE(cpu.ok());
-  (*remote)->set_accountant(&(*cpu)->cost());
+  auto stack = core::EngineStack::Create(
+      options, hardware::HardwareProfile::TwoPartyOwner(64 * hardware::kMB),
+      9, remote->get());
+  ASSERT_TRUE(stack.ok()) << stack.status();
+  core::CApproxPir& engine = (*stack)->engine();
+  hardware::SecureCoprocessor& cpu = (*stack)->cpu();
+  (*remote)->set_accountant(&cpu.cost());
 
-  Result<std::unique_ptr<core::CApproxPir>> engine =
-      core::CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok()) << engine.status();
   std::vector<storage::Page> pages;
   for (uint64_t id = 0; id < 40; ++id) {
     pages.emplace_back(id, Bytes(kPageSize, static_cast<uint8_t>(id)));
   }
-  ASSERT_TRUE((*engine)->Initialize(pages).ok());
+  ASSERT_TRUE(engine.Initialize(pages).ok());
 
-  const auto before = (*cpu)->cost().Snapshot();
-  const double setup_seconds = (*cpu)->ElapsedSeconds();
+  const auto before = cpu.cost().Snapshot();
+  const double setup_seconds = cpu.ElapsedSeconds();
   crypto::SecureRandom rng(10);
   for (int i = 0; i < 100; ++i) {
     const uint64_t id = rng.UniformInt(40);
-    Result<Bytes> data = (*engine)->Retrieve(id);
+    Result<Bytes> data = engine.Retrieve(id);
     ASSERT_TRUE(data.ok());
     EXPECT_EQ(*data, Bytes(kPageSize, static_cast<uint8_t>(id)));
   }
   // Each query is the paper's two round trips: one READ_PLAN carrying
   // the block and the extra page, then one WRITE_PLAN writing them back.
-  const auto queries = (*cpu)->cost().Snapshot() - before;
+  const auto queries = cpu.cost().Snapshot() - before;
   EXPECT_EQ(queries.network_round_trips, 100u * 2u);
   EXPECT_GT(queries.network_bytes, 0u);
   // Simulated time includes the RTT term: 50 ms per round trip.
-  EXPECT_GT((*cpu)->ElapsedSeconds() - setup_seconds, 100 * 2 * 0.050);
+  EXPECT_GT(cpu.ElapsedSeconds() - setup_seconds, 100 * 2 * 0.050);
 }
 
 TEST(TwoPartyTest, PerQueryNetworkCostIsConstant) {
   constexpr size_t kPageSize = 24;
-  constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
   core::CApproxPir::Options options;
   options.num_pages = 30;
   options.page_size = kPageSize;
@@ -274,29 +272,28 @@ TEST(TwoPartyTest, PerQueryNetworkCostIsConstant) {
   options.block_size = 6;
   Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
   ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk provider_disk(*slots, kSealedSize);
+  storage::MemoryDisk provider_disk(
+      *slots, storage::PageCipher::SealedSize(kPageSize));
   StorageServer server(&provider_disk);
   DirectTransport transport(&server);
   Result<std::unique_ptr<RemoteDisk>> remote = RemoteDisk::Connect(&transport);
   ASSERT_TRUE(remote.ok());
-  Result<std::unique_ptr<hardware::SecureCoprocessor>> cpu =
-      hardware::SecureCoprocessor::Create(
-          hardware::HardwareProfile::TwoPartyOwner(64 * hardware::kMB),
-          remote->get(), kPageSize, 11);
-  ASSERT_TRUE(cpu.ok());
-  (*remote)->set_accountant(&(*cpu)->cost());
-  Result<std::unique_ptr<core::CApproxPir>> engine =
-      core::CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Initialize({}).ok());
+  auto stack = core::EngineStack::Create(
+      options, hardware::HardwareProfile::TwoPartyOwner(64 * hardware::kMB),
+      11, remote->get());
+  ASSERT_TRUE(stack.ok()) << stack.status();
+  core::CApproxPir& engine = (*stack)->engine();
+  hardware::SecureCoprocessor& cpu = (*stack)->cpu();
+  (*remote)->set_accountant(&cpu.cost());
+  ASSERT_TRUE(engine.Initialize({}).ok());
 
   crypto::SecureRandom rng(12);
-  auto prev = (*cpu)->cost().Snapshot();
+  auto prev = cpu.cost().Snapshot();
   uint64_t first_rtts = 0;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE((*engine)->Retrieve(rng.UniformInt(30)).ok());
-    const auto delta = (*cpu)->cost().Snapshot() - prev;
-    prev = (*cpu)->cost().Snapshot();
+    ASSERT_TRUE(engine.Retrieve(rng.UniformInt(30)).ok());
+    const auto delta = cpu.cost().Snapshot() - prev;
+    prev = cpu.cost().Snapshot();
     if (i == 0) {
       first_rtts = delta.network_round_trips;
     }
@@ -514,10 +511,13 @@ TEST(StorageServerTest, PlansAreTracedAndProfiledUnderTheirOwnNames) {
 
 /// The owner's seeded device and engine, either over RemoteDisk ->
 /// DirectTransport -> StorageServer on a provider disk (Remote), or
-/// straight over that disk (Local).
+/// straight over that disk (Local). Not a core::EngineStack: the engine
+/// only marks requests in `trace`, which the caller records at the
+/// provider's disk; a stack would record them again at the device.
 struct OwnerRig {
   static constexpr size_t kPageSize = 24;
-  static constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+  static constexpr size_t kSealedSize =
+      storage::PageCipher::SealedSize(kPageSize);
 
   static core::CApproxPir::Options Options() {
     core::CApproxPir::Options options;

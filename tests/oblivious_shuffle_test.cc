@@ -94,7 +94,8 @@ TEST(BatcherNetworkTest, PairsAreInBoundsAndOrdered) {
 class ObliviousShuffleTest : public ::testing::Test {
  protected:
   static constexpr size_t kPageSize = 16;
-  static constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+  static constexpr size_t kSealedSize =
+      storage::PageCipher::SealedSize(kPageSize);
 
   // Builds a coprocessor over `n` slots, loading page id i into slot i.
   void Setup(uint64_t n, uint64_t seed) {

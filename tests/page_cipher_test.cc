@@ -30,6 +30,15 @@ TEST(PageCipherTest, SealedSizeLayout) {
   PageCipher cipher = MakeCipher(100);
   // nonce (12) + id (8) + payload (100) + tag (32).
   EXPECT_EQ(cipher.sealed_size(), 152u);
+  static_assert(PageCipher::SealedSize(100) == 152);
+  crypto::SecureRandom rng(5);
+  for (size_t page_size : {size_t{1}, size_t{34}, size_t{256}, size_t{1024}}) {
+    Result<Bytes> sealed =
+        MakeCipher(page_size).Seal(Page(9, Bytes(page_size, 0x7e)), rng);
+    ASSERT_TRUE(sealed.ok());
+    EXPECT_EQ(PageCipher::SealedSize(page_size), sealed->size())
+        << "page size " << page_size;
+  }
 }
 
 TEST(PageCipherTest, ResealingIsUnlinkable) {

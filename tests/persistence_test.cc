@@ -5,11 +5,12 @@
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "crypto/blob_cipher.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "storage/disk.h"
 #include "storage/file_disk.h"
+#include "test_stack.h"
 
 namespace shpir::core {
 namespace {
@@ -18,7 +19,7 @@ using storage::Page;
 using storage::PageId;
 
 constexpr size_t kPageSize = 32;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+constexpr size_t kSealedSize = storage::PageCipher::SealedSize(kPageSize);
 constexpr uint64_t kDeviceSeed = 777;
 
 CApproxPir::Options MakeOptions() {
@@ -33,6 +34,17 @@ CApproxPir::Options MakeOptions() {
 
 Bytes PayloadFor(PageId id) { return Bytes(kPageSize, static_cast<uint8_t>(id + 1)); }
 
+/// A stack for `options` whose device is seeded with `seed`, over `disk`
+/// (a restarted session's) or, when null, a fresh in-memory disk.
+std::unique_ptr<EngineStack> MakeStack(
+    uint64_t seed, storage::Disk* disk = nullptr,
+    const CApproxPir::Options& options = MakeOptions()) {
+  auto stack = EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764(), seed, disk);
+  SHPIR_CHECK(stack.ok());
+  return std::move(stack).value();
+}
+
 TEST(PersistenceTest, StateRoundTripsAcrossEngineInstances) {
   const CApproxPir::Options options = MakeOptions();
   Result<uint64_t> slots = CApproxPir::DiskSlots(options);
@@ -41,38 +53,32 @@ TEST(PersistenceTest, StateRoundTripsAcrossEngineInstances) {
 
   Bytes state;
   {
-    auto cpu = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, kDeviceSeed);
-    ASSERT_TRUE(cpu.ok());
-    auto engine = CApproxPir::Create(cpu->get(), options);
-    ASSERT_TRUE(engine.ok());
+    std::unique_ptr<EngineStack> stack = MakeStack(kDeviceSeed, &disk);
+    CApproxPir& engine = stack->engine();
     std::vector<Page> pages;
     for (PageId id = 0; id < options.num_pages; ++id) {
       pages.emplace_back(id, PayloadFor(id));
     }
-    ASSERT_TRUE((*engine)->Initialize(pages).ok());
+    ASSERT_TRUE(engine.Initialize(pages).ok());
     // Churn, plus an update and a delete so the state is non-trivial.
     crypto::SecureRandom rng(1);
     for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE((*engine)->Retrieve(rng.UniformInt(40)).ok());
+      ASSERT_TRUE(engine.Retrieve(rng.UniformInt(40)).ok());
     }
-    ASSERT_TRUE((*engine)->Modify(5, PayloadFor(99)).ok());
-    ASSERT_TRUE((*engine)->Remove(6).ok());
-    Result<Bytes> serialized = (*engine)->SerializeState();
+    ASSERT_TRUE(engine.Modify(5, PayloadFor(99)).ok());
+    ASSERT_TRUE(engine.Remove(6).ok());
+    Result<Bytes> serialized = engine.SerializeState();
     ASSERT_TRUE(serialized.ok());
     state = *serialized;
   }
 
   // New session: same disk contents, same device seed (same keys).
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, kDeviceSeed);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->RestoreState(state).ok());
+  std::unique_ptr<EngineStack> stack = MakeStack(kDeviceSeed, &disk);
+  CApproxPir& engine = stack->engine();
+  ASSERT_TRUE(engine.RestoreState(state).ok());
 
-  EXPECT_EQ(*(*engine)->Retrieve(5), PayloadFor(99));
-  EXPECT_FALSE((*engine)->Retrieve(6).ok());
+  EXPECT_EQ(*engine.Retrieve(5), PayloadFor(99));
+  EXPECT_FALSE(engine.Retrieve(6).ok());
   crypto::SecureRandom rng(2);
   for (int i = 0; i < 200; ++i) {
     PageId id = rng.UniformInt(40);
@@ -80,10 +86,10 @@ TEST(PersistenceTest, StateRoundTripsAcrossEngineInstances) {
       continue;
     }
     const Bytes expected = id == 5 ? PayloadFor(99) : PayloadFor(id);
-    ASSERT_EQ(*(*engine)->Retrieve(id), expected) << "id " << id;
+    ASSERT_EQ(*engine.Retrieve(id), expected) << "id " << id;
   }
   // Stats carried over (200 queries before + the sweep here).
-  EXPECT_GT((*engine)->stats().queries, 200u);
+  EXPECT_GT(engine.stats().queries, 200u);
 }
 
 TEST(PersistenceTest, SurvivesFileDiskReopen) {
@@ -97,35 +103,26 @@ TEST(PersistenceTest, SurvivesFileDiskReopen) {
   {
     auto disk = storage::FileDisk::Create(path, *slots, kSealedSize);
     ASSERT_TRUE(disk.ok());
-    auto cpu = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), disk->get(), kPageSize,
-        kDeviceSeed);
-    ASSERT_TRUE(cpu.ok());
-    auto engine = CApproxPir::Create(cpu->get(), options);
-    ASSERT_TRUE(engine.ok());
+    std::unique_ptr<EngineStack> stack = MakeStack(kDeviceSeed, disk->get());
+    CApproxPir& engine = stack->engine();
     std::vector<Page> pages;
     for (PageId id = 0; id < options.num_pages; ++id) {
       pages.emplace_back(id, PayloadFor(id));
     }
-    ASSERT_TRUE((*engine)->Initialize(pages).ok());
+    ASSERT_TRUE(engine.Initialize(pages).ok());
     for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE((*engine)->Retrieve(static_cast<PageId>(i % 40)).ok());
+      ASSERT_TRUE(engine.Retrieve(static_cast<PageId>(i % 40)).ok());
     }
-    state = *(*engine)->SerializeState();
+    state = *engine.SerializeState();
   }
 
   {
     auto disk = storage::FileDisk::Open(path, *slots, kSealedSize);
     ASSERT_TRUE(disk.ok());
-    auto cpu = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), disk->get(), kPageSize,
-        kDeviceSeed);
-    ASSERT_TRUE(cpu.ok());
-    auto engine = CApproxPir::Create(cpu->get(), options);
-    ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->RestoreState(state).ok());
+    std::unique_ptr<EngineStack> stack = MakeStack(kDeviceSeed, disk->get());
+    ASSERT_TRUE(stack->engine().RestoreState(state).ok());
     for (PageId id = 0; id < 40; ++id) {
-      ASSERT_EQ(*(*engine)->Retrieve(id), PayloadFor(id)) << id;
+      ASSERT_EQ(*stack->engine().Retrieve(id), PayloadFor(id)) << id;
     }
   }
   std::remove(path.c_str());
@@ -133,17 +130,8 @@ TEST(PersistenceTest, SurvivesFileDiskReopen) {
 
 TEST(PersistenceTest, SealedStateBlobRoundTrip) {
   // The snapshot wrapped with BlobCipher, as a deployment would store it.
-  const CApproxPir::Options options = MakeOptions();
-  Result<uint64_t> slots = CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk disk(*slots, kSealedSize);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, kDeviceSeed);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Initialize({}).ok());
-  const Bytes state = *(*engine)->SerializeState();
+  auto stack = test::LoadedStack(MakeOptions(), kDeviceSeed);
+  const Bytes state = *stack->engine().SerializeState();
 
   auto cipher = crypto::BlobCipher::FromPassphrase("device escrow");
   ASSERT_TRUE(cipher.ok());
@@ -153,54 +141,23 @@ TEST(PersistenceTest, SealedStateBlobRoundTrip) {
 }
 
 TEST(PersistenceTest, GeometryMismatchRejected) {
-  CApproxPir::Options options = MakeOptions();
-  Result<uint64_t> slots = CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk disk(*slots, kSealedSize);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, 1);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Initialize({}).ok());
-  Bytes state = *(*engine)->SerializeState();
+  auto stack = test::LoadedStack(MakeOptions(), 1);
+  Bytes state = *stack->engine().SerializeState();
 
   // Different cache size -> geometry check must fire.
-  CApproxPir::Options other = options;
+  CApproxPir::Options other = MakeOptions();
   other.cache_pages = 8;
-  Result<uint64_t> slots2 = CApproxPir::DiskSlots(other);
-  ASSERT_TRUE(slots2.ok());
-  storage::MemoryDisk disk2(*slots2, kSealedSize);
-  auto cpu2 = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk2, kPageSize, 1);
-  ASSERT_TRUE(cpu2.ok());
-  auto engine2 = CApproxPir::Create(cpu2->get(), other);
-  ASSERT_TRUE(engine2.ok());
-  EXPECT_EQ((*engine2)->RestoreState(state).code(),
+  std::unique_ptr<EngineStack> other_stack = MakeStack(1, nullptr, other);
+  EXPECT_EQ(other_stack->engine().RestoreState(state).code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(PersistenceTest, CorruptStateRejected) {
-  const CApproxPir::Options options = MakeOptions();
-  Result<uint64_t> slots = CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk disk(*slots, kSealedSize);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, 1);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Initialize({}).ok());
-  Bytes state = *(*engine)->SerializeState();
+  auto stack = test::LoadedStack(MakeOptions(), 1);
+  Bytes state = *stack->engine().SerializeState();
 
   auto restore_into_fresh = [&](const Bytes& blob) -> Status {
-    storage::MemoryDisk d(*slots, kSealedSize);
-    auto c = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), &d, kPageSize, 1);
-    SHPIR_CHECK(c.ok());
-    auto e = CApproxPir::Create(c->get(), options);
-    SHPIR_CHECK(e.ok());
-    return (*e)->RestoreState(blob);
+    return MakeStack(1)->engine().RestoreState(blob);
   };
 
   // Truncated.
@@ -219,16 +176,7 @@ TEST(PersistenceTest, CorruptStateRejected) {
 }
 
 TEST(PersistenceTest, SerializeRequiresInitialized) {
-  const CApproxPir::Options options = MakeOptions();
-  Result<uint64_t> slots = CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk disk(*slots, kSealedSize);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, 1);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_FALSE((*engine)->SerializeState().ok());
+  EXPECT_FALSE(MakeStack(1)->engine().SerializeState().ok());
 }
 
 }  // namespace

@@ -10,49 +10,10 @@
 #include "core/capprox_pir.h"
 #include "core/security_parameter.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
-#include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::analysis {
 namespace {
-
-constexpr size_t kPageSize = 16;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
-
-struct Rig {
-  std::unique_ptr<storage::MemoryDisk> disk;
-  storage::AccessTrace trace;
-  std::unique_ptr<storage::TracingDisk> tracing_disk;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<core::CApproxPir> engine;
-
-  static Rig Make(uint64_t n, uint64_t m, uint64_t k, uint64_t seed,
-                  core::CApproxPir::Options base = {}) {
-    core::CApproxPir::Options options = base;
-    options.num_pages = n;
-    options.page_size = kPageSize;
-    options.cache_pages = m;
-    options.block_size = k;
-    Rig rig;
-    Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-    SHPIR_CHECK(slots.ok());
-    rig.disk = std::make_unique<storage::MemoryDisk>(*slots, kSealedSize);
-    rig.tracing_disk =
-        std::make_unique<storage::TracingDisk>(rig.disk.get(), &rig.trace);
-    Result<std::unique_ptr<hardware::SecureCoprocessor>> cpu =
-        hardware::SecureCoprocessor::Create(
-            hardware::HardwareProfile::Ibm4764(), rig.tracing_disk.get(),
-            kPageSize, seed);
-    SHPIR_CHECK(cpu.ok());
-    rig.cpu = std::move(cpu).value();
-    Result<std::unique_ptr<core::CApproxPir>> engine =
-        core::CApproxPir::Create(rig.cpu.get(), options, &rig.trace);
-    SHPIR_CHECK(engine.ok());
-    rig.engine = std::move(engine).value();
-    SHPIR_CHECK_OK(rig.engine->Initialize({}));
-    return rig;
-  }
-};
 
 TEST(RelocationAnalyzerTest, TracksDelaysModuloScanPeriod) {
   RelocationAnalyzer analyzer(/*scan_period=*/4, /*block_size=*/2);
@@ -95,11 +56,13 @@ TEST(EntropyTest, DegenerateCountsGiveZeroEntropy) {
 TEST(PrivacyAuditTest, MeasuredPrivacyConvergesToAnalytic) {
   // Small geometry so every scan offset gets plenty of samples:
   // n=64 slots, k=16, T=4, m=8 -> analytic c = (1-1/8)^-3 = 1.49.
-  Rig rig = Rig::Make(/*n=*/64, /*m=*/8, /*k=*/16, /*seed=*/1);
-  ASSERT_EQ(rig.engine->scan_period(), 4u);
+  storage::AccessTrace trace;
+  auto stack = test::ZeroFilledStack(&trace, /*n=*/64, /*m=*/8, /*k=*/16,
+                                     /*seed=*/1);
+  ASSERT_EQ(stack->engine().scan_period(), 4u);
   crypto::SecureRandom workload(2);
   Result<PrivacyReport> report = RunPrivacyAudit(
-      *rig.engine, /*num_requests=*/40000,
+      stack->engine(), /*num_requests=*/40000,
       [&]() { return workload.UniformInt(64); });
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->requests, 40000u);
@@ -117,10 +80,11 @@ TEST(PrivacyAuditTest, MeasuredPrivacyConvergesToAnalytic) {
 TEST(PrivacyAuditTest, SkewedWorkloadStillMatchesModel) {
   // The relocation distribution is a property of the mechanism, not the
   // workload: a heavily skewed request stream must yield the same c.
-  Rig rig = Rig::Make(64, 8, 16, 3);
+  storage::AccessTrace trace;
+  auto stack = test::ZeroFilledStack(&trace, 64, 8, 16, 3);
   crypto::SecureRandom workload(4);
   Result<PrivacyReport> report =
-      RunPrivacyAudit(*rig.engine, 40000, [&]() -> storage::PageId {
+      RunPrivacyAudit(stack->engine(), 40000, [&]() -> storage::PageId {
         // 90% of requests hit 4 hot pages.
         return workload.UniformInt(10) < 9
                    ? workload.UniformInt(4)
@@ -132,13 +96,15 @@ TEST(PrivacyAuditTest, SkewedWorkloadStillMatchesModel) {
 }
 
 TEST(PrivacyAuditTest, SmallerCacheMeansWeakerPrivacy) {
-  Rig tight = Rig::Make(64, 4, 16, 5);
-  Rig loose = Rig::Make(64, 16, 16, 6);
+  storage::AccessTrace tight_trace;
+  auto tight = test::ZeroFilledStack(&tight_trace, 64, 4, 16, 5);
+  storage::AccessTrace loose_trace;
+  auto loose = test::ZeroFilledStack(&loose_trace, 64, 16, 16, 6);
   crypto::SecureRandom w1(7), w2(8);
   Result<PrivacyReport> tight_report = RunPrivacyAudit(
-      *tight.engine, 30000, [&]() { return w1.UniformInt(64); });
+      tight->engine(), 30000, [&]() { return w1.UniformInt(64); });
   Result<PrivacyReport> loose_report = RunPrivacyAudit(
-      *loose.engine, 30000, [&]() { return w2.UniformInt(64); });
+      loose->engine(), 30000, [&]() { return w2.UniformInt(64); });
   ASSERT_TRUE(tight_report.ok());
   ASSERT_TRUE(loose_report.ok());
   EXPECT_GT(tight_report->measured_c, loose_report->measured_c);
@@ -148,10 +114,11 @@ TEST(PrivacyAuditTest, SmallerCacheMeansWeakerPrivacy) {
 TEST(PrivacyAuditTest, AblationSkipUniformSwapBreaksSlotUniformity) {
   core::CApproxPir::Options ablated;
   ablated.ablation_skip_uniform_swap = true;
-  Rig rig = Rig::Make(64, 8, 16, 20, ablated);
+  storage::AccessTrace trace;
+  auto stack = test::ZeroFilledStack(&trace, 64, 8, 16, 20, ablated);
   crypto::SecureRandom workload(21);
   Result<PrivacyReport> report = RunPrivacyAudit(
-      *rig.engine, 20000, [&]() { return workload.UniformInt(64); });
+      stack->engine(), 20000, [&]() { return workload.UniformInt(64); });
   ASSERT_TRUE(report.ok());
   // Evicted pages pile into slot 0 of each block: the within-block
   // distribution collapses (healthy runs measure > 0.999).
@@ -161,10 +128,11 @@ TEST(PrivacyAuditTest, AblationSkipUniformSwapBreaksSlotUniformity) {
 TEST(PrivacyAuditTest, AblationRoundRobinEvictionBreaksModel) {
   core::CApproxPir::Options ablated;
   ablated.ablation_round_robin_eviction = true;
-  Rig rig = Rig::Make(64, 8, 16, 22, ablated);
+  storage::AccessTrace trace;
+  auto stack = test::ZeroFilledStack(&trace, 64, 8, 16, 22, ablated);
   crypto::SecureRandom workload(23);
   Result<PrivacyReport> report = RunPrivacyAudit(
-      *rig.engine, 20000, [&]() { return workload.UniformInt(64); });
+      stack->engine(), 20000, [&]() { return workload.UniformInt(64); });
   ASSERT_TRUE(report.ok());
   // Residency time becomes deterministic (exactly m requests), so most
   // scan offsets never receive a relocation: either the measured ratio
@@ -176,15 +144,16 @@ TEST(PrivacyAuditTest, AblationRoundRobinEvictionBreaksModel) {
 }
 
 TEST(TraceStatisticsTest, WritesSpreadUniformly) {
-  Rig rig = Rig::Make(64, 8, 16, 9);
-  rig.trace.Clear();  // Drop the bulk-load writes.
+  storage::AccessTrace trace;
+  auto stack = test::ZeroFilledStack(&trace, 64, 8, 16, 9);
+  trace.Clear();  // Drop the bulk-load writes.
   crypto::SecureRandom workload(10);
   for (int i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(workload.UniformInt(64)).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(workload.UniformInt(64)).ok());
   }
   const TraceStatistics stats =
-      AnalyzeTrace(rig.trace, rig.engine->block_size(),
-                   rig.engine->disk_slots());
+      AnalyzeTrace(trace, stack->engine().block_size(),
+                   stack->engine().disk_slots());
   EXPECT_EQ(stats.reads, stats.writes);
   // Round-robin writes cover the disk almost uniformly.
   EXPECT_GT(stats.write_location_entropy, 0.99);

@@ -7,13 +7,11 @@
 
 #include "analysis/privacy_audit.h"
 #include "common/check.h"
-#include "core/capprox_pir.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "obs/metrics.h"
 #include "shard/sharded_engine.h"
-#include "storage/disk.h"
 #include "workload/workload.h"
+#include "test_stack.h"
 
 namespace shpir::obs {
 namespace {
@@ -139,61 +137,27 @@ TEST(PrivacyMonitorTest, PublishesGaugeAndCounters) {
 
 // --- Agreement with the offline audit -------------------------------------
 
-constexpr size_t kPageSize = 16;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
-
-struct Rig {
-  std::unique_ptr<storage::MemoryDisk> disk;
-  storage::AccessTrace trace;
-  std::unique_ptr<storage::TracingDisk> tracing_disk;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<core::CApproxPir> engine;
-
-  static Rig Make(uint64_t n, uint64_t m, uint64_t k, uint64_t seed) {
-    core::CApproxPir::Options options;
-    options.num_pages = n;
-    options.page_size = kPageSize;
-    options.cache_pages = m;
-    options.block_size = k;
-    Rig rig;
-    Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-    SHPIR_CHECK(slots.ok());
-    rig.disk = std::make_unique<storage::MemoryDisk>(*slots, kSealedSize);
-    rig.tracing_disk =
-        std::make_unique<storage::TracingDisk>(rig.disk.get(), &rig.trace);
-    auto cpu = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), rig.tracing_disk.get(),
-        kPageSize, seed);
-    SHPIR_CHECK(cpu.ok());
-    rig.cpu = std::move(cpu).value();
-    auto engine =
-        core::CApproxPir::Create(rig.cpu.get(), options, &rig.trace);
-    SHPIR_CHECK(engine.ok());
-    rig.engine = std::move(engine).value();
-    SHPIR_CHECK_OK(rig.engine->Initialize({}));
-    return rig;
-  }
-};
-
 TEST(PrivacyMonitorTest, OnlineEstimateMatchesOfflineAuditWithinTenPercent) {
   // Same geometry as the offline audit's convergence test: n=64, k=16,
   // T=4, m=8. The monitor rides the engine's internal hooks while
   // RunPrivacyAudit drives its own observers — two independent
   // measurements of one run.
-  Rig rig = Rig::Make(/*n=*/64, /*m=*/8, /*k=*/16, /*seed=*/101);
-  ASSERT_EQ(rig.engine->scan_period(), 4u);
+  storage::AccessTrace trace;
+  auto stack = test::ZeroFilledStack(&trace, /*n=*/64, /*m=*/8, /*k=*/16,
+                                     /*seed=*/101);
+  ASSERT_EQ(stack->engine().scan_period(), 4u);
   // Alert threshold sits 50% above the privacy target, as an operator
   // would deploy it: the estimate converges TO the target, so a
   // threshold at the target itself would alert on sampling noise.
   PrivacyMonitor monitor(
-      MakeOptions(rig.engine->scan_period(), /*window=*/1 << 16,
-                  rig.engine->achieved_privacy() * 1.5,
+      MakeOptions(stack->engine().scan_period(), /*window=*/1 << 16,
+                  stack->engine().achieved_privacy() * 1.5,
                   /*check_interval=*/256));
-  rig.engine->AttachPrivacyMonitor(&monitor);
+  stack->engine().AttachPrivacyMonitor(&monitor);
 
   crypto::SecureRandom workload(102);
   Result<analysis::PrivacyReport> report = analysis::RunPrivacyAudit(
-      *rig.engine, /*num_requests=*/40000,
+      stack->engine(), /*num_requests=*/40000,
       [&]() { return workload.UniformInt(64); });
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_GT(report->measured_c, 0.0);
@@ -271,18 +235,20 @@ TEST(PrivacyMonitorTest, MidWindowBlockSizeChangeRebasesCleanly) {
   // must discard the old-period samples (no stale estimate), start a
   // fresh window under the new period, and never manufacture a breach
   // out of the transition itself.
-  Rig rig = Rig::Make(/*n=*/64, /*m=*/8, /*k=*/16, /*seed=*/31);
-  ASSERT_EQ(rig.engine->scan_period(), 4u);
+  storage::AccessTrace trace;
+  auto stack = test::ZeroFilledStack(&trace, /*n=*/64, /*m=*/8, /*k=*/16,
+                                     /*seed=*/31);
+  ASSERT_EQ(stack->engine().scan_period(), 4u);
   // The bound sits above the analytic c of BOTH periods (k=16 -> 1.49,
   // k=8 -> 2.55): any breach counted in this test is spurious.
   PrivacyMonitor monitor(
-      MakeOptions(rig.engine->scan_period(), /*window=*/1 << 14,
+      MakeOptions(stack->engine().scan_period(), /*window=*/1 << 14,
                   /*configured_c=*/4.0, /*check_interval=*/64));
-  rig.engine->AttachPrivacyMonitor(&monitor);
+  stack->engine().AttachPrivacyMonitor(&monitor);
 
   crypto::SecureRandom workload(32);
   for (int i = 0; i < 4000; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(workload.UniformInt(64)).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(workload.UniformInt(64)).ok());
   }
   Result<double> before = monitor.Estimate();
   ASSERT_TRUE(before.ok()) << before.status();
@@ -290,12 +256,12 @@ TEST(PrivacyMonitorTest, MidWindowBlockSizeChangeRebasesCleanly) {
   EXPECT_EQ(monitor.breaches(), 0u);
 
   // Retune 16 -> 8 and drive it across the scan-period boundary.
-  ASSERT_TRUE(rig.engine->RequestBlockSize(8).ok());
-  for (int i = 0; rig.engine->block_size_transitions() == 0 && i < 64;
+  ASSERT_TRUE(stack->engine().RequestBlockSize(8).ok());
+  for (int i = 0; stack->engine().block_size_transitions() == 0 && i < 64;
        ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(workload.UniformInt(64)).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(workload.UniformInt(64)).ok());
   }
-  ASSERT_EQ(rig.engine->block_size_transitions(), 1u);
+  ASSERT_EQ(stack->engine().block_size_transitions(), 1u);
 
   // The monitor rebased with the engine: new period, window discarded.
   EXPECT_EQ(monitor.scan_period(), 8u);
@@ -308,7 +274,7 @@ TEST(PrivacyMonitorTest, MidWindowBlockSizeChangeRebasesCleanly) {
   // Refill under the new period: the estimate converges to the k=8
   // analytic value, and the transition never latched a breach.
   for (int i = 0; i < 8000; ++i) {
-    ASSERT_TRUE(rig.engine->Retrieve(workload.UniformInt(64)).ok());
+    ASSERT_TRUE(stack->engine().Retrieve(workload.UniformInt(64)).ok());
   }
   Result<double> after = monitor.Estimate();
   ASSERT_TRUE(after.ok()) << after.status();

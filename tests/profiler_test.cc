@@ -9,11 +9,10 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/capprox_pir.h"
-#include "hardware/coprocessor.h"
+#include "core/engine_stack.h"
 #include "obs/metrics.h"
 #include "storage/access_trace.h"
-#include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::obs {
 namespace {
@@ -213,7 +212,6 @@ TEST(ProfilerTest, ClearDropsStacksKeepsCounters) {
 // ---------------------------------------------------------------------------
 
 constexpr size_t kPageSize = 24;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
 
 Bytes PayloadFor(PageId id) {
   Bytes data(kPageSize);
@@ -224,11 +222,8 @@ Bytes PayloadFor(PageId id) {
 }
 
 struct Rig {
-  std::unique_ptr<storage::MemoryDisk> disk;
-  std::unique_ptr<storage::TracingDisk> tracing_disk;
   storage::AccessTrace trace;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<core::CApproxPir> engine;
+  std::unique_ptr<core::EngineStack> stack;
   std::unique_ptr<Profiler> profiler;
 };
 
@@ -239,29 +234,14 @@ Rig MakeProfiledRig(uint64_t seed) {
   options.cache_pages = 8;
   options.block_size = 8;
 
-  Rig rig;
-  Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-  SHPIR_CHECK(slots.ok());
-  rig.disk = std::make_unique<storage::MemoryDisk>(*slots, kSealedSize);
-  rig.tracing_disk =
-      std::make_unique<storage::TracingDisk>(rig.disk.get(), &rig.trace);
-  Result<std::unique_ptr<hardware::SecureCoprocessor>> cpu =
-      hardware::SecureCoprocessor::Create(hardware::HardwareProfile::Ibm4764(),
-                                          rig.tracing_disk.get(),
-                                          options.page_size, seed);
-  SHPIR_CHECK(cpu.ok());
-  rig.cpu = std::move(cpu).value();
-  Result<std::unique_ptr<core::CApproxPir>> engine =
-      core::CApproxPir::Create(rig.cpu.get(), options, &rig.trace);
-  SHPIR_CHECK(engine.ok());
-  rig.engine = std::move(engine).value();
   std::vector<Page> pages;
   for (PageId id = 0; id < options.num_pages; ++id) {
     pages.emplace_back(id, PayloadFor(id));
   }
-  SHPIR_CHECK_OK(rig.engine->Initialize(pages));
+  Rig rig;
+  rig.stack = test::LoadedStack(options, seed, pages, &rig.trace);
   rig.profiler = std::make_unique<Profiler>(SteadyClockOptions(1));
-  rig.engine->EnableProfiling(rig.profiler.get());
+  rig.stack->engine().EnableProfiling(rig.profiler.get());
   return rig;
 }
 
@@ -272,9 +252,10 @@ TEST(ProfilerTrustBoundary, ShapeIsByteIdenticalAcrossSecretTargets) {
   constexpr int kQueries = 40;
   for (int i = 0; i < kQueries; ++i) {
     // One owner hammers a single secret page; the other scans.
-    Result<Bytes> a = hot.engine->Retrieve(3);
+    Result<Bytes> a = hot.stack->engine().Retrieve(3);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
-    Result<Bytes> b = scan.engine->Retrieve(static_cast<PageId>(i % 50));
+    Result<Bytes> b =
+        scan.stack->engine().Retrieve(static_cast<PageId>(i % 50));
     ASSERT_TRUE(b.ok()) << b.status().ToString();
   }
 

@@ -7,15 +7,15 @@
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "crypto/blob_cipher.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "index/bplus_tree.h"
 #include "index/hash_index.h"
 #include "net/secure_channel.h"
 #include "net/wire.h"
-#include "storage/disk.h"
 #include "storage/page_cipher.h"
+#include "test_stack.h"
 
 namespace shpir {
 namespace {
@@ -70,24 +70,16 @@ TEST(RobustnessTest, SecureSessionRejectsRandomRecords) {
 
 TEST(RobustnessTest, StateRestoreSurvivesMutations) {
   constexpr size_t kPageSize = 16;
-  constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
   core::CApproxPir::Options options;
   options.num_pages = 20;
   options.page_size = kPageSize;
   options.cache_pages = 3;
   options.block_size = 4;
-  auto slots = core::CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
 
   // Produce a valid state blob.
-  storage::MemoryDisk disk(*slots, kSealedSize);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, 5);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Initialize({}).ok());
-  const Bytes state = *(*engine)->SerializeState();
+  auto stack = test::LoadedStack(options, 5);
+  core::CApproxPir& engine = stack->engine();
+  const Bytes state = *engine.SerializeState();
 
   crypto::SecureRandom rng(6);
   for (int i = 0; i < 200; ++i) {
@@ -100,13 +92,10 @@ TEST(RobustnessTest, StateRestoreSurvivesMutations) {
       mutated[rng.UniformInt(mutated.size())] ^=
           static_cast<uint8_t>(1 + rng.UniformInt(255));
     }
-    storage::MemoryDisk d(*slots, kSealedSize);
-    auto c = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), &d, kPageSize, 5);
-    SHPIR_CHECK(c.ok());
-    auto e = core::CApproxPir::Create(c->get(), options);
-    SHPIR_CHECK(e.ok());
-    (void)(*e)->RestoreState(mutated);  // Must not crash.
+    auto fresh = core::EngineStack::Create(
+        options, hardware::HardwareProfile::Ibm4764(), 5);
+    SHPIR_CHECK(fresh.ok());
+    (void)(*fresh)->engine().RestoreState(mutated);  // Must not crash.
   }
 }
 

@@ -7,9 +7,8 @@
 #include "common/check.h"
 #include "core/capprox_pir.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "net/pir_service.h"
-#include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::net {
 namespace {
@@ -136,22 +135,15 @@ TEST(PirServiceTest, EndToEndThreePartyModel) {
   options.cache_pages = 4;
   options.block_size = 5;
   options.insert_reserve = 4;
-  auto slots = core::CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk disk(*slots, 12 + 8 + kPageSize + 32);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, 3);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
   std::vector<storage::Page> pages;
   for (uint64_t id = 0; id < 30; ++id) {
     pages.emplace_back(id, Bytes(kPageSize, static_cast<uint8_t>(id + 1)));
   }
-  ASSERT_TRUE((*engine)->Initialize(pages).ok());
+  auto stack = test::LoadedStack(options, 3, pages);
+  core::CApproxPir& engine = stack->engine();
 
   SessionPair sessions = MakePair();
-  PirServiceServer server(engine->get(), std::move(sessions.server));
+  PirServiceServer server(&engine, std::move(sessions.server));
   PirServiceClient client(
       std::move(sessions.client),
       [&server](ByteSpan record) { return server.HandleRecord(record); });
@@ -181,18 +173,11 @@ TEST(PirServiceTest, MalformedRecordsRejected) {
   options.page_size = kPageSize;
   options.cache_pages = 2;
   options.block_size = 2;
-  auto slots = core::CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk disk(*slots, 12 + 8 + kPageSize + 32);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, 4);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Initialize({}).ok());
+  auto stack = test::LoadedStack(options, 4);
+  core::CApproxPir& engine = stack->engine();
 
   SessionPair sessions = MakePair();
-  PirServiceServer server(engine->get(), std::move(sessions.server));
+  PirServiceServer server(&engine, std::move(sessions.server));
   // Garbage that is not even a valid record.
   EXPECT_FALSE(server.HandleRecord(Bytes(3, 0)).ok());
   EXPECT_FALSE(server.HandleRecord(Bytes(100, 0x55)).ok());

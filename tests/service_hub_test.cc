@@ -14,25 +14,22 @@
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "core/thread_safe_engine.h"
 #include "crypto/secure_random.h"
-#include "hardware/coprocessor.h"
 #include "net/tcp_transport.h"
 #include "obs/admin.h"
 #include "obs/metrics.h"
 #include "shard/sharded_engine.h"
-#include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::net {
 namespace {
 
 constexpr size_t kPageSize = 32;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
 
 struct Rig {
-  std::unique_ptr<storage::MemoryDisk> disk;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<core::CApproxPir> engine;
+  std::unique_ptr<core::EngineStack> stack;
   /// The hub calls its engine from several threads at once; the paper's
   /// single engine takes them one at a time behind this wrapper.
   std::unique_ptr<core::ThreadSafeEngine> safe;
@@ -49,32 +46,21 @@ struct Rig {
     options.cache_pages = 4;
     options.block_size = 8;
     Rig rig;
-    Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-    SHPIR_CHECK(slots.ok());
-    rig.disk = std::make_unique<storage::MemoryDisk>(*slots, kSealedSize);
-    auto cpu = hardware::SecureCoprocessor::Create(
-        hardware::HardwareProfile::Ibm4764(), rig.disk.get(), kPageSize,
-        seed);
-    SHPIR_CHECK(cpu.ok());
-    rig.cpu = std::move(cpu).value();
-    auto engine = core::CApproxPir::Create(rig.cpu.get(), options);
-    SHPIR_CHECK(engine.ok());
-    rig.engine = std::move(engine).value();
     std::vector<storage::Page> pages;
     for (uint64_t id = 0; id < 40; ++id) {
       pages.emplace_back(id, Bytes(kPageSize, static_cast<uint8_t>(id + 1)));
     }
-    SHPIR_CHECK_OK(rig.engine->Initialize(pages));
+    rig.stack = test::LoadedStack(options, seed, pages);
     if (metrics != nullptr) {
-      rig.cpu->AttachMetrics(metrics);
-      rig.engine->EnableMetrics(metrics);
+      rig.stack->cpu().AttachMetrics(metrics);
+      rig.stack->engine().EnableMetrics(metrics);
     }
     if (admin != nullptr) {
       obs::AdminSources sources;
       sources.metrics = metrics;
       obs::RegisterStandardDocuments(sources, admin);
     }
-    rig.safe = std::make_unique<core::ThreadSafeEngine>(rig.engine.get());
+    rig.safe = std::make_unique<core::ThreadSafeEngine>(&rig.stack->engine());
     rig.hub = std::make_unique<ServiceHub>(rig.safe.get(), rig.psk, seed + 1,
                                            metrics, /*tracer=*/nullptr, admin);
     return rig;

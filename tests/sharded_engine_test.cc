@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "storage/page.h"
 
 namespace shpir::shard {
@@ -56,6 +58,30 @@ std::unique_ptr<ShardedPirEngine> MakeEngine(
   SHPIR_CHECK_OK((*engine)->Initialize(
       MakePages(options.num_pages, options.page_size)));
   return std::move(*engine);
+}
+
+TEST(ShardedEngineTest, ShardTracesLeaveTheDiskSpansUnchanged) {
+  // A shard's trace passes runs on to its SpanDisk as runs, so a traced
+  // shard emits one disk span per run and one per extra slot, too.
+  std::map<std::string, int> spans[2];
+  for (const bool traced : {false, true}) {
+    ShardedPirEngine::Options options = SmallOptions(2);
+    options.enable_traces = traced;
+    std::unique_ptr<ShardedPirEngine> engine = MakeEngine(options);
+    obs::Tracer::Options trace_options;
+    trace_options.sample_every = 1;
+    obs::Tracer tracer(trace_options);
+    engine->EnableTracing(&tracer);
+    obs::TraceSpan root(&tracer, "client_query");
+    ASSERT_TRUE(engine->TracedRetrieve(13, root.context()).ok());
+    engine->WaitIdle();
+    for (const obs::SpanRecord& span : tracer.Snapshot()) {
+      ++spans[traced][span.name];
+    }
+  }
+  EXPECT_EQ(spans[0], spans[1]);
+  EXPECT_EQ(spans[1]["disk_read"], 4);
+  EXPECT_EQ(spans[1]["disk_write"], 4);
 }
 
 TEST(ShardedEngineTest, RetrievesEveryPageAcrossShards) {

@@ -14,6 +14,7 @@
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
 #include "storage/disk.h"
+#include "test_stack.h"
 
 namespace shpir::core {
 namespace {
@@ -22,7 +23,7 @@ using storage::Page;
 using storage::PageId;
 
 constexpr size_t kPageSize = 24;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+constexpr size_t kSealedSize = storage::PageCipher::SealedSize(kPageSize);
 constexpr uint64_t kSeed = 20260704;
 
 Bytes PayloadFor(uint64_t tag) {
@@ -40,6 +41,8 @@ TEST(SoakTest, EverythingInterleaved) {
   options.cache_pages = 10;
   options.block_size = 8;
   options.insert_reserve = 30;
+  // Built by hand, not as an EngineStack: the restore step below swaps a
+  // new engine onto this live device, whose keys RotateKeys replaced.
   Result<uint64_t> slots = CApproxPir::DiskSlots(options);
   ASSERT_TRUE(slots.ok());
   storage::MemoryDisk disk(*slots, kSealedSize);
@@ -119,26 +122,19 @@ TEST(SoakTest, PrivacyModelHoldsAfterMaintenance) {
   options.page_size = kPageSize;
   options.cache_pages = 8;
   options.block_size = 16;
-  Result<uint64_t> slots = CApproxPir::DiskSlots(options);
-  ASSERT_TRUE(slots.ok());
-  storage::MemoryDisk disk(*slots, kSealedSize);
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::Ibm4764(), &disk, kPageSize, kSeed + 7);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Initialize({}).ok());
+  auto stack = test::LoadedStack(options, kSeed + 7);
+  CApproxPir& engine = stack->engine();
 
   crypto::SecureRandom warmup(kSeed + 8);
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE((*engine)->Retrieve(warmup.UniformInt(64)).ok());
+    ASSERT_TRUE(engine.Retrieve(warmup.UniformInt(64)).ok());
   }
-  ASSERT_TRUE((*engine)->OfflineReshuffle().ok());
-  ASSERT_TRUE((*engine)->RotateKeys().ok());
+  ASSERT_TRUE(engine.OfflineReshuffle().ok());
+  ASSERT_TRUE(engine.RotateKeys().ok());
 
   crypto::SecureRandom workload(kSeed + 9);
   Result<analysis::PrivacyReport> report = analysis::RunPrivacyAudit(
-      **engine, 30000, [&]() { return workload.UniformInt(64); });
+      engine, 30000, [&]() { return workload.UniformInt(64); });
   ASSERT_TRUE(report.ok());
   EXPECT_NEAR(report->measured_c, report->analytic_c,
               report->analytic_c * 0.12);

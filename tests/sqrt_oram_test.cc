@@ -17,7 +17,7 @@ using storage::Page;
 using storage::PageId;
 
 constexpr size_t kPageSize = 24;
-constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
+constexpr size_t kSealedSize = storage::PageCipher::SealedSize(kPageSize);
 
 Bytes PayloadFor(PageId id) {
   Bytes data(kPageSize);

@@ -23,6 +23,7 @@
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
+#include "core/engine_stack.h"
 #include "crypto/secure_random.h"
 #include "hardware/coprocessor.h"
 #include "net/remote_disk.h"
@@ -198,7 +199,6 @@ TEST(TcpTransportTest, BadHostRejected) {
 
 TEST(TcpTransportTest, FullPirStackOverTcp) {
   constexpr size_t kPageSize = 64;
-  constexpr size_t kSealedSize = 12 + 8 + kPageSize + 32;
   core::CApproxPir::Options options;
   options.num_pages = 30;
   options.page_size = kPageSize;
@@ -207,27 +207,26 @@ TEST(TcpTransportTest, FullPirStackOverTcp) {
   auto slots = core::CApproxPir::DiskSlots(options);
   ASSERT_TRUE(slots.ok());
 
-  Provider provider(*slots, kSealedSize);
+  Provider provider(*slots, storage::PageCipher::SealedSize(kPageSize));
   auto transport = TcpTransport::Connect("127.0.0.1", provider.port());
   ASSERT_TRUE(transport.ok());
   auto remote = RemoteDisk::Connect(transport->get());
   ASSERT_TRUE(remote.ok());
-  auto cpu = hardware::SecureCoprocessor::Create(
-      hardware::HardwareProfile::TwoPartyOwner(64 * hardware::kMB),
-      remote->get(), kPageSize, 11);
-  ASSERT_TRUE(cpu.ok());
-  auto engine = core::CApproxPir::Create(cpu->get(), options);
-  ASSERT_TRUE(engine.ok());
+  auto stack = core::EngineStack::Create(
+      options, hardware::HardwareProfile::TwoPartyOwner(64 * hardware::kMB),
+      11, remote->get());
+  ASSERT_TRUE(stack.ok()) << stack.status();
+  core::CApproxPir& engine = (*stack)->engine();
   std::vector<storage::Page> pages;
   for (uint64_t id = 0; id < 30; ++id) {
     pages.emplace_back(id, Bytes(kPageSize, static_cast<uint8_t>(id + 1)));
   }
-  ASSERT_TRUE((*engine)->Initialize(pages).ok());
+  ASSERT_TRUE(engine.Initialize(pages).ok());
 
   crypto::SecureRandom rng(12);
   for (int i = 0; i < 60; ++i) {
     const uint64_t id = rng.UniformInt(30);
-    auto data = (*engine)->Retrieve(id);
+    auto data = engine.Retrieve(id);
     ASSERT_TRUE(data.ok()) << data.status();
     EXPECT_EQ(*data, Bytes(kPageSize, static_cast<uint8_t>(id + 1)));
   }

@@ -35,12 +35,10 @@
 
 #include "cli_flags.h"
 #include "core/capprox_pir.h"
-#include "hardware/coprocessor.h"
+#include "core/engine_stack.h"
 #include "keyword/keyword_client.h"
 #include "keyword/keyword_cuckoo.h"
 #include "keyword/keyword_fuse.h"
-#include "storage/disk.h"
-#include "storage/page_cipher.h"
 #include "workload/workload.h"
 
 namespace {
@@ -74,11 +72,6 @@ std::vector<cli::Flag> AcceptedFlags(const std::string& mode) {
                                {"hit-ratio", Kind::kReal}});
   }
   return flags;
-}
-
-size_t SealedSlotSize(size_t page_size) {
-  return storage::PageCipher::kNonceSize + 8 + page_size +
-         storage::PageCipher::kTagSize;
 }
 
 int Usage() {
@@ -255,32 +248,13 @@ int RunGet(const Flags& flags) {
   options.cache_pages =
       flags.GetU64("cache", std::max<uint64_t>(8, num_pages / 16));
   options.privacy_c = flags.GetDouble("c", 2.0);
-  Result<uint64_t> slots = core::CApproxPir::DiskSlots(options);
-  if (!slots.ok()) {
-    std::fprintf(stderr, "error: %s\n", slots.status().ToString().c_str());
+  Result<std::unique_ptr<core::EngineStack>> stack = core::EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764(), flags.GetU64("seed", 42));
+  if (!stack.ok()) {
+    std::fprintf(stderr, "error: %s\n", stack.status().ToString().c_str());
     return 1;
   }
-  storage::MemoryDisk disk(*slots, SealedSlotSize(page_size));
-  Result<std::unique_ptr<hardware::SecureCoprocessor>> cpu =
-      // shpir-lint-allow-next-line(secret-arg): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
-      hardware::SecureCoprocessor::Create(
-          hardware::HardwareProfile::Ibm4764(), &disk, page_size,
-          flags.GetU64("seed", 42));
-  // shpir-lint-allow-next-line(secret-branch): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
-  if (!cpu.ok()) {
-    // shpir-lint-allow-next-line(secret-log): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
-    std::fprintf(stderr, "error: %s\n", cpu.status().ToString().c_str());
-    return 1;
-  }
-  Result<std::unique_ptr<core::CApproxPir>> engine =
-      // shpir-lint-allow-next-line(secret-arg): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
-      core::CApproxPir::Create(cpu->get(), options);
-  // shpir-lint-allow-next-line(secret-branch): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
-  if (!engine.ok()) {
-    // shpir-lint-allow-next-line(secret-log): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
-    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
+  core::CApproxPir& engine = (*stack)->engine();
   std::vector<storage::Page> pages;
   // shpir-lint-allow-next-line(secret-alloc): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
   pages.reserve(num_pages);
@@ -291,8 +265,7 @@ int RunGet(const Flags& flags) {
                   page_bytes->begin() +
                       static_cast<ptrdiff_t>((id + 1) * page_size)));
   }
-  Status init = (*engine)->Initialize(pages);
-  // shpir-lint-allow-next-line(secret-branch): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
+  Status init = engine.Initialize(pages);
   if (!init.ok()) {
     // shpir-lint-allow-next-line(secret-log): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
     std::fprintf(stderr, "error: %s\n", init.ToString().c_str());
@@ -303,7 +276,7 @@ int RunGet(const Flags& flags) {
       // shpir-lint-allow-next-line(secret-arg): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
       keyword::KeywordClient::Create(
           // shpir-lint-allow-next-line(secret-arg): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
-          *manifest, keyword::KeywordClient::EngineFetch(engine->get()));
+          *manifest, keyword::KeywordClient::EngineFetch(&engine));
   // shpir-lint-allow-next-line(secret-branch): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath
   if (!client.ok()) {
     // shpir-lint-allow-next-line(secret-log): operator CLI: handles and prints the operator's own keys, values, and progress on their machine; the provider sees only the PIR stream underneath

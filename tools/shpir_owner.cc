@@ -30,10 +30,10 @@
 //   shpir_owner put --port 9000 --id 7 --data "hello"
 //   shpir_owner get --port 9000 --id 7
 //
-// Known limitation: the state file is rewritten after each operation;
-// killing the process between the remote writes and the state save
-// desynchronizes them (the next restore will fail its consistency
-// checks). A production deployment would journal state updates.
+// net::OwnerSession replaces the state file atomically after each
+// command. Known limitation: a crash after a command's remote write-back
+// but before that save leaves the saved pageMap one round behind the
+// provider's disk; closing that gap needs a redo record of the round.
 
 #include <cstdio>
 #include <fstream>
@@ -43,17 +43,14 @@
 #include <vector>
 
 #include "cli_flags.h"
-#include "common/check.h"
 #include "core/capprox_pir.h"
-#include "crypto/blob_cipher.h"
-#include "crypto/hmac.h"
-#include "hardware/coprocessor.h"
-#include "net/remote_disk.h"
+#include "net/owner_session.h"
 #include "net/tcp_transport.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "storage/page_cipher.h"
 
 namespace {
 
@@ -96,145 +93,53 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// The device seed (hence its keys) is derived from the passphrase so
-// restarts reconstruct the same keys.
-uint64_t DeviceSeed(const std::string& passphrase) {
-  crypto::HmacSha256 kdf(ByteSpan(
-      reinterpret_cast<const uint8_t*>(passphrase.data()),
-      passphrase.size()));
-  const auto tag = kdf.Compute(ByteSpan(
-      reinterpret_cast<const uint8_t*>("shpir-device-seed"), 17));
-  return LoadLE64(tag.data());
-}
-
-Result<Bytes> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return NotFoundError("cannot open " + path);
-  }
-  return Bytes(std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-}
-
-Status WriteFile(const std::string& path, ByteSpan data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return InternalError("cannot write " + path);
-  }
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  return out ? OkStatus() : InternalError("short write to " + path);
-}
-
-struct Session {
+/// One invocation's owner: the TCP link, the session over it, and the
+/// flags' tracer and profiler, which outlive the session's engine.
+struct Owner {
   std::unique_ptr<net::TcpTransport> transport;
-  std::unique_ptr<net::RemoteDisk> disk;
-  std::unique_ptr<hardware::SecureCoprocessor> cpu;
-  std::unique_ptr<obs::Tracer> tracer;  // Null unless --trace-sample.
+  std::unique_ptr<obs::Tracer> tracer;      // Null unless --trace-sample.
   std::unique_ptr<obs::Profiler> profiler;  // Null unless --profile-sample.
-  std::unique_ptr<core::CApproxPir> engine;
-  core::CApproxPir::Options options;
-  crypto::BlobCipher cipher;
-  std::string state_path;
-
-  explicit Session(crypto::BlobCipher c) : cipher(std::move(c)) {}
-
-  Status SaveState() {
-    SHPIR_ASSIGN_OR_RETURN(Bytes state, engine->SerializeState());
-    SHPIR_ASSIGN_OR_RETURN(Bytes sealed, cipher.Seal(state, cpu->rng()));
-    return WriteFile(state_path, sealed);
-  }
+  std::unique_ptr<net::OwnerSession> session;
 };
 
-// The options are persisted (plaintext geometry header) next to the
-// sealed state so later invocations can rebuild the stack.
-Bytes EncodeMeta(const core::CApproxPir::Options& options) {
-  Bytes out(8 * 5);
-  StoreLE64(options.num_pages, out.data());
-  StoreLE64(options.page_size, out.data() + 8);
-  StoreLE64(options.cache_pages, out.data() + 16);
-  StoreLE64(options.block_size, out.data() + 24);
-  StoreLE64(options.insert_reserve, out.data() + 32);
-  return out;
-}
-
-Result<core::CApproxPir::Options> DecodeMeta(ByteSpan data) {
-  if (data.size() < 40) {
-    return DataLossError("corrupt state file header");
-  }
-  core::CApproxPir::Options options;
-  options.num_pages = LoadLE64(data.data());
-  options.page_size = LoadLE64(data.data() + 8);
-  options.cache_pages = LoadLE64(data.data() + 16);
-  options.block_size = LoadLE64(data.data() + 24);
-  options.insert_reserve = LoadLE64(data.data() + 32);
-  return options;
-}
-
-Result<std::unique_ptr<Session>> Connect(
-    const Flags& flags, const core::CApproxPir::Options& options) {
-  const std::string passphrase = flags.Get("passphrase", "shpir");
-  SHPIR_ASSIGN_OR_RETURN(crypto::BlobCipher cipher,
-                         crypto::BlobCipher::FromPassphrase(passphrase));
-  auto session = std::make_unique<Session>(std::move(cipher));
-  session->options = options;
-  session->state_path = flags.Get("state", "shpir_owner.state");
+/// Connects to the provider and creates the session for `options` (init)
+/// or, when `options` is null, resumes the one in the state file; then
+/// wires the global registry and the flags' tracer and profiler in.
+Result<std::unique_ptr<Owner>> Connect(
+    const Flags& flags, const core::CApproxPir::Options* options) {
+  auto owner = std::make_unique<Owner>();
   SHPIR_ASSIGN_OR_RETURN(
-      session->transport,
+      owner->transport,
       net::TcpTransport::Connect(flags.Get("host", "127.0.0.1"),
                                  flags.GetPort("port", 9000)));
-  SHPIR_ASSIGN_OR_RETURN(session->disk,
-                         net::RemoteDisk::Connect(session->transport.get()));
+  const std::string passphrase = flags.Get("passphrase", "shpir");
+  const std::string state_path = flags.Get("state", "shpir_owner.state");
   SHPIR_ASSIGN_OR_RETURN(
-      session->cpu,
-      hardware::SecureCoprocessor::Create(
-          hardware::HardwareProfile::TwoPartyOwner(8ull * hardware::kGB),
-          session->disk.get(), options.page_size, DeviceSeed(passphrase)));
-  session->disk->set_accountant(&session->cpu->cost());
-  SHPIR_ASSIGN_OR_RETURN(
-      session->engine,
-      core::CApproxPir::Create(session->cpu.get(), session->options));
-  session->cpu->AttachMetrics(&obs::MetricsRegistry::Global());
-  session->engine->EnableMetrics(&obs::MetricsRegistry::Global());
+      owner->session,
+      options != nullptr
+          ? net::OwnerSession::Create(owner->transport.get(), *options,
+                                      passphrase, state_path)
+          : net::OwnerSession::Resume(owner->transport.get(), passphrase,
+                                      state_path));
+  net::OwnerSession& session = *owner->session;
+  session.cpu().AttachMetrics(&obs::MetricsRegistry::Global());
+  session.engine().EnableMetrics(&obs::MetricsRegistry::Global());
   const uint64_t trace_sample = flags.GetU64("trace-sample", 0);
   if (trace_sample > 0) {
     obs::Tracer::Options trace_options;
     trace_options.sample_every = trace_sample;
-    session->tracer = std::make_unique<obs::Tracer>(trace_options);
-    session->disk->set_tracer(session->tracer.get());
-    session->engine->EnableTracing(session->tracer.get());
+    owner->tracer = std::make_unique<obs::Tracer>(trace_options);
+    session.disk().set_tracer(owner->tracer.get());
+    session.engine().EnableTracing(owner->tracer.get());
   }
   const uint64_t profile_sample = flags.GetU64("profile-sample", 0);
   if (profile_sample > 0) {
     obs::Profiler::Options profile_options;
     profile_options.sample_every = profile_sample;
-    session->profiler = std::make_unique<obs::Profiler>(profile_options);
-    session->engine->EnableProfiling(session->profiler.get());
+    owner->profiler = std::make_unique<obs::Profiler>(profile_options);
+    session.engine().EnableProfiling(owner->profiler.get());
   }
-  return session;
-}
-
-Result<std::unique_ptr<Session>> Resume(const Flags& flags) {
-  const std::string state_path = flags.Get("state", "shpir_owner.state");
-  SHPIR_ASSIGN_OR_RETURN(Bytes file, ReadFile(state_path));
-  SHPIR_ASSIGN_OR_RETURN(core::CApproxPir::Options options,
-                         DecodeMeta(file));
-  SHPIR_ASSIGN_OR_RETURN(std::unique_ptr<Session> session,
-                         Connect(flags, options));
-  SHPIR_ASSIGN_OR_RETURN(
-      Bytes state,
-      session->cipher.Open(ByteSpan(file.data() + 40, file.size() - 40)));
-  SHPIR_RETURN_IF_ERROR(session->engine->RestoreState(state));
-  return session;
-}
-
-Status SaveWithMeta(Session& session) {
-  SHPIR_ASSIGN_OR_RETURN(Bytes state, session.engine->SerializeState());
-  SHPIR_ASSIGN_OR_RETURN(Bytes sealed,
-                         session.cipher.Seal(state, session.cpu->rng()));
-  Bytes file = EncodeMeta(session.options);
-  file.insert(file.end(), sealed.begin(), sealed.end());
-  return WriteFile(session.state_path, file);
+  return owner;
 }
 
 int CmdInit(const Flags& flags) {
@@ -248,36 +153,32 @@ int CmdInit(const Flags& flags) {
   if (!slots.ok()) {
     return Fail(slots.status());
   }
-  const uint64_t slot_size = 12 + 8 + options.page_size + 32;
-  std::printf("geometry: %llu slots x %llu bytes (start the provider "
+  std::printf("geometry: %llu slots x %zu bytes (start the provider "
               "with these)\n",
-              (unsigned long long)*slots, (unsigned long long)slot_size);
-  Result<std::unique_ptr<Session>> session = Connect(flags, options);
-  if (!session.ok()) {
-    return Fail(session.status());
+              (unsigned long long)*slots,
+              storage::PageCipher::SealedSize(options.page_size));
+  Result<std::unique_ptr<Owner>> owner = Connect(flags, &options);
+  if (!owner.ok()) {
+    return Fail(owner.status());
   }
-  // Freeze the derived block size into the persisted options so later
-  // invocations reconstruct the identical geometry.
-  (*session)->options.block_size = (*session)->engine->block_size();
-  Status status = (*session)->engine->Initialize({});
-  if (!status.ok()) {
-    return Fail(status);
+  net::OwnerSession& session = *(*owner)->session;
+  Status status = session.engine().Initialize({});
+  if (status.ok()) {
+    status = session.Save();
   }
-  status = SaveWithMeta(**session);
   if (!status.ok()) {
     return Fail(status);
   }
   std::printf("initialized: n=%llu B=%zu m=%llu k=%llu c=%.3f\n",
               (unsigned long long)options.num_pages, options.page_size,
               (unsigned long long)options.cache_pages,
-              (unsigned long long)(*session)->engine->block_size(),
-              (*session)->engine->achieved_privacy());
+              (unsigned long long)session.engine().block_size(),
+              session.engine().achieved_privacy());
   return 0;
 }
 
 int RunCommand(const std::string& command, const Flags& flags,
-               Session& session, const obs::TraceContext& ctx) {
-  core::CApproxPir& engine = *session.engine;
+               core::CApproxPir& engine, const obs::TraceContext& ctx) {
   if (command == "get") {
     Result<Bytes> data = engine.TracedRetrieve(flags.GetU64("id", 0), ctx);
     // shpir-lint-allow-next-line(secret-branch): operator CLI: owner-side administration output on the operator's own terminal; the provider sees only the PIR stream underneath
@@ -337,37 +238,42 @@ int RunCommand(const std::string& command, const Flags& flags,
   return 0;
 }
 
+/// Writes `text` to `path` (the --trace-out and --profile-out files).
+Status WriteText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  return out ? OkStatus() : InternalError("cannot write " + path);
+}
+
 int CmdOp(const std::string& command, const Flags& flags) {
-  Result<std::unique_ptr<Session>> session = Resume(flags);
-  if (!session.ok()) {
-    return Fail(session.status());
+  Result<std::unique_ptr<Owner>> owner = Connect(flags, nullptr);
+  if (!owner.ok()) {
+    return Fail(owner.status());
   }
+  net::OwnerSession& session = *(*owner)->session;
   int rc;
   {
     // The root span covers the whole command; the context rides every
     // remote disk op to the provider (inert unless sampled).
-    obs::TraceSpan root((*session)->tracer.get(), "client_query");
+    obs::TraceSpan root((*owner)->tracer.get(), "client_query");
     if (root.context().active()) {
-      (*session)->disk->set_trace_context(root.context());
+      session.disk().set_trace_context(root.context());
     }
-    rc = RunCommand(command, flags, **session, root.context());
-    (*session)->disk->clear_trace_context();
+    rc = RunCommand(command, flags, session.engine(), root.context());
+    session.disk().clear_trace_context();
   }
   // shpir-lint-allow-next-line(secret-branch, secret-compare): operator CLI: owner-side administration output on the operator's own terminal; the provider sees only the PIR stream underneath
   if (rc != 0) {
     return rc;
   }
-  const Status saved = SaveWithMeta(**session);
+  const Status saved = session.Save();
   if (!saved.ok()) {
     return Fail(saved);
   }
   const std::string trace_out = flags.Get("trace-out");
-  if (!trace_out.empty() && (*session)->tracer != nullptr) {
-    const std::string json =
-        obs::ToChromeTraceJson((*session)->tracer->Snapshot());
-    const Status written = WriteFile(
-        trace_out, ByteSpan(reinterpret_cast<const uint8_t*>(json.data()),
-                            json.size()));
+  if (!trace_out.empty() && (*owner)->tracer != nullptr) {
+    const Status written = WriteText(
+        trace_out, obs::ToChromeTraceJson((*owner)->tracer->Snapshot()));
     // shpir-lint-allow-next-line(secret-branch): operator CLI: owner-side administration output on the operator's own terminal; the provider sees only the PIR stream underneath
     if (!written.ok()) {
       // shpir-lint-allow-next-line(secret-arg): operator CLI: owner-side administration output on the operator's own terminal; the provider sees only the PIR stream underneath
@@ -375,12 +281,9 @@ int CmdOp(const std::string& command, const Flags& flags) {
     }
   }
   const std::string profile_out = flags.Get("profile-out");
-  if (!profile_out.empty() && (*session)->profiler != nullptr) {
-    const std::string folded = (*session)->profiler->ToCollapsed();
-    const Status written = WriteFile(
-        profile_out,
-        ByteSpan(reinterpret_cast<const uint8_t*>(folded.data()),
-                 folded.size()));
+  if (!profile_out.empty() && (*owner)->profiler != nullptr) {
+    const Status written =
+        WriteText(profile_out, (*owner)->profiler->ToCollapsed());
     // shpir-lint-allow-next-line(secret-branch): operator CLI: owner-side administration output on the operator's own terminal; the provider sees only the PIR stream underneath
     if (!written.ok()) {
       // shpir-lint-allow-next-line(secret-arg): operator CLI: owner-side administration output on the operator's own terminal; the provider sees only the PIR stream underneath
