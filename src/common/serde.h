@@ -20,12 +20,7 @@ class ByteWriter {
     out_.insert(out_.end(), buf, buf + 8);
   }
 
-  void WriteBytes(ByteSpan data) {
-    WriteU64(data.size());
-    out_.insert(out_.end(), data.begin(), data.end());
-  }
-
-  /// Raw append without a length prefix.
+  /// Appends `data` as is (callers fix lengths in their formats).
   void WriteRaw(ByteSpan data) {
     out_.insert(out_.end(), data.begin(), data.end());
   }
@@ -60,17 +55,6 @@ class ByteReader {
     const uint64_t v = LoadLE64(data_.data() + pos_);
     pos_ += 8;
     return v;
-  }
-
-  Result<Bytes> ReadBytes() {
-    SHPIR_ASSIGN_OR_RETURN(const uint64_t len, ReadU64());
-    if (len > remaining()) {
-      return DataLossError("truncated state: bytes");
-    }
-    Bytes out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-              data_.begin() + static_cast<ptrdiff_t>(pos_ + len));
-    pos_ += len;
-    return out;
   }
 
   /// Raw read of exactly `len` bytes.

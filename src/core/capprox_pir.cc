@@ -336,10 +336,20 @@ storage::PageId CApproxPir::RandomUncachedOutsideBlock(
   }
 }
 
+Status CApproxPir::RollForward() {
+  if (!pending_write_.has_value()) {
+    return OkStatus();
+  }
+  SHPIR_RETURN_IF_ERROR(cpu_->WritePlan(pending_write_->plan,
+                                        pending_write_->run,
+                                        pending_write_->extra));
+  pending_write_.reset();
+  return OkStatus();
+}
+
 Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
-    common::Secret<PageId> request_secret, const Bytes* replace_data,
-    bool force_evict, bool insert_mode, PageId insert_id,
-    const Bytes* insert_data) {
+    common::Secret<PageId> request_secret, const RoundOp& op,
+    const ServedSink& served) {
   // The query index is unwrapped only here: everything below runs
   // inside the device, and every secret-dependent branch the Fig. 3
   // protocol takes carries an audited shpir-lint-allow.
@@ -347,6 +357,7 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
   if (!initialized_) {
     return FailedPreconditionError("engine not initialized");
   }
+  SHPIR_RETURN_IF_ERROR(RollForward());
   if (trace_ != nullptr) {
     trace_->BeginRequest();
   }
@@ -405,10 +416,10 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
   SHPIR_SECRET bool request_cached = false;
   {
     obs::Span span(qtrace, obs::Phase::kPageMapLookup);
-    if (insert_mode) {
+    if (op.insert_data != nullptr) {
       // The extra page is the chosen spare; its content is replaced by
       // the new page below.
-      extra = insert_id;
+      extra = request;
       // The Fig. 3 case split below is the protocol's one deliberate
       // secret-dependent branch: which case ran decides the extra page,
       // and Eq. 5 is exactly the bound on what the resulting disk
@@ -437,9 +448,12 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
                              page_map_.DiskLocation(extra)};
 
   // Step 2: read the plan (the block, then the extra page) in one disk
-  // call and decrypt all k+1 pages into device memory. The decrypted
-  // block is a secret container, so secret-indexed accesses into it
-  // stay inside the boundary.
+  // call, decrypt all k+1 pages into device memory and check that each
+  // is the page the pageMap places at its slot. The MAC binds a page's
+  // id to its bytes, so a page moved to another slot opens cleanly;
+  // only the position check catches it. The decrypted block is a
+  // secret container, so secret-indexed accesses into it stay inside
+  // the boundary.
   std::vector<Bytes> sealed_in;
   {
     obs::Span span(qtrace, obs::Phase::kBlockRead);
@@ -450,46 +464,49 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
     obs::Span span(qtrace, obs::Phase::kDecrypt);
     for (uint64_t i = 0; i <= block_size_; ++i) {
       SHPIR_ASSIGN_OR_RETURN(block[i], cpu_->OpenPage(sealed_in[i]));
+      const Location loc = i < block_size_ ? block_start + i : plan.extra;
+      // shpir-lint-allow-next-line(secret-loop-bound): in-enclave integrity check; a moved page aborts the round before any write, at a slot the adversary chose to tamper with
+      if (!MapsTo(block[i].id, loc)) {
+        return DataLossError("disk slot " + std::to_string(loc) +
+                             " holds a page the pageMap places elsewhere");
+      }
     }
   }
 
-  // Step 3: extract the requested payload (before any modification).
+  // Step 3: take the answer and apply Modify's bytes wherever the page
+  // lives (the checks above put the requested page at block[q] when it
+  // is not cached), then serve it. Step 4 (Fig. 3 lines 17-20):
+  // uniformize the target slot, then swap with a random cache entry.
   RoundOutcome outcome;
-  if (insert_mode) {
-    // Overwrite the spare's content with the new page (same id).
-    block[block_size_] = Page(insert_id, *insert_data);
-    // shpir-lint-allow-next-line(secret-branch): in-enclave payload extraction
-  } else if (request_cached) {
-    outcome.result = page_cache_[page_map_.CacheIndex(request)].data;
-  } else {
-    // shpir-lint-allow-next-line(secret-branch, secret-compare): in-enclave integrity check; aborts the whole round either way
-    if (block[q].id != request) {
-      return InternalError("pageMap/disk disagree on page position");
-    }
-    outcome.result = block[q].data;
-  }
-
-  // Apply Modify() semantics wherever the page currently lives.
-  if (replace_data != nullptr && !insert_mode) {
-    // shpir-lint-allow-next-line(secret-branch): in-enclave Modify placement
-    if (request_cached) {
-      page_cache_[page_map_.CacheIndex(request)].data = *replace_data;
-    } else {
-      block[q].data = *replace_data;
-    }
-  }
-
-  // Step 4 (Fig. 3 lines 17-20): uniformize the target slot, then swap
-  // with a random cache entry.
   uint64_t r;
   uint64_t s;
   {
     obs::Span span(qtrace, obs::Phase::kCacheEvict);
+    if (op.insert_data != nullptr) {
+      // Overwrite the spare's content with the new page (same id).
+      block[block_size_] = Page(request, *op.insert_data);
+    } else {
+      Page& target =
+          // shpir-lint-allow-next-line(secret-branch): in-enclave payload extraction
+          request_cached ? page_cache_[page_map_.CacheIndex(request)] : block[q];
+      if (op.retrieve) {
+        outcome.answer = target.data;
+      }
+      if (op.replace_data != nullptr) {
+        target.data = *op.replace_data;
+      }
+    }
+    // The served point: every page is read, opened and checked, and the
+    // answer is final. What follows only hides it, so the caller may
+    // have it now.
+    if (served) {
+      served(std::move(outcome.answer));
+    }
     r = options_.ablation_skip_uniform_swap
             ? 0
             : cpu_->rng().UniformInt(block_size_);
     std::swap(block[r], block[q]);
-    if (force_evict) {
+    if (op.force_evict) {
       s = page_map_.CacheIndex(request);
     } else if (options_.ablation_round_robin_eviction) {
       s = request_index % options_.cache_pages;
@@ -514,7 +531,15 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
   }
   {
     obs::Span span(qtrace, obs::Phase::kWriteBack);
-    SHPIR_RETURN_IF_ERROR(cpu_->WritePlan(plan, sealed_out, sealed_last));
+    outcome.write_back = cpu_->WritePlan(plan, sealed_out, sealed_last);
+    // shpir-lint-allow-next-line(secret-branch): whether the write landed is public; the untrusted disk answered it
+    if (!outcome.write_back.ok()) {
+      // The swap already moved pages between the cache and the block:
+      // commit as if the write had landed and keep it to re-send.
+      // shpir-lint-allow-next-line(secret-member): the round's public write plan and its fresh ciphertexts, which the disk was already sent
+      pending_write_ =
+          PendingWrite{plan, std::move(sealed_out), std::move(sealed_last)};
+    }
   }
 
   // Step 6: update the look-up table for the three moved pages.
@@ -539,10 +564,15 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
     const Location loc_q = q < block_size_ ? block_start + q : plan.extra;
     page_map_.SetDiskLocation(block[q].id, loc_q);
   }
+  // Free the round's 3(k+1) page buffers inside this phase, so the
+  // phase histograms cover the whole round.
+  sealed_in.clear();
+  block.clear();
+  sealed_out.clear();
   return outcome;
 }
 
-Result<Bytes> CApproxPir::Retrieve(PageId id) {
+Result<Bytes> CApproxPir::RetrieveRound(PageId id, const ServedSink& served) {
   if (!initialized_) {
     return FailedPreconditionError("engine not initialized");
   }
@@ -551,9 +581,13 @@ Result<Bytes> CApproxPir::Retrieve(PageId id) {
   }
   SHPIR_ASSIGN_OR_RETURN(
       RoundOutcome outcome,
-      RunRound(common::Secret<PageId>(id), /*replace_data=*/nullptr,
-               /*force_evict=*/false, /*insert_mode=*/false, 0, nullptr));
-  return std::move(outcome.result);
+      RunRound(common::Secret<PageId>(id), {.retrieve = true}, served));
+  SHPIR_RETURN_IF_ERROR(outcome.write_back);
+  return std::move(outcome.answer);
+}
+
+Result<Bytes> CApproxPir::Retrieve(PageId id) {
+  return RetrieveRound(id, nullptr);
 }
 
 Result<Bytes> CApproxPir::TracedRetrieve(PageId id,
@@ -562,9 +596,17 @@ Result<Bytes> CApproxPir::TracedRetrieve(PageId id,
   // instance so a plain member hand-off is safe. Cleared on every exit
   // path so an untraced follow-up query cannot inherit it.
   pending_trace_ = ctx;
-  Result<Bytes> result = Retrieve(id);
+  Result<Bytes> result = RetrieveRound(id, nullptr);
   pending_trace_ = obs::TraceContext{};
   return result;
+}
+
+Status CApproxPir::TracedRetrieve(PageId id, const obs::TraceContext& ctx,
+                                  const ServedSink& served) {
+  pending_trace_ = ctx;
+  const Status status = RetrieveRound(id, served).status();
+  pending_trace_ = obs::TraceContext{};
+  return status;
 }
 
 void CApproxPir::EnableTracing(obs::Tracer* tracer, int32_t trace_shard) {
@@ -573,6 +615,10 @@ void CApproxPir::EnableTracing(obs::Tracer* tracer, int32_t trace_shard) {
 }
 
 Status CApproxPir::Modify(PageId id, Bytes data) {
+  return Modify(id, std::move(data), nullptr);
+}
+
+Status CApproxPir::Modify(PageId id, Bytes data, const ServedSink& served) {
   if (!initialized_) {
     return FailedPreconditionError("engine not initialized");
   }
@@ -588,14 +634,15 @@ Status CApproxPir::Modify(PageId id, Bytes data) {
     instruments_.modifies->Increment();
   }
   SHPIR_ASSIGN_OR_RETURN(
-      RoundOutcome outcome,
-      RunRound(common::Secret<PageId>(id), &data, /*force_evict=*/false,
-               /*insert_mode=*/false, 0, nullptr));
-  (void)outcome;
-  return OkStatus();
+      const RoundOutcome outcome,
+      RunRound(common::Secret<PageId>(id), {.replace_data = &data}, served));
+  // shpir-lint-allow-next-line(secret-return): the write-back status is public; the untrusted disk answered it
+  return outcome.write_back;
 }
 
-Status CApproxPir::Remove(PageId id) {
+Status CApproxPir::Remove(PageId id) { return Remove(id, nullptr); }
+
+Status CApproxPir::Remove(PageId id, const ServedSink& served) {
   if (!initialized_) {
     return FailedPreconditionError("engine not initialized");
   }
@@ -621,14 +668,15 @@ Status CApproxPir::Remove(PageId id) {
     round_target = page_cache_[slot].id;
   }
   SHPIR_ASSIGN_OR_RETURN(
-      RoundOutcome outcome,
+      const RoundOutcome outcome,
       RunRound(common::Secret<PageId>(round_target),
-               /*replace_data=*/nullptr, /*force_evict=*/cached,
-               /*insert_mode=*/false, 0, nullptr));
-  (void)outcome;
+               {.force_evict = cached}, served));
+  // The round committed, so the removal stands even while its write is
+  // pending.
   live_[id] = false;
   free_ids_.push_back(id);
-  return OkStatus();
+  // shpir-lint-allow-next-line(secret-return): the write-back status is public; the untrusted disk answered it
+  return outcome.write_back;
 }
 
 Result<storage::PageId> CApproxPir::Insert(Bytes data) {
@@ -681,10 +729,12 @@ Result<storage::PageId> CApproxPir::Insert(Bytes data) {
     instruments_.inserts->Increment();
   }
   SHPIR_ASSIGN_OR_RETURN(
-      RoundOutcome outcome,
-      RunRound(common::Secret<PageId>(spare), /*replace_data=*/nullptr,
-               /*force_evict=*/false, /*insert_mode=*/true, spare, &data));
-  (void)outcome;
+      const RoundOutcome outcome,
+      RunRound(common::Secret<PageId>(spare), {.insert_data = &data},
+               nullptr));
+  // The caller learns the id only on success; a spare whose write is
+  // pending stays free.
+  SHPIR_RETURN_IF_ERROR(outcome.write_back);
   free_ids_.erase(free_ids_.begin() + static_cast<ptrdiff_t>(spare_pos));
   live_[spare] = true;
   return spare;
@@ -702,6 +752,7 @@ Status CApproxPir::ReshuffleInternal(bool rotate_keys) {
   if (!initialized_) {
     return FailedPreconditionError("engine not initialized");
   }
+  SHPIR_RETURN_IF_ERROR(RollForward());
   // Stream every page in (disk + cache already in memory).
   std::vector<Page> all(id_space_);
   constexpr uint64_t kChunk = 1024;
@@ -766,6 +817,10 @@ constexpr uint64_t kStateVersion = 1;
 Result<Bytes> CApproxPir::SerializeState() const {
   if (!initialized_) {
     return FailedPreconditionError("engine not initialized");
+  }
+  if (pending_write_.has_value()) {
+    return FailedPreconditionError(
+        "a round's write-back is pending; the disk is a round behind");
   }
   ByteWriter writer;
   writer.WriteU64(kStateMagic);

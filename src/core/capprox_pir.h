@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -111,6 +112,15 @@ class CApproxPir : public PirEngine {
   /// re-permuting data already resident on the untrusted disk.
   Status Initialize(const std::vector<storage::Page>& pages);
 
+  /// Receives a round's answer at its served point: once the round has
+  /// read, opened and checked all k+1 pages, taken the requested payload
+  /// and applied Modify's bytes, and before it swaps, re-seals and
+  /// writes back. Retrieve answers with the payload; Modify and Remove
+  /// answer with no bytes. Called on the round's thread, at most once
+  /// per call; a call that fails before its served point returns its
+  /// error and never calls the sink.
+  using ServedSink = std::function<void(Bytes answer)>;
+
   /// --- PirEngine ---------------------------------------------------------
 
   /// Fig. 3 Retrieve. Constant cost per call.
@@ -123,6 +133,14 @@ class CApproxPir : public PirEngine {
   Result<Bytes> TracedRetrieve(storage::PageId id,
                                const obs::TraceContext& ctx) override;
 
+  /// TracedRetrieve answered early: `served` receives the payload at
+  /// the served point, and the call returns once the round has written
+  /// back and committed, with the whole round's status. The same round
+  /// as the call without a sink; the sharded runtime answers its
+  /// callers this way while the shard finishes the round.
+  Status TracedRetrieve(storage::PageId id, const obs::TraceContext& ctx,
+                        const ServedSink& served);
+
   uint64_t num_pages() const override { return options_.num_pages; }
   size_t page_size() const override { return options_.page_size; }
   const char* name() const override { return "c-approx"; }
@@ -131,14 +149,27 @@ class CApproxPir : public PirEngine {
 
   /// Replaces the payload of page `id`. Indistinguishable from Retrieve.
   Status Modify(storage::PageId id, Bytes data) override;
+  /// Modify answered at the served point, like the TracedRetrieve above.
+  Status Modify(storage::PageId id, Bytes data, const ServedSink& served);
 
   /// Deletes page `id`; its slot becomes a spare for Insert().
   /// Indistinguishable from Retrieve.
   Status Remove(storage::PageId id) override;
+  /// Remove answered at the served point, like the TracedRetrieve above.
+  Status Remove(storage::PageId id, const ServedSink& served);
 
   /// Inserts a new page, consuming a spare (insert_reserve or previously
   /// Removed) slot; returns its id. Indistinguishable from Retrieve.
   Result<storage::PageId> Insert(Bytes data) override;
+
+  // Roll-forward. A round whose write-back fails has still committed:
+  // its pages already moved between the cache and the block, so the
+  // engine keeps the round's state and its write plan, and the call
+  // returns the write's error. Every call that runs a round (Retrieve,
+  // Modify, Remove, Insert, OfflineReshuffle, RotateKeys) first
+  // re-sends that plan and returns its error while it still fails, so
+  // at most one plan is ever pending. A Modify or Remove that fails
+  // this way has taken effect; an Insert has not.
 
   /// §4.3's offline maintenance: "if there are numerous page deletions,
   /// the owner may choose to reshuffle (offline) the whole database in
@@ -257,6 +288,8 @@ class CApproxPir : public PirEngine {
   /// map — it must stay inside the trusted boundary or be wrapped with
   /// crypto::BlobCipher before leaving it. The coprocessor keys are NOT
   /// included; recreate the device with the same seed (or key escrow).
+  /// FailedPrecondition while a write-back is pending: the disk is a
+  /// round behind the state.
   Result<Bytes> SerializeState() const;
 
   /// Restores a serialized state onto a freshly Create()d engine whose
@@ -280,19 +313,47 @@ class CApproxPir : public PirEngine {
              storage::AccessTrace* trace, uint64_t block_size,
              uint64_t disk_slots, uint64_t reserved_bytes);
 
-  /// One round of the Fig. 3 protocol. `request` is the id driving the
-  /// round (the real target, or a forced spare for Insert); it crosses
-  /// into the round wrapped in Secret<> — the round is the trust
-  /// boundary within which secret-dependent control flow is permitted
-  /// (and audited via shpir-lint-allow). The hooks customize the update
-  /// operations; see the .cc for the contract.
-  struct RoundOutcome {
-    Bytes result;  // Payload of the requested page (pre-modification).
+  /// What a round does besides Fig. 3's read and relocation (§4.3).
+  struct RoundOp {
+    /// Retrieve: the answer is the requested page's payload.
+    bool retrieve = false;
+    /// Modify: the requested page's new payload.
+    const Bytes* replace_data = nullptr;
+    /// Remove of a cached page: that page is the one evicted.
+    bool force_evict = false;
+    /// Insert: the new content of the spare driving the round.
+    const Bytes* insert_data = nullptr;
   };
+  /// A committed round: its answer (handed to the sink instead when
+  /// there is one) and its write-back's status, pending when not ok.
+  struct RoundOutcome {
+    Bytes answer;
+    Status write_back;
+  };
+
+  /// One round of the Fig. 3 protocol. `request` is the id driving the
+  /// round (the real target, a cached page for Remove, or the spare for
+  /// Insert); it crosses into the round wrapped in Secret<> — the round
+  /// is the trust boundary within which secret-dependent control flow
+  /// is permitted (and audited via shpir-lint-allow). Re-sends a pending
+  /// write first. Errors before the round commits are returned; a failed
+  /// write-back commits and is reported in the outcome.
   Result<RoundOutcome> RunRound(common::Secret<storage::PageId> request,
-                                const Bytes* replace_data, bool force_evict,
-                                bool insert_mode, storage::PageId insert_id,
-                                const Bytes* insert_data);
+                                const RoundOp& op, const ServedSink& served);
+
+  /// Shared body of Retrieve() and both TracedRetrieve()s.
+  Result<Bytes> RetrieveRound(storage::PageId id, const ServedSink& served);
+
+  /// Re-sends the pending write plan, if any; its error while it fails.
+  Status RollForward();
+
+  /// True when page `id` is on disk at `loc` by the pageMap; false for
+  /// ids outside the id space.
+  bool MapsTo(storage::PageId id, storage::Location loc) const {
+    return id < id_space_ && !page_map_.IsCached(id) &&
+           // shpir-lint-allow-next-line(secret-compare): in-enclave integrity check of an opened page against the pageMap; a mismatch fails the whole round
+           page_map_.DiskLocation(id) == loc;
+  }
 
   /// Shared body of OfflineReshuffle()/RotateKeys().
   Status ReshuffleInternal(bool rotate_keys);
@@ -351,6 +412,14 @@ class CApproxPir : public PirEngine {
   std::vector<storage::PageId> free_ids_;  // Spares available to Insert.
   uint64_t next_block_ = 0;                // Round-robin block cursor.
   bool initialized_ = false;
+
+  /// The write plan of a committed round whose write-back failed.
+  struct PendingWrite {
+    storage::IoPlan plan;
+    std::vector<Bytes> run;
+    Bytes extra;
+  };
+  std::optional<PendingWrite> pending_write_;
 
   Stats stats_;
   RelocationObserver relocation_observer_;

@@ -57,11 +57,42 @@ bool HasAesNi() {
   return has;
 }
 
+// XORs `lanes` consecutive keystream blocks over `lanes` whole blocks
+// of `in` into `out`, advancing the counter. Kept inline, the lane loops
+// unroll and the blocks stay in registers.
+template <size_t lanes>
+__attribute__((target("aes,sse4.1,ssse3"), always_inline)) inline void
+CtrLanes(const __m128i* keys, int rounds, uint64_t& high, uint64_t& low,
+         const uint8_t* in, uint8_t* out) {
+  __m128i blocks[lanes];
+#pragma GCC unroll 8
+  for (size_t j = 0; j < lanes; ++j) {
+    const __m128i counter =
+        _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(low)),
+                       static_cast<long long>(__builtin_bswap64(high)));
+    blocks[j] = _mm_xor_si128(counter, keys[0]);
+    low += 1;
+    high += (low == 0) ? 1 : 0;
+  }
+  for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+    for (size_t j = 0; j < lanes; ++j) {
+      blocks[j] = _mm_aesenc_si128(blocks[j], keys[r]);
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t j = 0; j < lanes; ++j) {
+    const __m128i keystream = _mm_aesenclast_si128(blocks[j], keys[rounds]);
+    const __m128i text = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(in + Aes::kBlockSize * j));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + Aes::kBlockSize * j),
+                     _mm_xor_si128(text, keystream));
+  }
+}
+
 __attribute__((target("aes,sse4.1,ssse3"))) void AesCtrHardware(
     const uint8_t* schedule, int rounds, const uint8_t iv[16],
     const uint8_t* in, uint8_t* out, size_t len) {
-  constexpr size_t kLanes = 8;
-  constexpr size_t kStride = kLanes * Aes::kBlockSize;
   __m128i keys[15];
   for (int r = 0; r <= rounds; ++r) {
     keys[r] = _mm_loadu_si128(
@@ -70,49 +101,31 @@ __attribute__((target("aes,sse4.1,ssse3"))) void AesCtrHardware(
   // The counter as two 64-bit halves, so a carry crosses all 128 bits.
   uint64_t high = LoadBE64(iv);
   uint64_t low = LoadBE64(iv + 8);
-  // A final partial stride runs through this buffer, so every stride
-  // reads and writes whole blocks.
-  alignas(16) uint8_t tail[kStride] = {};
-  while (len > 0) {
-    const size_t n = std::min(len, kStride);
-    const uint8_t* src = in;
-    uint8_t* dst = out;
-    if (n < kStride) {
-      std::memcpy(tail, in, n);
-      src = tail;
-      dst = tail;
-    }
-    // The lane loops are unrolled so the eight blocks stay in registers.
-    __m128i blocks[kLanes];
-#pragma GCC unroll 8
-    for (size_t j = 0; j < kLanes; ++j) {
-      const __m128i counter =
-          _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(low)),
-                         static_cast<long long>(__builtin_bswap64(high)));
-      blocks[j] = _mm_xor_si128(counter, keys[0]);
-      low += 1;
-      high += (low == 0) ? 1 : 0;
-    }
-    for (int r = 1; r < rounds; ++r) {
-#pragma GCC unroll 8
-      for (size_t j = 0; j < kLanes; ++j) {
-        blocks[j] = _mm_aesenc_si128(blocks[j], keys[r]);
-      }
-    }
-#pragma GCC unroll 8
-    for (size_t j = 0; j < kLanes; ++j) {
-      const __m128i keystream = _mm_aesenclast_si128(blocks[j], keys[rounds]);
-      const __m128i text = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(src + Aes::kBlockSize * j));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + Aes::kBlockSize * j),
-                       _mm_xor_si128(text, keystream));
-    }
-    if (n < kStride) {
-      std::memcpy(out, tail, n);
-    }
-    in += n;
-    out += n;
-    len -= n;
+  // Eight blocks in flight while they last; the rest in groups of four,
+  // two and one, so the tail costs only the blocks it covers.
+  size_t done = 0;
+  for (; len - done >= 8 * Aes::kBlockSize; done += 8 * Aes::kBlockSize) {
+    CtrLanes<8>(keys, rounds, high, low, in + done, out + done);
+  }
+  if (len - done >= 4 * Aes::kBlockSize) {
+    CtrLanes<4>(keys, rounds, high, low, in + done, out + done);
+    done += 4 * Aes::kBlockSize;
+  }
+  if (len - done >= 2 * Aes::kBlockSize) {
+    CtrLanes<2>(keys, rounds, high, low, in + done, out + done);
+    done += 2 * Aes::kBlockSize;
+  }
+  if (len - done >= Aes::kBlockSize) {
+    CtrLanes<1>(keys, rounds, high, low, in + done, out + done);
+    done += Aes::kBlockSize;
+  }
+  // A last partial block runs through this buffer, so the lanes read
+  // and write whole blocks.
+  if (done < len) {
+    alignas(16) uint8_t last[Aes::kBlockSize] = {};
+    std::memcpy(last, in + done, len - done);
+    CtrLanes<1>(keys, rounds, high, low, last, last);
+    std::memcpy(out + done, last, len - done);
   }
 }
 

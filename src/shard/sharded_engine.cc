@@ -47,6 +47,11 @@ Result<std::unique_ptr<ShardedPirEngine>> ShardedPirEngine::Create(
   std::unique_ptr<ShardedPirEngine> engine(
       new ShardedPirEngine(std::move(plan), options.page_size, options));
   const ShardPlan& p = engine->plan_;
+  if (!options.disks.empty() &&
+      (options.disks.size() != p.shards() ||
+       std::count(options.disks.begin(), options.disks.end(), nullptr) > 0)) {
+    return InvalidArgumentError("disks must name one disk per shard");
+  }
   for (uint64_t i = 0; i < p.shards(); ++i) {
     const ShardPlan::ShardSpec& spec = p.spec(i);
     core::CApproxPir::Options eopts;
@@ -63,11 +68,17 @@ Result<std::unique_ptr<ShardedPirEngine>> ShardedPirEngine::Create(
         options.seed.has_value()
             ? crypto::SecureRandom(*options.seed + kDummySeedOffset + i)
             : crypto::SecureRandom());
-    shard->disk = std::make_unique<storage::MemoryDisk>(
-        slots, storage::PageCipher::SealedSize(options.page_size));
+    storage::Disk* disk = nullptr;
+    if (options.disks.empty()) {
+      shard->disk = std::make_unique<storage::MemoryDisk>(
+          slots, storage::PageCipher::SealedSize(options.page_size));
+      disk = shard->disk.get();
+    } else {
+      disk = options.disks[i];
+    }
     // Always in the stack: a pure pass-through until EnableTracing
     // attaches a collector.
-    shard->span_disk = std::make_unique<storage::SpanDisk>(shard->disk.get());
+    shard->span_disk = std::make_unique<storage::SpanDisk>(disk);
     if (options.enable_traces) {
       shard->trace = std::make_unique<storage::AccessTrace>();
     }
@@ -112,53 +123,50 @@ Result<Bytes> ShardedPirEngine::Retrieve(storage::PageId id) {
 
 Result<Bytes> ShardedPirEngine::TracedRetrieve(storage::PageId id,
                                                const obs::TraceContext& ctx) {
-  return FanOut(id, ctx,
-                [](core::CApproxPir* engine, storage::PageId local,
-                   const obs::TraceContext& qctx) {
-                  return engine->TracedRetrieve(local, qctx);
-                });
+  return FanOut(id, ctx, RetrieveOnShard);
 }
 
 Status ShardedPirEngine::Modify(storage::PageId id, Bytes data) {
-  Result<Bytes> result = FanOut(
-      id, obs::TraceContext{},
-      [data = std::move(data)](
-          core::CApproxPir* engine, storage::PageId local,
-          const obs::TraceContext& qctx) -> Result<Bytes> {
-        (void)qctx;
-        SHPIR_RETURN_IF_ERROR(engine->Modify(local, data));
-        return Bytes();
-      });
-  return result.status();
+  return FanOut(id, obs::TraceContext{},
+                [data = std::move(data)](
+                    core::CApproxPir* engine, storage::PageId local,
+                    const obs::TraceContext& qctx,
+                    const core::CApproxPir::ServedSink& served) mutable {
+                  (void)qctx;
+                  return engine->Modify(local, std::move(data), served);
+                })
+      .status();
 }
 
 Status ShardedPirEngine::Remove(storage::PageId id) {
-  Result<Bytes> result = FanOut(
-      id, obs::TraceContext{},
-      [](core::CApproxPir* engine, storage::PageId local,
-         const obs::TraceContext& qctx) -> Result<Bytes> {
-        (void)qctx;
-        SHPIR_RETURN_IF_ERROR(engine->Remove(local));
-        return Bytes();
-      });
-  return result.status();
+  return FanOut(id, obs::TraceContext{},
+                [](core::CApproxPir* engine, storage::PageId local,
+                   const obs::TraceContext& qctx,
+                   const core::CApproxPir::ServedSink& served) {
+                  (void)qctx;
+                  return engine->Remove(local, served);
+                })
+      .status();
 }
 
-Result<Bytes> ShardedPirEngine::FanOut(
-    storage::PageId id, const obs::TraceContext& ctx,
-    std::function<Result<Bytes>(core::CApproxPir*, storage::PageId,
-                                const obs::TraceContext&)>
-        real) {
+Status ShardedPirEngine::RetrieveOnShard(
+    core::CApproxPir* engine, storage::PageId local,
+    const obs::TraceContext& ctx, const core::CApproxPir::ServedSink& served) {
+  return engine->TracedRetrieve(local, ctx, served);
+}
+
+Result<Bytes> ShardedPirEngine::FanOut(storage::PageId id,
+                                       const obs::TraceContext& ctx,
+                                       ShardCall real) {
   if (id >= plan_.total_pages()) {
     return NotFoundError("page id out of range");
   }
   const uint64_t owner = plan_.OwnerOf(id);
   const storage::PageId local = plan_.LocalId(id);
 
-  // Span covering the whole fan-out (inert without an active context).
-  // Its context is copied into every shard job by value: the jobs may
-  // outlive nothing here — the join below blocks — but copying keeps
-  // the capture self-contained.
+  // Span covering the fan-out up to the caller's answer (inert without
+  // an active context). Every shard job gets its context by value: the
+  // jobs outlive this frame.
   obs::TraceSpan fan_span(tracer_, ctx, "shard_fanout");
   const obs::TraceContext fan_ctx = fan_span.context();
   // The submit timestamp feeds both the retroactive queue-wait trace
@@ -167,9 +175,10 @@ Result<Bytes> ShardedPirEngine::FanOut(
                                  ? obs::Tracer::NowNs()
                                  : 0;
 
-  // The caller blocks on `join` until the owner shard's worker fulfills
-  // it, so stack storage is safe: no job referencing it can outlive this
-  // frame (queued jobs always run, even during Drain).
+  // The owner shard's job answers the caller through `join` at its
+  // round's served point and goes on to finish the round, so `join`
+  // lives on this frame only until the answer: the job never touches it
+  // after delivering (queued jobs always run, even during Drain).
   struct Join {
     common::Mutex mutex;
     common::CondVar cv;
@@ -191,53 +200,44 @@ Result<Bytes> ShardedPirEngine::FanOut(
       // The wait span is recorded even for expired admissions: the
       // request *did* wait, and that wait is the interesting part.
       RecordShardQueueWait(fan_ctx, submit_ns, static_cast<int32_t>(s));
-      if (admission.ok()) {
-        RunDummy(s, fan_ctx);
-      } else if (shards_[s]->slo != nullptr) {
-        // Expired covers burn this shard's availability budget exactly
-        // like an expired real query would.
-        shards_[s]->slo->Record(0, /*ok=*/false);
+      if (!admission.ok()) {
+        RecordExpiredQuery(s);
+        return;
+      }
+      if (metered()) {
+        instruments_.dummy_queries->Increment();
+      }
+      const storage::PageId cover =
+          shards_[s]->dummy_rng.UniformInt(plan_.spec(s).num_pages);
+      const Status discarded =
+          RunShardQuery(s, fan_ctx, cover, /*dummy=*/true, RetrieveOnShard,
+                        [](Result<Bytes>) {});
+      if (!discarded.ok() && metered()) {
+        // A dummy can hit a Removed id; the round still ran, the payload
+        // is discarded either way.
+        instruments_.dummy_failures->Increment();
       }
     };
   }
   // shpir-lint-allow-next-line(secret-index): slot assignment in the per-shard job array; all shards are submitted identically
-  jobs[owner] = [this, owner, local, fan_ctx, submit_ns, &join,
-                 &real](const Status& admission) {
+  jobs[owner] = [this, owner, local, fan_ctx, submit_ns, join = &join,
+                 real = std::move(real)](const Status& admission) {
     RecordShardQueueWait(fan_ctx, submit_ns, static_cast<int32_t>(owner));
-    const auto query_start = std::chrono::steady_clock::now();
-    Result<Bytes> outcome =
-        admission.ok()
-            ? [&]() -> Result<Bytes> {
-                // shpir-lint-allow-next-line(secret-index): owner-shard dispatch inside the per-shard job; every shard runs an identical job this round
-                Shard* shard = shards_[owner].get();
-                // Same span name as the covers: real-vs-dummy must stay
-                // invisible in the trace (it would name the owner).
-                obs::TraceSpan query_span(tracer_, fan_ctx, "shard_query",
-                                          static_cast<int32_t>(owner));
-                shard->span_disk->set_context(query_span.context());
-                if (observer_) {
-                  observer_(owner, shard->requests_served, local,
-                            /*dummy=*/false);
-                }
-                ++shard->requests_served;
-                Result<Bytes> r =
-                    real(shard->engine, local, query_span.context());
-                shard->span_disk->clear_context();
-                return r;
-              }()
-            : Result<Bytes>(admission);
-    // shpir-lint-allow-next-line(secret-index): owner-shard SLO handle lookup; every cover shard's job does the identical lookup for its own index
-    if (shards_[owner]->slo != nullptr) {
-      // shpir-lint-allow-next-line(secret-index, secret-log): per-shard SLO sample for the owner, recorded exactly as RunDummy records for every cover shard; real-vs-dummy stays indistinguishable
-      shards_[owner]->slo->Record(ElapsedNs(query_start), outcome.ok());
-    }
-    {
-      common::MutexLock lock(join.mutex);
-      join.result = std::move(outcome);
+    const auto deliver = [join](Result<Bytes> answer) {
+      common::MutexLock lock(join->mutex);
+      join->result = std::move(answer);
       // Notify under the lock: the waiter owns `join`'s stack frame and
       // may destroy it the instant it observes `result` unlocked.
-      join.cv.NotifyOne();
+      join->cv.NotifyOne();
+    };
+    if (!admission.ok()) {
+      // shpir-lint-allow-next-line(secret-arg): the expired owner query records the same failed SLO sample an expired cover records on its own shard
+      RecordExpiredQuery(owner);
+      deliver(admission);
+      return;
     }
+    // shpir-lint-allow-next-line(secret-arg): the owner shard runs the same query body as every cover shard, under the same span, observer, SLO and failure accounting
+    RunShardQuery(owner, fan_ctx, local, /*dummy=*/false, real, deliver);
   };
 
   const Status submitted = dispatcher_->SubmitAll(std::move(jobs), deadline);
@@ -261,7 +261,7 @@ Result<Bytes> ShardedPirEngine::FanOut(
   }
 
   common::MutexLock lock(join.mutex);
-  // shpir-lint-allow-next-line(secret-loop-bound): completion join; blocks until the fanned-out round finishes
+  // shpir-lint-allow-next-line(secret-loop-bound): completion join; blocks until the owner shard's round reaches its served point
   while (!join.result.has_value()) {
     join.cv.Wait(lock);
   }
@@ -301,38 +301,58 @@ Result<Bytes> ShardedPirEngine::FanOut(
   return *std::move(join.result);
 }
 
-void ShardedPirEngine::RunDummy(uint64_t shard_index,
-                                const obs::TraceContext& fan_ctx) {
+Status ShardedPirEngine::RunShardQuery(
+    uint64_t shard_index, const obs::TraceContext& fan_ctx,
+    storage::PageId local, bool dummy, const ShardCall& call,
+    const std::function<void(Result<Bytes>)>& answer) {
   Shard* shard = shards_[shard_index].get();
-  const storage::PageId local =
-      shard->dummy_rng.UniformInt(plan_.spec(shard_index).num_pages);
-  // Identical span name to the real query (see FanOut).
+  // Same span name for real and cover queries: telling them apart in the
+  // trace would name the owner.
   obs::TraceSpan query_span(tracer_, fan_ctx, "shard_query",
                             static_cast<int32_t>(shard_index));
   shard->span_disk->set_context(query_span.context());
   if (observer_) {
-    observer_(shard_index, shard->requests_served, local, /*dummy=*/true);
+    observer_(shard_index, shard->requests_served, local, dummy);
   }
   ++shard->requests_served;
-  if (metered()) {
-    instruments_.dummy_queries->Increment();
-  }
   const auto query_start = std::chrono::steady_clock::now();
-  const Result<Bytes> discarded =
-      shard->engine->TracedRetrieve(local, query_span.context());
+  bool answered = false;
+  const Status finished =
+      call(shard->engine, local, query_span.context(), [&](Bytes payload) {
+        answered = true;
+        answer(std::move(payload));
+      });
+  if (!answered) {
+    answer(finished);
+  }
   if (shard->slo != nullptr) {
     // Covers record into the shard SLO exactly like real queries —
     // skipping them would make the tracker's counts a function of
     // where the real targets live.
-    // shpir-lint-allow-next-line(secret-log): only the success bit of the cover round enters the SLO tracker, recorded identically for covers and real queries
-    shard->slo->Record(ElapsedNs(query_start), discarded.ok());
+    // shpir-lint-allow-next-line(secret-log): only the success bit of the shard round enters the SLO tracker, recorded identically for covers and real queries
+    shard->slo->Record(ElapsedNs(query_start), finished.ok());
   }
   shard->span_disk->clear_context();
-  // shpir-lint-allow-next-line(secret-branch): status-only check to meter failed covers; the payload is discarded either way
-  if (!discarded.ok() && metered()) {
-    // A dummy can hit a Removed id; the round still ran, the payload is
-    // discarded either way.
-    instruments_.dummy_failures->Increment();
+  if (answered && !finished.ok()) {
+    // Answered, then the write-back failed: the engine rolls it forward
+    // on this shard's next round.
+    if (metered()) {
+      instruments_.finish_failures->Increment();
+    }
+    if (eventlog_ != nullptr) {
+      eventlog_->Emit(obs::EventLevel::kWarn, "shard_finish_failed",
+                      static_cast<int32_t>(shard_index), fan_ctx.trace_id,
+                      {{"code", static_cast<uint64_t>(finished.code())}});
+    }
+  }
+  return finished;
+}
+
+void ShardedPirEngine::RecordExpiredQuery(uint64_t shard_index) {
+  if (shards_[shard_index]->slo != nullptr) {
+    // Expired queries, real or cover, burn this shard's availability
+    // budget alike.
+    shards_[shard_index]->slo->Record(0, /*ok=*/false);
   }
 }
 
@@ -634,6 +654,8 @@ void ShardedPirEngine::EnableMetrics(obs::MetricsRegistry* registry) {
       registry->FindOrCreateCounter("shpir_shard_dummy_queries_total");
   instruments_.dummy_failures =
       registry->FindOrCreateCounter("shpir_shard_dummy_failures_total");
+  instruments_.finish_failures =
+      registry->FindOrCreateCounter("shpir_shard_finish_failures_total");
   instruments_.fanout_latency_ns =
       registry->FindOrCreateHistogram("shpir_shard_fanout_latency_ns");
   instruments_.shard_count =

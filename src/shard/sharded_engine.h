@@ -76,6 +76,10 @@ class ShardedPirEngine : public core::PirEngine {
     bool enable_traces = false;
     /// Forwarded to each shard's CApproxPir (Eq. 7 accounting).
     bool enforce_secure_memory = true;
+    /// Each shard's untrusted disk (unowned; must outlive the engine):
+    /// shard i runs over disks[i], which needs the slot count and size
+    /// its engine asks for. Empty gives every shard its own MemoryDisk.
+    std::vector<storage::Disk*> disks;
   };
 
   /// Ground-truth hook for privacy analysis: shard `shard` served its
@@ -97,8 +101,9 @@ class ShardedPirEngine : public core::PirEngine {
 
   /// --- PirEngine ------------------------------------------------------
 
-  /// Fans out to every shard (real query + S-1 dummies), blocks on the
-  /// real result. ResourceExhausted when any shard queue is full;
+  /// Fans out to every shard (real query + S-1 dummies) and returns at
+  /// the real round's served point, while the owner shard finishes the
+  /// round. ResourceExhausted when any shard queue is full;
   /// DeadlineExceeded when the real query expired in its queue.
   Result<Bytes> Retrieve(storage::PageId id) override;
 
@@ -274,7 +279,7 @@ class ShardedPirEngine : public core::PirEngine {
  private:
   /// One shard's stack, in destruction-order-sensitive member order.
   struct Shard {
-    std::unique_ptr<storage::MemoryDisk> disk;
+    std::unique_ptr<storage::MemoryDisk> disk;  // Unless Options::disks.
     std::unique_ptr<storage::SpanDisk> span_disk;
     std::unique_ptr<storage::AccessTrace> trace;   // Optional.
     std::unique_ptr<obs::PrivacyMonitor> monitor;  // Optional; pre-engine.
@@ -290,20 +295,39 @@ class ShardedPirEngine : public core::PirEngine {
 
   ShardedPirEngine(ShardPlan plan, size_t page_size, Options options);
 
-  /// Shared fan-out body for Retrieve/Modify/Remove. `real` runs on the
-  /// owner shard's worker with the local id and that shard's
-  /// "shard_query" span context; its Status/payload is joined on.
-  /// Dummies run everywhere else. `ctx` parents the fan-out spans
-  /// (inactive context = no tracing).
-  Result<Bytes> FanOut(
-      storage::PageId id, const obs::TraceContext& ctx,
-      std::function<Result<Bytes>(core::CApproxPir*, storage::PageId,
-                                  const obs::TraceContext&)>
-          real);
+  /// One shard query's engine call: runs the round for `local` under
+  /// the "shard_query" span context, hands the answer to the sink at the
+  /// round's served point, and returns the whole round's status.
+  using ShardCall = std::function<Status(
+      core::CApproxPir*, storage::PageId, const obs::TraceContext&,
+      const core::CApproxPir::ServedSink&)>;
 
-  /// Runs one dummy query on shard `shard` (worker thread), with its
-  /// spans parented under `fan_ctx`.
-  void RunDummy(uint64_t shard, const obs::TraceContext& fan_ctx);
+  /// The Retrieve call, run by every cover query and by real Retrieves.
+  static Status RetrieveOnShard(core::CApproxPir* engine,
+                                storage::PageId local,
+                                const obs::TraceContext& ctx,
+                                const core::CApproxPir::ServedSink& served);
+
+  /// Shared fan-out body for Retrieve/Modify/Remove. `real` runs on the
+  /// owner shard's worker with the local id, and the caller is answered
+  /// at its round's served point while the worker finishes the round.
+  /// Cover Retrieves run everywhere else. `ctx` parents the fan-out
+  /// spans (inactive context = no tracing).
+  Result<Bytes> FanOut(storage::PageId id, const obs::TraceContext& ctx,
+                       ShardCall real);
+
+  /// Runs one real or cover query on shard `shard` (worker thread),
+  /// with its spans parented under `fan_ctx`: the same span, observer
+  /// call, SLO sample and finish-failure accounting for both. `answer`
+  /// receives the answer at the served point, or the error that ended
+  /// the query before it, exactly once. Returns the round's status.
+  Status RunShardQuery(uint64_t shard, const obs::TraceContext& fan_ctx,
+                       storage::PageId local, bool dummy,
+                       const ShardCall& call,
+                       const std::function<void(Result<Bytes>)>& answer);
+
+  /// A query that expired in shard `shard`'s queue fails its SLO sample.
+  void RecordExpiredQuery(uint64_t shard);
 
   /// Records the retroactive per-shard "queue_wait" span (submission to
   /// worker pickup). No-op without an active context.
@@ -333,6 +357,7 @@ class ShardedPirEngine : public core::PirEngine {
     obs::Counter* logical_queries = nullptr;
     obs::Counter* dummy_queries = nullptr;
     obs::Counter* dummy_failures = nullptr;
+    obs::Counter* finish_failures = nullptr;
     obs::Histogram* fanout_latency_ns = nullptr;
     obs::Gauge* shard_count = nullptr;
     obs::Gauge* block_size_k = nullptr;

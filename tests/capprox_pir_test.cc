@@ -199,6 +199,64 @@ TEST_F(CApproxPirTest, TraceShapePerQuery) {
   }
 }
 
+// The served point sits between a round's reads and its writes, at the
+// same place for Retrieve, Modify and Remove: the sink fires once, after
+// exactly the k+1 reads and before any write, and the call returns once
+// the k+1 writes are done.
+TEST_F(CApproxPirTest, SinkFiresAfterTheReadsAndBeforeAnyWrite) {
+  auto stack = MakeStack(SmallOptions());
+  CApproxPir& engine = stack->engine();
+  const storage::AccessTrace& trace = traces_.back();
+  const uint64_t k = engine.block_size();
+  // Reads and writes of the latest request so far.
+  auto count = [&trace](storage::AccessEvent::Op op) {
+    uint64_t n = 0;
+    for (const storage::AccessEvent& e : trace.events()) {
+      n += e.request_index == trace.num_requests() - 1 && e.op == op;
+    }
+    return n;
+  };
+  enum class Call { kRetrieve, kModify, kRemove };
+  for (const Call call : {Call::kRetrieve, Call::kModify, Call::kRemove}) {
+    for (const PageId id : {3, 17, 41}) {
+      const PageId page = id + static_cast<PageId>(call);
+      int fired = 0;
+      uint64_t reads = 0;
+      uint64_t writes = 0;
+      Bytes answer{0xFF};
+      const CApproxPir::ServedSink sink = [&](Bytes served) {
+        ++fired;
+        reads = count(storage::AccessEvent::Op::kRead);
+        writes = count(storage::AccessEvent::Op::kWrite);
+        answer = std::move(served);
+      };
+      Status status;
+      switch (call) {
+        case Call::kRetrieve:
+          status = engine.TracedRetrieve(page, obs::TraceContext{}, sink);
+          break;
+        case Call::kModify:
+          status = engine.Modify(page, PayloadFor(page + 100), sink);
+          break;
+        case Call::kRemove:
+          status = engine.Remove(page, sink);
+          break;
+      }
+      ASSERT_TRUE(status.ok()) << status;
+      EXPECT_EQ(fired, 1) << "page " << page;
+      EXPECT_EQ(reads, k + 1) << "page " << page;
+      EXPECT_EQ(writes, 0u) << "page " << page;
+      EXPECT_EQ(count(storage::AccessEvent::Op::kWrite), k + 1);
+      EXPECT_EQ(answer, call == Call::kRetrieve ? PayloadFor(page) : Bytes());
+    }
+  }
+  // The early answer changed nothing the next round sees.
+  const Result<Bytes> modified = engine.Retrieve(18);
+  ASSERT_TRUE(modified.ok()) << modified.status();
+  EXPECT_EQ(*modified, PayloadFor(118));
+  EXPECT_EQ(engine.Retrieve(19).status().code(), StatusCode::kNotFound);
+}
+
 TEST_F(CApproxPirTest, RoundRobinBlockSchedule) {
   auto stack = MakeStack(SmallOptions());
   const uint64_t k = stack->engine().block_size();

@@ -159,6 +159,40 @@ TEST_P(CtrKernelTest, CounterCarriesAcross128Bits) {
   }
 }
 
+// Past its eight-block strides, the hardware kernel runs the tail in
+// narrower groups and one partial block; the counter must carry across
+// all 128 bits there too. Sixteen blocks fill two strides and block 18
+// carries, so each length below puts the carry in a different piece of
+// the tail: the partial block (40), the single block (56), the group of
+// four (72) and a tail of every piece (127).
+TEST_P(CtrKernelTest, CounterCarriesInsideTheFinalPartialStride) {
+  const std::vector<std::string> ivs = {
+      "0001020304050607ffffffffffffffee",
+      "ffffffffffffffffffffffffffffffee",
+  };
+  SecureRandom rng(13);
+  Bytes key(32);
+  rng.Fill(key);
+  const Result<Aes> aes = Aes::Create(key);
+  ASSERT_TRUE(aes.ok());
+  for (const std::string& iv_hex : ivs) {
+    const Bytes iv = HexDecode(iv_hex);
+    for (const size_t tail : {40u, 56u, 72u, 127u}) {
+      const size_t len = 16 * Aes::kBlockSize + tail;
+      const Bytes keystream = CtrWith(GetParam(), key, iv, Bytes(len));
+      for (size_t j = 0; j * Aes::kBlockSize < len; ++j) {
+        const Bytes counter = AddToCounter(iv, j);
+        uint8_t expected[Aes::kBlockSize];
+        aes->EncryptBlock(counter.data(), expected);
+        const size_t n = std::min(Aes::kBlockSize, len - j * Aes::kBlockSize);
+        EXPECT_EQ(HexEncode(ByteSpan(keystream.data() + 16 * j, n)),
+                  HexEncode(ByteSpan(expected, n)))
+            << "iv " << iv_hex << ", length " << len << ", block " << j;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Kernels, CtrKernelTest,
                          ::testing::Values(Form::kPortable, Form::kHardware),
                          FormName);

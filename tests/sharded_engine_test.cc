@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -138,6 +139,81 @@ TEST(ShardedEngineTest, ModifyAndRemoveFanOutLikeRetrieve) {
   EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
   // Neighbors unaffected.
   EXPECT_TRUE(engine->Retrieve(41).ok());
+  engine->Drain();
+}
+
+/// Parks every shard's round after its write-back until the caller's
+/// call has returned, or until a timeout, so a test can see whether the
+/// caller was answered before its round finished.
+class FinishGate {
+ public:
+  explicit FinishGate(ShardedPirEngine& engine) {
+    for (uint64_t s = 0; s < engine.shards(); ++s) {
+      engine.shard_engine(s)->set_relocation_observer(
+          [this](PageId, storage::Location, uint64_t) { Wait(); });
+    }
+  }
+
+  /// Lets every parked and later round finish.
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  /// Rounds that gave up waiting: their caller was not answered first.
+  int timeouts() const { return timeouts_.load(); }
+
+ private:
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!cv_.wait_for(lock, std::chrono::seconds(5),
+                      [this] { return open_; })) {
+      ++timeouts_;
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  std::atomic<int> timeouts_{0};
+};
+
+TEST(ShardedEngineTest, AnswersBeforeTheRoundFinishes) {
+  auto engine = MakeEngine(SmallOptions(2));
+  FinishGate gate(*engine);
+  const Result<Bytes> data = engine->Retrieve(13);
+  gate.Open();
+  engine->WaitIdle();
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_EQ(*data, PayloadFor(13, engine->page_size()));
+  EXPECT_EQ(gate.timeouts(), 0);
+  engine->Drain();
+}
+
+TEST(ShardedEngineTest, ModifyAnsweredEarlyIsSeenByTheNextRetrieve) {
+  auto engine = MakeEngine(SmallOptions(2));
+  const PageId id = 21;
+  const uint64_t owner = engine->plan().OwnerOf(id);
+  const Bytes updated = PayloadFor(777, engine->page_size());
+  FinishGate gate(*engine);
+  EXPECT_TRUE(engine->Modify(id, updated).ok());
+  // The Modify's round is still parked on its shard; the next Retrieve,
+  // from another thread, queues behind it and must see the new bytes.
+  Result<Bytes> seen = Bytes{};
+  std::thread reader([&] { seen = engine->Retrieve(id); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (engine->dispatcher().depth(owner) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  gate.Open();
+  reader.join();
+  engine->WaitIdle();
+  ASSERT_TRUE(seen.ok()) << seen.status();
+  EXPECT_EQ(*seen, updated);
+  EXPECT_EQ(gate.timeouts(), 0);
   engine->Drain();
 }
 

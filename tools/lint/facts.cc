@@ -821,13 +821,24 @@ class BodyWalker {
       return;
     }
     // Assignment / return context: walk back over the `obj.`/`ptr->`/
-    // `Cls::` chain to see what receives the result.
+    // `Cls::` chain to see what receives the result. A link may be an
+    // accessor call or a subscript (`a->b()->Call`, `a[i].Call`): step
+    // over its balanced `(...)`/`[...]` to the identifier before it.
     size_t k = i;
     while (k >= begin_ + 2 && (toks_[k - 1].text == "." ||
                                toks_[k - 1].text == "->" ||
-                               toks_[k - 1].text == "::") &&
-           toks_[k - 2].kind == Token::Kind::kIdent) {
-      k -= 2;
+                               toks_[k - 1].text == "::")) {
+      size_t link = k - 2;
+      const Token& end = toks_[link];
+      if ((end.text == ")" || end.text == "]") &&
+          end.match > static_cast<int>(begin_)) {
+        link = static_cast<size_t>(end.match) - 1;
+      }
+      if (toks_[link].kind != Token::Kind::kIdent ||
+          IsKeyword(toks_[link].text)) {
+        break;
+      }
+      k = link;
     }
     if (k > begin_) {
       const Token& prev = toks_[k - 1];
