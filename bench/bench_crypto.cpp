@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/check.h"
 #include "crypto/aes.h"
 #include "crypto/chacha20.h"
@@ -113,6 +115,30 @@ void BM_Sha256Kernel(benchmark::State& state, bool dispatched) {
 BENCHMARK_CAPTURE(BM_Sha256Kernel, portable, false)->Arg(1024);
 BENCHMARK_CAPTURE(BM_Sha256Kernel, dispatched, true)->Arg(1024);
 
+// The two-lane SHA-NI kernel over two messages of the given length;
+// bytes/s counts both, so it compares with BM_Sha256Kernel/dispatched.
+void BM_Sha256KernelTwoLane(benchmark::State& state) {
+  if (!crypto::kernels::HasShaNi()) {
+    state.SkipWithError("CPUID reports no SHA-NI");
+    return;
+  }
+  state.SetLabel("sha-ni x2");
+  const Bytes a(static_cast<size_t>(state.range(0)), 0x5a);
+  const Bytes b(static_cast<size_t>(state.range(0)), 0xa5);
+  const size_t blocks = a.size() / crypto::Sha256::kBlockSize;
+  uint32_t chaining_a[8] = {};
+  uint32_t chaining_b[8] = {};
+  for (auto _ : state) {
+    crypto::kernels::Sha256BlocksHardwareX2(chaining_a, a.data(), chaining_b,
+                                            b.data(), blocks);
+    benchmark::DoNotOptimize(chaining_a);
+    benchmark::DoNotOptimize(chaining_b);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * state.range(0));
+}
+BENCHMARK(BM_Sha256KernelTwoLane)->Arg(1024);
+
 void BM_HmacSha256(benchmark::State& state) {
   crypto::HmacSha256 mac(Bytes(32, 0x33));
   Bytes data(1024, 0x5a);
@@ -123,6 +149,19 @@ void BM_HmacSha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_HmacSha256);
+
+// Two 1 KiB tags at once (HmacSha256::ComputePair); bytes/s counts both.
+void BM_HmacSha256Pair(benchmark::State& state) {
+  crypto::HmacSha256 mac(Bytes(32, 0x33));
+  const Bytes a(1024, 0x5a);
+  const Bytes b(1024, 0xa5);
+  for (auto _ : state) {
+    auto tags = mac.ComputePair(a, b);
+    benchmark::DoNotOptimize(tags);
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * 1024);
+}
+BENCHMARK(BM_HmacSha256Pair);
 
 void BM_ChaCha20(benchmark::State& state) {
   auto cipher = crypto::ChaCha20::Create(Bytes(32, 0x44));
@@ -162,7 +201,7 @@ void BM_PageCipherSeal(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * page_size);
 }
-BENCHMARK(BM_PageCipherSeal)->Arg(1024)->Arg(10240);
+BENCHMARK(BM_PageCipherSeal)->Arg(256)->Arg(1024)->Arg(10240);
 
 void BM_PageCipherOpen(benchmark::State& state) {
   const size_t page_size = static_cast<size_t>(state.range(0));
@@ -179,7 +218,72 @@ void BM_PageCipherOpen(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * page_size);
 }
-BENCHMARK(BM_PageCipherOpen)->Arg(1024)->Arg(10240);
+BENCHMARK(BM_PageCipherOpen)->Arg(256)->Arg(1024)->Arg(10240);
+
+// The batch calls over one round's worth of pages (k+1 = 9 or 25) into
+// kept buffers. The `page` counter is the time per page, to set beside
+// BM_PageCipherSeal and BM_PageCipherOpen.
+storage::PageCipher BatchCipher(size_t page_size) {
+  auto cipher = storage::PageCipher::Create(Bytes(32, 0x01), Bytes(32, 0x02),
+                                            page_size);
+  SHPIR_CHECK(cipher.ok());
+  return std::move(cipher).value();
+}
+
+void SetPerPage(benchmark::State& state, size_t pages, size_t page_size) {
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(pages * page_size));
+  state.counters["page"] = benchmark::Counter(
+      static_cast<double>(pages),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+void BM_PageCipherSealPages(benchmark::State& state) {
+  const size_t page_size = static_cast<size_t>(state.range(0));
+  const size_t count = static_cast<size_t>(state.range(1));
+  const storage::PageCipher cipher = BatchCipher(page_size);
+  crypto::SecureRandom rng(2);
+  const std::vector<storage::Page> pages(
+      count, storage::Page(7, Bytes(page_size, 0x77)));
+  std::vector<Bytes> sealed(count);
+  for (auto _ : state) {
+    SHPIR_CHECK_OK(cipher.SealPages(pages, rng, sealed));
+    benchmark::DoNotOptimize(sealed.data());
+    benchmark::ClobberMemory();
+  }
+  SetPerPage(state, count, page_size);
+}
+BENCHMARK(BM_PageCipherSealPages)
+    ->ArgNames({"bytes", "pages"})
+    ->Args({256, 9})
+    ->Args({256, 25})
+    ->Args({1024, 9})
+    ->Args({1024, 25});
+
+void BM_PageCipherOpenPages(benchmark::State& state) {
+  const size_t page_size = static_cast<size_t>(state.range(0));
+  const size_t count = static_cast<size_t>(state.range(1));
+  const storage::PageCipher cipher = BatchCipher(page_size);
+  crypto::SecureRandom rng(3);
+  const std::vector<storage::Page> pages(
+      count, storage::Page(7, Bytes(page_size, 0x77)));
+  std::vector<Bytes> sealed(count);
+  SHPIR_CHECK_OK(cipher.SealPages(pages, rng, sealed));
+  std::vector<storage::Page> opened(count);
+  for (auto _ : state) {
+    SHPIR_CHECK_OK(cipher.OpenPages(sealed, opened));
+    benchmark::DoNotOptimize(opened.data());
+    benchmark::ClobberMemory();
+  }
+  SetPerPage(state, count, page_size);
+}
+BENCHMARK(BM_PageCipherOpenPages)
+    ->ArgNames({"bytes", "pages"})
+    ->Args({256, 9})
+    ->Args({256, 25})
+    ->Args({1024, 9})
+    ->Args({1024, 25});
 
 }  // namespace
 

@@ -127,7 +127,9 @@ CApproxPir::CApproxPir(hardware::SecureCoprocessor* cpu,
       reserved_block_size_(block_size),
       published_block_size_(block_size),
       page_map_(id_space_),
-      live_(id_space_, false) {}
+      live_(id_space_, false),
+      sealed_(block_size + 1),
+      block_(block_size + 1) {}
 
 CApproxPir::~CApproxPir() {
   if (reserved_bytes_ > 0) {
@@ -233,6 +235,8 @@ void CApproxPir::ApplyPendingBlockSize() {
   pending_block_size_.store(0, std::memory_order_relaxed);
   block_size_ = new_k;
   published_block_size_.store(new_k, std::memory_order_relaxed);
+  sealed_.resize(new_k + 1);
+  block_.resize(new_k + 1);
   block_size_transitions_.fetch_add(1, std::memory_order_relaxed);
   if (options_.enforce_secure_memory && reserved_block_size_ > new_k) {
     const uint64_t delta =
@@ -277,23 +281,38 @@ Status CApproxPir::Initialize(const std::vector<Page>& pages) {
       crypto::RandomPermutation(id_space_, cpu_->rng());
   const std::vector<uint64_t> inv = crypto::InvertPermutation(perm);
 
-  auto materialize = [&](PageId id) -> Page {
+  // Page `id`'s initial content, into `page`'s buffer.
+  auto materialize = [&](PageId id, Page& page) {
+    page.id = id;
     if (id < pages.size()) {
-      return Page(id, pages[id].data);
+      page.data = pages[id].data;
+    } else {
+      page.data.assign(options_.page_size, 0);
     }
-    return Page(id, Bytes(options_.page_size, 0));
   };
 
   // Bulk-seal to disk in slot order (sequential write pattern), in
-  // chunks to bound transient memory.
+  // chunks to bound transient memory. Each chunk's pages are
+  // materialized and sealed a batch at a time into the chunk's slots,
+  // so only one batch of plaintext is in memory, and every chunk and
+  // batch reuses the last one's buffers.
   constexpr uint64_t kChunk = 1024;
+  constexpr uint64_t kSealBatch = 32;
+  std::vector<Page> batch(kSealBatch);
+  std::vector<Bytes> sealed;
   for (uint64_t start = 0; start < disk_slots_; start += kChunk) {
     const uint64_t count = std::min(kChunk, disk_slots_ - start);
-    std::vector<Bytes> sealed(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      const PageId id = inv[start + i];
-      SHPIR_ASSIGN_OR_RETURN(sealed[i], cpu_->SealPage(materialize(id)));
-      page_map_.SetDiskLocation(id, start + i);
+    sealed.resize(count);
+    for (uint64_t done = 0; done < count; done += kSealBatch) {
+      const uint64_t n = std::min(kSealBatch, count - done);
+      for (uint64_t i = 0; i < n; ++i) {
+        const PageId id = inv[start + done + i];
+        materialize(id, batch[i]);
+        page_map_.SetDiskLocation(id, start + done + i);
+      }
+      SHPIR_RETURN_IF_ERROR(
+          cpu_->SealPages(std::span<const Page>(batch).first(n),
+                          std::span<Bytes>(sealed).subspan(done, n)));
     }
     SHPIR_RETURN_IF_ERROR(cpu_->WriteRun(start, sealed));
   }
@@ -302,7 +321,7 @@ Status CApproxPir::Initialize(const std::vector<Page>& pages) {
   page_cache_.resize(options_.cache_pages);
   for (uint64_t j = 0; j < options_.cache_pages; ++j) {
     const PageId id = inv[disk_slots_ + j];
-    page_cache_[j] = materialize(id);
+    materialize(id, page_cache_[j]);
     page_map_.SetCacheIndex(id, j);
   }
 
@@ -340,11 +359,19 @@ Status CApproxPir::RollForward() {
   if (!pending_write_.has_value()) {
     return OkStatus();
   }
-  SHPIR_RETURN_IF_ERROR(cpu_->WritePlan(pending_write_->plan,
-                                        pending_write_->run,
-                                        pending_write_->extra));
+  SHPIR_RETURN_IF_ERROR(
+      WriteBack(pending_write_->plan, pending_write_->slots));
   pending_write_.reset();
   return OkStatus();
+}
+
+Status CApproxPir::WriteBack(const storage::IoPlan& plan,
+                             std::vector<Bytes>& slots) {
+  Bytes extra = std::move(slots.back());
+  slots.pop_back();
+  const Status status = cpu_->WritePlan(plan, slots, extra);
+  slots.push_back(std::move(extra));
+  return status;
 }
 
 Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
@@ -448,25 +475,24 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
                              page_map_.DiskLocation(extra)};
 
   // Step 2: read the plan (the block, then the extra page) in one disk
-  // call, decrypt all k+1 pages into device memory and check that each
+  // call into the kept slots, open all k+1 pages into the kept block,
+  // each page's MAC checked before it is decrypted, and check that each
   // is the page the pageMap places at its slot. The MAC binds a page's
   // id to its bytes, so a page moved to another slot opens cleanly;
   // only the position check catches it. The decrypted block is a
   // secret container, so secret-indexed accesses into it stay inside
   // the boundary.
-  std::vector<Bytes> sealed_in;
   {
     obs::Span span(qtrace, obs::Phase::kBlockRead);
-    SHPIR_RETURN_IF_ERROR(cpu_->ReadPlan(plan, sealed_in));
+    SHPIR_RETURN_IF_ERROR(cpu_->ReadPlan(plan, sealed_));
   }
-  SHPIR_SECRET std::vector<Page> block(block_size_ + 1);
   {
     obs::Span span(qtrace, obs::Phase::kDecrypt);
+    SHPIR_RETURN_IF_ERROR(cpu_->OpenPages(sealed_, block_));
     for (uint64_t i = 0; i <= block_size_; ++i) {
-      SHPIR_ASSIGN_OR_RETURN(block[i], cpu_->OpenPage(sealed_in[i]));
       const Location loc = i < block_size_ ? block_start + i : plan.extra;
       // shpir-lint-allow-next-line(secret-loop-bound): in-enclave integrity check; a moved page aborts the round before any write, at a slot the adversary chose to tamper with
-      if (!MapsTo(block[i].id, loc)) {
+      if (!MapsTo(block_[i].id, loc)) {
         return DataLossError("disk slot " + std::to_string(loc) +
                              " holds a page the pageMap places elsewhere");
       }
@@ -474,7 +500,7 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
   }
 
   // Step 3: take the answer and apply Modify's bytes wherever the page
-  // lives (the checks above put the requested page at block[q] when it
+  // lives (the checks above put the requested page at block_[q] when it
   // is not cached), then serve it. Step 4 (Fig. 3 lines 17-20):
   // uniformize the target slot, then swap with a random cache entry.
   RoundOutcome outcome;
@@ -484,11 +510,13 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
     obs::Span span(qtrace, obs::Phase::kCacheEvict);
     if (op.insert_data != nullptr) {
       // Overwrite the spare's content with the new page (same id).
-      block[block_size_] = Page(request, *op.insert_data);
+      block_[block_size_].id = request;
+      block_[block_size_].data = *op.insert_data;
     } else {
       Page& target =
           // shpir-lint-allow-next-line(secret-branch): in-enclave payload extraction
-          request_cached ? page_cache_[page_map_.CacheIndex(request)] : block[q];
+          request_cached ? page_cache_[page_map_.CacheIndex(request)]
+                         : block_[q];
       if (op.retrieve) {
         outcome.answer = target.data;
       }
@@ -505,7 +533,7 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
     r = options_.ablation_skip_uniform_swap
             ? 0
             : cpu_->rng().UniformInt(block_size_);
-    std::swap(block[r], block[q]);
+    std::swap(block_[r], block_[q]);
     if (op.force_evict) {
       s = page_map_.CacheIndex(request);
     } else if (options_.ablation_round_robin_eviction) {
@@ -513,32 +541,25 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
     } else {
       s = cpu_->rng().UniformInt(options_.cache_pages);
     }
-    std::swap(page_cache_[s], block[r]);
+    std::swap(page_cache_[s], block_[r]);
     if (metered()) {
       instruments_.evictions->Increment();
     }
   }
 
-  // Step 5: re-encrypt everything with fresh nonces and write back.
-  std::vector<Bytes> sealed_out(block_size_);
-  Bytes sealed_last;
+  // Step 5: re-encrypt everything with fresh nonces into the kept
+  // slots and write back.
   {
     obs::Span span(qtrace, obs::Phase::kReencrypt);
-    for (uint64_t i = 0; i < block_size_; ++i) {
-      SHPIR_ASSIGN_OR_RETURN(sealed_out[i], cpu_->SealPage(block[i]));
-    }
-    SHPIR_ASSIGN_OR_RETURN(sealed_last, cpu_->SealPage(block[block_size_]));
+    SHPIR_RETURN_IF_ERROR(cpu_->SealPages(block_, sealed_));
   }
   {
     obs::Span span(qtrace, obs::Phase::kWriteBack);
-    outcome.write_back = cpu_->WritePlan(plan, sealed_out, sealed_last);
-    // shpir-lint-allow-next-line(secret-branch): whether the write landed is public; the untrusted disk answered it
+    outcome.write_back = WriteBack(plan, sealed_);
     if (!outcome.write_back.ok()) {
       // The swap already moved pages between the cache and the block:
-      // commit as if the write had landed and keep it to re-send.
-      // shpir-lint-allow-next-line(secret-member): the round's public write plan and its fresh ciphertexts, which the disk was already sent
-      pending_write_ =
-          PendingWrite{plan, std::move(sealed_out), std::move(sealed_last)};
+      // commit as if the write had landed and keep a copy to re-send.
+      pending_write_ = PendingWrite{plan, sealed_};
     }
   }
 
@@ -551,24 +572,19 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
   if (privacy_monitor_ != nullptr) {
     privacy_monitor_->OnCacheEntry(page_cache_[s].id, request_index);
   }
-  page_map_.SetDiskLocation(block[r].id, block_start + r);
+  page_map_.SetDiskLocation(block_[r].id, block_start + r);
   if (relocation_observer_) {
-    relocation_observer_(block[r].id, block_start + r, request_index);
+    relocation_observer_(block_[r].id, block_start + r, request_index);
   }
   if (privacy_monitor_ != nullptr) {
-    privacy_monitor_->OnRelocation(block[r].id, request_index);
+    privacy_monitor_->OnRelocation(block_[r].id, request_index);
   }
   // shpir-lint-allow-next-line(secret-branch, secret-compare): in-enclave pageMap bookkeeping for the swapped slots
   if (q != r) {
     // shpir-lint-allow-next-line(secret-branch): in-enclave location select
     const Location loc_q = q < block_size_ ? block_start + q : plan.extra;
-    page_map_.SetDiskLocation(block[q].id, loc_q);
+    page_map_.SetDiskLocation(block_[q].id, loc_q);
   }
-  // Free the round's 3(k+1) page buffers inside this phase, so the
-  // phase histograms cover the whole round.
-  sealed_in.clear();
-  block.clear();
-  sealed_out.clear();
   return outcome;
 }
 
@@ -756,12 +772,14 @@ Status CApproxPir::ReshuffleInternal(bool rotate_keys) {
   // Stream every page in (disk + cache already in memory).
   std::vector<Page> all(id_space_);
   constexpr uint64_t kChunk = 1024;
+  std::vector<Bytes> sealed;
+  std::vector<Page> chunk;
   for (uint64_t start = 0; start < disk_slots_; start += kChunk) {
     const uint64_t count = std::min(kChunk, disk_slots_ - start);
-    std::vector<Bytes> sealed;
     SHPIR_RETURN_IF_ERROR(cpu_->ReadRun(start, count, sealed));
-    for (const Bytes& blob : sealed) {
-      SHPIR_ASSIGN_OR_RETURN(Page page, cpu_->OpenPage(blob));
+    chunk.resize(count);
+    SHPIR_RETURN_IF_ERROR(cpu_->OpenPages(sealed, chunk));
+    for (Page& page : chunk) {
       all[page.id] = std::move(page);
     }
   }
@@ -785,12 +803,14 @@ Status CApproxPir::ReshuffleInternal(bool rotate_keys) {
   const std::vector<uint64_t> inv = crypto::InvertPermutation(perm);
   for (uint64_t start = 0; start < disk_slots_; start += kChunk) {
     const uint64_t count = std::min(kChunk, disk_slots_ - start);
-    std::vector<Bytes> sealed(count);
+    chunk.resize(count);
+    sealed.resize(count);
     for (uint64_t i = 0; i < count; ++i) {
       const PageId id = inv[start + i];
-      SHPIR_ASSIGN_OR_RETURN(sealed[i], cpu_->SealPage(all[id]));
+      chunk[i] = std::move(all[id]);
       page_map_.SetDiskLocation(id, start + i);
     }
+    SHPIR_RETURN_IF_ERROR(cpu_->SealPages(chunk, sealed));
     SHPIR_RETURN_IF_ERROR(cpu_->WriteRun(start, sealed));
   }
   for (uint64_t j = 0; j < options_.cache_pages; ++j) {

@@ -347,6 +347,12 @@ class CApproxPir : public PirEngine {
   /// Re-sends the pending write plan, if any; its error while it fails.
   Status RollForward();
 
+  /// Writes a round's k+1 sealed slots (the run, then the extra slot)
+  /// back by `plan` in one disk call. The device takes the run and the
+  /// extra slot apart, so the extra slot steps out of `slots` and back
+  /// in, and no buffer is freed.
+  Status WriteBack(const storage::IoPlan& plan, std::vector<Bytes>& slots);
+
   /// True when page `id` is on disk at `loc` by the pageMap; false for
   /// ids outside the id space.
   bool MapsTo(storage::PageId id, storage::Location loc) const {
@@ -413,11 +419,19 @@ class CApproxPir : public PirEngine {
   uint64_t next_block_ = 0;                // Round-robin block cursor.
   bool initialized_ = false;
 
-  /// The write plan of a committed round whose write-back failed.
+  /// The round's buffers, kept across rounds so that a steady round
+  /// allocates nothing but its answer: the k+1 sealed slots it reads and
+  /// re-seals (the run, then the extra slot), and the k+1 pages it opens
+  /// them into. The opened pages are Eq. 7's (k+1)·B serverBlock, which
+  /// Create reserves; both resize when a retune lands.
+  std::vector<Bytes> sealed_;
+  SHPIR_SECRET std::vector<storage::Page> block_;
+
+  /// The write plan of a committed round whose write-back failed: its
+  /// k+1 sealed slots, the extra slot last.
   struct PendingWrite {
     storage::IoPlan plan;
-    std::vector<Bytes> run;
-    Bytes extra;
+    std::vector<Bytes> slots;
   };
   std::optional<PendingWrite> pending_write_;
 

@@ -169,12 +169,13 @@ Status AesCtr::Crypt(ByteSpan iv, ByteSpan in, MutableByteSpan out) const {
 }
 
 Status AesCtr::CryptWithNonce(ByteSpan nonce12, ByteSpan in,
-                              MutableByteSpan out) const {
+                              MutableByteSpan out, uint32_t block) const {
   if (nonce12.size() != 12) {
     return InvalidArgumentError("CTR nonce must be 12 bytes");
   }
-  uint8_t iv[Aes::kBlockSize] = {};
+  uint8_t iv[Aes::kBlockSize];
   std::memcpy(iv, nonce12.data(), 12);
+  StoreBE32(block, iv + 12);
   return Crypt(ByteSpan(iv, Aes::kBlockSize), in, out);
 }
 

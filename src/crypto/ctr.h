@@ -30,9 +30,10 @@ class AesCtr {
   Status Crypt(ByteSpan iv, ByteSpan in, MutableByteSpan out) const;
 
   /// Convenience wrapper building the initial counter block from a
-  /// 12-byte nonce and a 4-byte big-endian initial counter of zero.
-  Status CryptWithNonce(ByteSpan nonce12, ByteSpan in,
-                        MutableByteSpan out) const;
+  /// 12-byte nonce and the 4-byte big-endian block counter `block`:
+  /// zero starts the keystream, and `block` = j resumes it at byte 16j.
+  Status CryptWithNonce(ByteSpan nonce12, ByteSpan in, MutableByteSpan out,
+                        uint32_t block = 0) const;
 
  private:
   explicit AesCtr(Aes aes) : aes_(std::move(aes)) {}

@@ -37,6 +37,26 @@ HmacSha256::Tag HmacSha256::Compute(ByteSpan data) const {
   return outer.Finalize();
 }
 
+std::array<HmacSha256::Tag, 2> HmacSha256::ComputePair(ByteSpan a,
+                                                       ByteSpan b) const {
+  Sha256 inner_a = ipad_state_;
+  Sha256 inner_b = ipad_state_;
+  // The pair forms compare the two states' absorbed byte counts, public
+  // message lengths, to decide whether the lanes line up; the midstate
+  // words they also carry never reach a comparison.
+  // shpir-lint-allow-next-line(secret-arg): compares only the public byte counts the two midstate copies have absorbed
+  Sha256::UpdatePair(inner_a, a, inner_b, b);
+  const std::array<Sha256::Digest, 2> inner =
+      // shpir-lint-allow-next-line(secret-arg): compares only the public byte counts the two midstate copies have absorbed
+      Sha256::FinalizePair(inner_a, inner_b);
+  Sha256 outer_a = opad_state_;
+  Sha256 outer_b = opad_state_;
+  // shpir-lint-allow-next-line(secret-arg): compares only the public byte counts the two midstate copies have absorbed
+  Sha256::UpdatePair(outer_a, inner[0], outer_b, inner[1]);
+  // shpir-lint-allow-next-line(secret-arg, secret-return): compares only the public byte counts the two midstate copies have absorbed; the tags are public by design, like Compute's
+  return Sha256::FinalizePair(outer_a, outer_b);
+}
+
 bool HmacSha256::Verify(ByteSpan data, ByteSpan tag) const {
   const Tag expected = Compute(data);
   return ConstantTimeEquals(ByteSpan(expected.data(), expected.size()), tag);

@@ -56,6 +56,15 @@ void Sha256BlocksPortable(uint32_t state[8], const uint8_t* data,
 void Sha256BlocksHardware(uint32_t state[8], const uint8_t* data,
                           size_t blocks);
 
+/// Two independent SHA-NI compressions, `blocks` blocks of `a` into
+/// `state_a` and `blocks` blocks of `b` into `state_b`, interleaved
+/// round by round so one chain's latency hides the other's. The same
+/// chaining values as two Sha256BlocksHardware calls. Call only when
+/// HasShaNi().
+void Sha256BlocksHardwareX2(uint32_t state_a[8], const uint8_t* a,
+                            uint32_t state_b[8], const uint8_t* b,
+                            size_t blocks);
+
 }  // namespace shpir::crypto::kernels
 
 #endif  // SHPIR_CRYPTO_KERNELS_H_

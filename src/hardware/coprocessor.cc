@@ -145,24 +145,38 @@ Status SecureCoprocessor::InstallFreshKeys() {
   return OkStatus();
 }
 
-Result<Bytes> SecureCoprocessor::SealPage(const storage::Page& page) {
-  cost_.AddCryptoBytes(cipher_.page_size());
-  if (metered()) {
-    instruments_.crypto_bytes->Increment(cipher_.page_size());
-    instruments_.pages_sealed->Increment();
-    instruments_.simulated_seconds->Set(cost_.Seconds(profile_));
+void SecureCoprocessor::ChargeCrypto(uint64_t pages,
+                                     obs::Counter* pages_counter) {
+  const uint64_t bytes = pages * cipher_.page_size();
+  cost_.AddCryptoBytes(bytes);
+  if (!metered()) {
+    return;
   }
+  instruments_.crypto_bytes->Increment(bytes);
+  pages_counter->Increment(pages);
+  instruments_.simulated_seconds->Set(cost_.Seconds(profile_));
+}
+
+Result<Bytes> SecureCoprocessor::SealPage(const storage::Page& page) {
+  ChargeCrypto(1, instruments_.pages_sealed);
   return cipher_.Seal(page, rng_);
 }
 
 Result<storage::Page> SecureCoprocessor::OpenPage(ByteSpan sealed) {
-  cost_.AddCryptoBytes(cipher_.page_size());
-  if (metered()) {
-    instruments_.crypto_bytes->Increment(cipher_.page_size());
-    instruments_.pages_opened->Increment();
-    instruments_.simulated_seconds->Set(cost_.Seconds(profile_));
-  }
+  ChargeCrypto(1, instruments_.pages_opened);
   return cipher_.Open(sealed);
+}
+
+Status SecureCoprocessor::SealPages(std::span<const storage::Page> pages,
+                                    std::span<Bytes> out) {
+  ChargeCrypto(pages.size(), instruments_.pages_sealed);
+  return cipher_.SealPages(pages, rng_, out);
+}
+
+Status SecureCoprocessor::OpenPages(std::span<const Bytes> sealed,
+                                    std::span<storage::Page> out) {
+  ChargeCrypto(sealed.size(), instruments_.pages_opened);
+  return cipher_.OpenPages(sealed, out);
 }
 
 }  // namespace shpir::hardware

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,18 @@ class SecureCoprocessor {
   /// Verifies and decrypts a sealed page; accounts crypto throughput.
   Result<storage::Page> OpenPage(ByteSpan sealed);
 
+  /// Seals `pages[i]` into `out[i]` with fresh nonces, reusing the
+  /// buffers `out` holds (storage::PageCipher::SealPages). Accounted
+  /// exactly as pages.size() SealPage calls, in one update.
+  Status SealPages(std::span<const storage::Page> pages,
+                   std::span<Bytes> out);
+
+  /// Verifies and decrypts `sealed[i]` into `out[i]`, reusing the page
+  /// buffers `out` holds (storage::PageCipher::OpenPages). Accounted
+  /// exactly as sealed.size() OpenPage calls, in one update.
+  Status OpenPages(std::span<const Bytes> sealed,
+                   std::span<storage::Page> out);
+
   /// Ciphertext slot size for this device's page cipher.
   size_t sealed_size() const { return cipher_.sealed_size(); }
   size_t page_size() const { return cipher_.page_size(); }
@@ -140,6 +153,9 @@ class SecureCoprocessor {
   /// Accounts one disk access: a seek moving `bytes` over disk and
   /// link, mirrored into the instruments.
   void ChargeIo(uint64_t bytes);
+  /// Accounts `pages` pages through the crypto engine, mirrored into the
+  /// instruments with `pages_counter` (pages_sealed or pages_opened).
+  void ChargeCrypto(uint64_t pages, obs::Counter* pages_counter);
 
   HardwareProfile profile_;
   storage::Disk* disk_;

@@ -15,9 +15,9 @@ namespace shpir::obs {
 enum class Phase : uint8_t {
   kPageMapLookup = 0,  // Locating the request + pageMap updates.
   kBlockRead,          // Disk reads (k-page block + extra page).
-  kDecrypt,            // OpenPage over the fetched pages.
+  kDecrypt,            // OpenPages over the fetched pages.
   kCacheEvict,         // Uniformization + cache eviction swaps.
-  kReencrypt,          // SealPage with fresh nonces.
+  kReencrypt,          // SealPages with fresh nonces.
   kWriteBack,          // Disk write-back of the k+1 pages.
 };
 inline constexpr int kNumPhases = 6;

@@ -29,8 +29,13 @@ Status Disk::WriteRun(Location start, const std::vector<Bytes>& slots) {
 }
 
 Status Disk::ReadPlan(const IoPlan& plan, std::vector<Bytes>& out) {
+  // ReadRun trims `out` to the run; the extra slot's buffer steps aside
+  // and comes back, so a caller that keeps `out` across rounds reads
+  // into the same k+1 buffers every time.
+  Bytes extra = out.size() > plan.k ? std::move(out[plan.k]) : Bytes();
   SHPIR_RETURN_IF_ERROR(ReadRun(plan.block_start, plan.k, out));
-  out.emplace_back(slot_size());
+  extra.resize(slot_size());
+  out.push_back(std::move(extra));
   return Read(plan.extra, out.back());
 }
 

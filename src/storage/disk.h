@@ -57,8 +57,9 @@ class Disk {
   virtual Status WriteRun(Location start, const std::vector<Bytes>& slots);
 
   /// Reads the k+1 slots of `plan` into `out`: the run first, the extra
-  /// slot last. The default is ReadRun then Read, in that order; a
-  /// remote disk overrides it to send the whole plan in one round trip.
+  /// slot last. The default is ReadRun then Read, in that order, into
+  /// the buffers `out` already holds; a remote disk overrides it to send
+  /// the whole plan in one round trip.
   virtual Status ReadPlan(const IoPlan& plan, std::vector<Bytes>& out);
 
   /// Writes `run` (plan.k slots) at plan.block_start, then `extra_slot`

@@ -2,6 +2,7 @@
 #define SHPIR_STORAGE_PAGE_CIPHER_H_
 
 #include <cstddef>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -40,17 +41,56 @@ class PageCipher {
 
   size_t page_size() const { return codec_.page_size(); }
 
-  /// Encrypts `page` under a fresh nonce drawn from `rng`.
+  /// Encrypts `page` under a fresh nonce drawn from `rng`: SealPages
+  /// over one page.
   Result<Bytes> Seal(const Page& page, crypto::SecureRandom& rng) const;
 
-  /// Verifies and decrypts a sealed page. Returns DataLoss on MAC
-  /// failure (the "curious but not malicious" server should never trigger
-  /// this; it guards against corruption).
+  /// Verifies and decrypts a sealed page: OpenPages over one slot.
   Result<Page> Open(ByteSpan sealed) const;
+
+  /// Seals `pages[i]` into `out[i]` for every i, reusing the caller's
+  /// buffers: each `out[i]` is resized to sealed_size(), which allocates
+  /// nothing once it has that size. The nonces are drawn from `rng` in
+  /// page order, so the slots are byte for byte those of pages.size()
+  /// Seal calls on the same generator. The tags of pages 2j and 2j + 1
+  /// are hashed together (HmacSha256::ComputePair). `out` must be as
+  /// long as `pages`.
+  Status SealPages(std::span<const Page> pages, crypto::SecureRandom& rng,
+                   std::span<Bytes> out) const;
+
+  /// Verifies and decrypts `sealed[i]` into `out[i]` for every i, tags
+  /// hashed two at a time. Each page's tag is compared in constant time
+  /// before that page is decrypted, straight into `out[i].data` (resized
+  /// to page_size(), which allocates nothing once it has that size). The
+  /// first page, in page order, whose tag does not match answers
+  /// DataLoss: the store is untrusted, and that is the answer to a slot
+  /// it corrupted or tampered with. A sealed page moved whole to another
+  /// slot still opens; the engine's position check catches that. `out`
+  /// must be as long as `sealed`.
+  Status OpenPages(std::span<const Bytes> sealed, std::span<Page> out) const;
 
  private:
   PageCipher(crypto::AesCtr ctr, crypto::HmacSha256 mac, size_t page_size)
       : ctr_(std::move(ctr)), mac_(std::move(mac)), codec_(page_size) {}
+
+  /// OpenPages over any slots that view as ByteSpan.
+  template <typename Slot>
+  Status OpenSlots(std::span<const Slot> sealed, std::span<Page> out) const;
+
+  /// The bytes of `slot` its tag covers: nonce || encrypted page.
+  ByteSpan Authenticated(ByteSpan slot) const {
+    return slot.first(kNonceSize + codec_.serialized_size());
+  }
+
+  /// Draws a nonce from `rng` and writes it and the encrypted page into
+  /// `slot`; the tag is left to the caller.
+  Status Encrypt(const Page& page, crypto::SecureRandom& rng,
+                 MutableByteSpan slot) const;
+
+  /// Checks `slot`'s stored tag against `expected` in constant time,
+  /// then decrypts the slot into `page`.
+  Status Decrypt(ByteSpan slot, const crypto::HmacSha256::Tag& expected,
+                 Page& page) const;
 
   crypto::AesCtr ctr_;
   crypto::HmacSha256 mac_;

@@ -25,7 +25,7 @@ Result<Page> PageCodec::Deserialize(Bytes in) const {
     return InvalidArgumentError("serialized page has wrong size");
   }
   Page page;
-  page.id = LoadLE64(in.data());
+  page.id = ReadId(in);
   in.erase(in.begin(), in.begin() + kHeaderSize);
   page.data = std::move(in);
   return page;

@@ -34,6 +34,10 @@ class PageCodec {
   /// always comes back with exactly page_size bytes.
   Result<Page> Deserialize(Bytes in) const;
 
+  /// The page id in a serialized page's first kHeaderSize bytes; the
+  /// payload follows them.
+  static PageId ReadId(ByteSpan header) { return LoadLE64(header.data()); }
+
  private:
   size_t page_size_;
 };

@@ -224,6 +224,70 @@ TEST_F(CoprocessorTest, PlansAreAccountedExactlyAsRunPlusSlot) {
             4 * (plan.k + 1) * kSealedSize);
 }
 
+TEST_F(CoprocessorTest, BatchesAreAccountedExactlyAsSinglePages) {
+  // A second device from the same seed takes the batches, so both draw
+  // the same nonces and their accounts can be compared whole.
+  MemoryDisk batch_disk(16, kSealedSize);
+  Result<std::unique_ptr<SecureCoprocessor>> batch_cpu =
+      SecureCoprocessor::Create(HardwareProfile::Ibm4764(), &batch_disk,
+                                kPageSize, 7);
+  ASSERT_TRUE(batch_cpu.ok());
+  obs::MetricsRegistry single_registry;
+  obs::MetricsRegistry batch_registry;
+  cpu_->AttachMetrics(&single_registry);
+  (*batch_cpu)->AttachMetrics(&batch_registry);
+  std::vector<Page> pages;
+  for (uint64_t i = 0; i < 5; ++i) {
+    pages.emplace_back(i, Bytes(kPageSize, static_cast<uint8_t>(0x10 + i)));
+  }
+
+  const CostAccountant::Counters single_before = cpu_->cost().Snapshot();
+  std::vector<Bytes> single_sealed;
+  for (const Page& page : pages) {
+    Result<Bytes> sealed = cpu_->SealPage(page);
+    ASSERT_TRUE(sealed.ok());
+    single_sealed.push_back(*sealed);
+  }
+  for (const Bytes& slot : single_sealed) {
+    ASSERT_TRUE(cpu_->OpenPage(slot).ok());
+  }
+  const CostAccountant::Counters single =
+      cpu_->cost().Snapshot() - single_before;
+
+  const CostAccountant::Counters batch_before =
+      (*batch_cpu)->cost().Snapshot();
+  std::vector<Bytes> batch_sealed(pages.size());
+  std::vector<Page> batch_opened(pages.size());
+  ASSERT_TRUE((*batch_cpu)->SealPages(pages, batch_sealed).ok());
+  ASSERT_TRUE((*batch_cpu)->OpenPages(batch_sealed, batch_opened).ok());
+  const CostAccountant::Counters batch =
+      (*batch_cpu)->cost().Snapshot() - batch_before;
+  EXPECT_EQ(batch_sealed, single_sealed);
+  EXPECT_EQ(batch_opened, pages);
+
+  EXPECT_EQ(batch.crypto_bytes, 2 * pages.size() * kPageSize);
+  EXPECT_EQ(batch.crypto_bytes, single.crypto_bytes);
+  EXPECT_EQ(batch.seeks, single.seeks);
+  EXPECT_EQ(batch.disk_bytes, single.disk_bytes);
+  EXPECT_EQ(batch.link_bytes, single.link_bytes);
+  EXPECT_DOUBLE_EQ((*batch_cpu)->ElapsedSeconds(), cpu_->ElapsedSeconds());
+  for (const char* name :
+       {"shpir_hw_pages_sealed_total", "shpir_hw_pages_opened_total",
+        "shpir_hw_crypto_bytes_total"}) {
+    EXPECT_EQ(batch_registry.FindOrCreateCounter(name)->Value(),
+              single_registry.FindOrCreateCounter(name)->Value())
+        << name;
+  }
+  EXPECT_EQ(
+      batch_registry.FindOrCreateCounter("shpir_hw_pages_sealed_total")
+          ->Value(),
+      pages.size());
+  EXPECT_DOUBLE_EQ(
+      batch_registry.FindOrCreateGauge("shpir_hw_simulated_seconds")->Value(),
+      single_registry.FindOrCreateGauge("shpir_hw_simulated_seconds")
+          ->Value());
+}
+
 TEST_F(CoprocessorTest, AttachMetricsMirrorsCostAccounting) {
   obs::MetricsRegistry registry;
   cpu_->AttachMetrics(&registry);

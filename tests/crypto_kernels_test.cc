@@ -312,6 +312,82 @@ TEST(Sha256KernelParityTest, DispatchedWithRandomSplitsMatchesPortable) {
   }
 }
 
+// The two-lane SHA-NI kernel against two portable compressions, from
+// random chaining values over 0-20 random blocks per lane.
+TEST(Sha256KernelParityTest, TwoLaneHardwareMatchesTwoPortableCalls) {
+  if (!kernels::HasShaNi()) {
+    GTEST_SKIP() << "CPUID reports no SHA-NI: the two-lane SHA-256 kernel "
+                    "is not exercised on this CPU";
+  }
+  SecureRandom rng(15);
+  for (size_t blocks = 0; blocks <= 20; ++blocks) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::array<uint32_t, 8> a_state;
+      std::array<uint32_t, 8> b_state;
+      for (size_t i = 0; i < 8; ++i) {
+        a_state[i] = static_cast<uint32_t>(rng.NextUint64());
+        b_state[i] = static_cast<uint32_t>(rng.NextUint64());
+      }
+      Bytes a(blocks * Sha256::kBlockSize);
+      Bytes b(blocks * Sha256::kBlockSize);
+      rng.Fill(a);
+      rng.Fill(b);
+      std::array<uint32_t, 8> a_expected = a_state;
+      std::array<uint32_t, 8> b_expected = b_state;
+      kernels::Sha256BlocksPortable(a_expected.data(), a.data(), blocks);
+      kernels::Sha256BlocksPortable(b_expected.data(), b.data(), blocks);
+      kernels::Sha256BlocksHardwareX2(a_state.data(), a.data(),
+                                      b_state.data(), b.data(), blocks);
+      ASSERT_EQ(a_state, a_expected) << blocks << " blocks, trial " << trial;
+      ASSERT_EQ(b_state, b_expected) << blocks << " blocks, trial " << trial;
+    }
+  }
+}
+
+// Sha256::UpdatePair and FinalizePair, dispatched (two SHA-NI lanes
+// where present), fed two equally long messages in the same random
+// pieces, against the portable kernel; then, once the states' histories
+// differ, the one-after-the-other path.
+TEST(Sha256KernelParityTest, PairWithRandomSplitsMatchesPortable) {
+  SecureRandom rng(16);
+  for (size_t len = 0; len <= 1100; ++len) {
+    Bytes a(len);
+    Bytes b(len);
+    rng.Fill(a);
+    rng.Fill(b);
+    Sha256 first;
+    Sha256 second;
+    size_t offset = 0;
+    while (offset < len) {
+      const size_t take =
+          1 + rng.UniformInt(std::min<uint64_t>(len - offset, 200));
+      Sha256::UpdatePair(first, ByteSpan(a.data() + offset, take), second,
+                         ByteSpan(b.data() + offset, take));
+      offset += take;
+    }
+    const std::array<Sha256::Digest, 2> digests =
+        Sha256::FinalizePair(first, second);
+    ASSERT_EQ(HexEncode(ByteSpan(digests[0].data(), digests[0].size())),
+              DigestWith(Form::kPortable, a))
+        << "length " << len;
+    ASSERT_EQ(HexEncode(ByteSpan(digests[1].data(), digests[1].size())),
+              DigestWith(Form::kPortable, b))
+        << "length " << len;
+  }
+  Sha256 first;
+  Sha256 second;
+  const Bytes a(100, 0x61);
+  const Bytes b(70, 0x62);
+  Sha256::UpdatePair(first, a, second, ByteSpan(b.data(), 30));
+  Sha256::UpdatePair(first, ByteSpan(), second, ByteSpan(b.data() + 30, 40));
+  const std::array<Sha256::Digest, 2> digests =
+      Sha256::FinalizePair(first, second);
+  EXPECT_EQ(HexEncode(ByteSpan(digests[0].data(), digests[0].size())),
+            DigestWith(Form::kPortable, a));
+  EXPECT_EQ(HexEncode(ByteSpan(digests[1].data(), digests[1].size())),
+            DigestWith(Form::kPortable, b));
+}
+
 // HmacSha256, which hashes its pad blocks once and resumes from the
 // saved states, against RFC 2104 computed from the portable kernel, for
 // keys shorter than, equal to and longer than the 64-byte block.

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
 #include "common/bytes.h"
+#include "crypto/secure_random.h"
 
 namespace shpir::crypto {
 namespace {
@@ -83,6 +85,34 @@ TEST(HmacTest, VerifyRejectsTruncatedTag) {
   HmacSha256 mac(key);
   const HmacSha256::Tag tag = mac.Compute(data);
   EXPECT_FALSE(mac.Verify(data, ByteSpan(tag.data(), tag.size() - 1)));
+}
+
+// The pair form against Compute, for keys below, at and above the
+// 64-byte block and every message length up to 1,100 bytes (a 1 KiB
+// page's authenticated bytes are 1,044), then for unequal lengths.
+TEST(HmacTest, PairMatchesCompute) {
+  SecureRandom rng(17);
+  for (const size_t key_len : {0u, 1u, 31u, 32u, 63u, 64u, 65u, 131u, 200u}) {
+    Bytes key(key_len);
+    rng.Fill(key);
+    const HmacSha256 mac(key);
+    for (size_t len = 0; len <= 1100; ++len) {
+      Bytes a(len);
+      Bytes b(len);
+      rng.Fill(a);
+      rng.Fill(b);
+      const std::array<HmacSha256::Tag, 2> tags = mac.ComputePair(a, b);
+      ASSERT_EQ(tags[0], mac.Compute(a))
+          << "key " << key_len << " bytes, length " << len;
+      ASSERT_EQ(tags[1], mac.Compute(b))
+          << "key " << key_len << " bytes, length " << len;
+    }
+    const Bytes shorter(20, 0x01);
+    const Bytes longer(1044, 0x02);
+    const std::array<HmacSha256::Tag, 2> tags = mac.ComputePair(shorter, longer);
+    EXPECT_EQ(tags[0], mac.Compute(shorter)) << "key " << key_len << " bytes";
+    EXPECT_EQ(tags[1], mac.Compute(longer)) << "key " << key_len << " bytes";
+  }
 }
 
 TEST(HmacTest, DifferentKeysGiveDifferentTags) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.h"
 
 namespace shpir::storage {
@@ -110,6 +112,93 @@ TEST(PageCipherTest, RejectsZeroPageSize) {
 
 TEST(PageCipherTest, RejectsBadKey) {
   EXPECT_FALSE(PageCipher::Create(Bytes(10, 0), Bytes(32, 0), 16).ok());
+}
+
+// `n` pages of `page_size` bytes with distinct ids and payloads.
+std::vector<Page> DistinctPages(size_t n, size_t page_size) {
+  std::vector<Page> pages;
+  for (size_t i = 0; i < n; ++i) {
+    Bytes payload(page_size);
+    for (size_t j = 0; j < page_size; ++j) {
+      payload[j] = static_cast<uint8_t>(i * 31 + j);
+    }
+    pages.emplace_back(1000 + i, std::move(payload));
+  }
+  return pages;
+}
+
+// The batch seals under seed s the bytes n Seal calls give under seed s:
+// nonces in page order, tags hashed two at a time or alone for an odd
+// tail. The slots' old bytes and sizes do not matter.
+TEST(PageCipherTest, SealPagesMatchesSealCalls) {
+  for (const size_t page_size :
+       {size_t{1}, size_t{8}, size_t{9}, size_t{256}, size_t{1024}}) {
+    const PageCipher cipher = MakeCipher(page_size);
+    for (const size_t n : {size_t{1}, size_t{2}, size_t{9}, size_t{25}}) {
+      const std::vector<Page> pages = DistinctPages(n, page_size);
+      crypto::SecureRandom single_rng(40 + n);
+      std::vector<Bytes> expected;
+      for (const Page& page : pages) {
+        expected.push_back(*cipher.Seal(page, single_rng));
+      }
+      crypto::SecureRandom batch_rng(40 + n);
+      std::vector<Bytes> sealed(n, Bytes(3, 0xee));
+      ASSERT_TRUE(cipher.SealPages(pages, batch_rng, sealed).ok());
+      EXPECT_EQ(sealed, expected) << n << " pages of " << page_size;
+      // Both generators stand at the same point afterwards.
+      EXPECT_EQ(batch_rng.NextUint64(), single_rng.NextUint64());
+
+      std::vector<Page> opened(n);
+      ASSERT_TRUE(cipher.OpenPages(sealed, opened).ok());
+      EXPECT_EQ(opened, pages) << n << " pages of " << page_size;
+    }
+  }
+}
+
+// One flipped byte in the nonce, the body or the tag of page j is
+// DataLoss, for j in the first and the second lane of a tag pair and in
+// the odd tail. Pages are opened in page order: every page before j has
+// been opened by then.
+TEST(PageCipherTest, OpenPagesRejectsAFlippedByteInAnyPage) {
+  const PageCipher cipher = MakeCipher(64);
+  const std::vector<Page> pages = DistinctPages(9, 64);
+  crypto::SecureRandom rng(6);
+  std::vector<Bytes> sealed(pages.size());
+  ASSERT_TRUE(cipher.SealPages(pages, rng, sealed).ok());
+  const size_t body = PageCipher::kNonceSize + 20;
+  const size_t tag = cipher.sealed_size() - 1;
+  for (const size_t j : {size_t{0}, size_t{1}, size_t{4}, size_t{7},
+                         size_t{8}}) {
+    for (const size_t pos : {size_t{0}, body, tag}) {
+      std::vector<Bytes> tampered = sealed;
+      tampered[j][pos] ^= 0x01;
+      std::vector<Page> opened(pages.size());
+      const Status status = cipher.OpenPages(tampered, opened);
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+          << "page " << j << ", byte " << pos;
+      for (size_t i = 0; i < j; ++i) {
+        EXPECT_EQ(opened[i], pages[i]) << "page " << i << " before " << j;
+      }
+    }
+  }
+}
+
+TEST(PageCipherTest, BatchesRejectMismatchedSpans) {
+  const PageCipher cipher = MakeCipher(32);
+  const std::vector<Page> pages = DistinctPages(3, 32);
+  crypto::SecureRandom rng(7);
+  std::vector<Bytes> sealed(2);
+  EXPECT_EQ(cipher.SealPages(pages, rng, sealed).code(),
+            StatusCode::kInvalidArgument);
+  sealed.resize(3);
+  ASSERT_TRUE(cipher.SealPages(pages, rng, sealed).ok());
+  std::vector<Page> opened(2);
+  EXPECT_EQ(cipher.OpenPages(sealed, opened).code(),
+            StatusCode::kInvalidArgument);
+  opened.resize(3);
+  sealed[2].pop_back();
+  EXPECT_EQ(cipher.OpenPages(sealed, opened).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // Pins the sealed page format: fixed keys, a seeded nonce source and a
