@@ -115,29 +115,29 @@ void BM_Sha256Kernel(benchmark::State& state, bool dispatched) {
 BENCHMARK_CAPTURE(BM_Sha256Kernel, portable, false)->Arg(1024);
 BENCHMARK_CAPTURE(BM_Sha256Kernel, dispatched, true)->Arg(1024);
 
-// The two-lane SHA-NI kernel over two messages of the given length;
-// bytes/s counts both, so it compares with BM_Sha256Kernel/dispatched.
-void BM_Sha256KernelTwoLane(benchmark::State& state) {
-  if (!crypto::kernels::HasShaNi()) {
-    state.SkipWithError("CPUID reports no SHA-NI");
-    return;
-  }
-  state.SetLabel("sha-ni x2");
-  const Bytes a(static_cast<size_t>(state.range(0)), 0x5a);
-  const Bytes b(static_cast<size_t>(state.range(0)), 0xa5);
-  const size_t blocks = a.size() / crypto::Sha256::kBlockSize;
-  uint32_t chaining_a[8] = {};
-  uint32_t chaining_b[8] = {};
+// GHASH over whole blocks through one kernel, as above.
+void BM_GhashKernel(benchmark::State& state, bool dispatched) {
+  const bool hardware = dispatched && crypto::kernels::HasPclmul();
+  state.SetLabel(hardware ? "pclmulqdq" : "portable");
+  const uint8_t h[16] = {0x66, 0xe9, 0x4b, 0xd4, 0xef, 0x8a, 0x2c, 0x3b,
+                         0x88, 0x4c, 0xfa, 0x59, 0xca, 0x34, 0x2b, 0x2e};
+  uint8_t key[crypto::kernels::kGhashKeyBytes];
+  crypto::kernels::ExpandGhashKey(h, key);
+  const Bytes data(static_cast<size_t>(state.range(0)), 0x5a);
+  uint8_t y[16] = {};
   for (auto _ : state) {
-    crypto::kernels::Sha256BlocksHardwareX2(chaining_a, a.data(), chaining_b,
-                                            b.data(), blocks);
-    benchmark::DoNotOptimize(chaining_a);
-    benchmark::DoNotOptimize(chaining_b);
+    if (hardware) {
+      crypto::kernels::GhashHardware(key, y, data.data(), data.size());
+    } else {
+      crypto::kernels::GhashPortable(key, y, data.data(), data.size());
+    }
+    benchmark::DoNotOptimize(y);
     benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(state.iterations() * 2 * state.range(0));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sha256KernelTwoLane)->Arg(1024);
+BENCHMARK_CAPTURE(BM_GhashKernel, portable, false)->Arg(1024);
+BENCHMARK_CAPTURE(BM_GhashKernel, dispatched, true)->Arg(1024);
 
 void BM_HmacSha256(benchmark::State& state) {
   crypto::HmacSha256 mac(Bytes(32, 0x33));
@@ -149,19 +149,6 @@ void BM_HmacSha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_HmacSha256);
-
-// Two 1 KiB tags at once (HmacSha256::ComputePair); bytes/s counts both.
-void BM_HmacSha256Pair(benchmark::State& state) {
-  crypto::HmacSha256 mac(Bytes(32, 0x33));
-  const Bytes a(1024, 0x5a);
-  const Bytes b(1024, 0xa5);
-  for (auto _ : state) {
-    auto tags = mac.ComputePair(a, b);
-    benchmark::DoNotOptimize(tags);
-  }
-  state.SetBytesProcessed(state.iterations() * 2 * 1024);
-}
-BENCHMARK(BM_HmacSha256Pair);
 
 void BM_ChaCha20(benchmark::State& state) {
   auto cipher = crypto::ChaCha20::Create(Bytes(32, 0x44));
@@ -189,9 +176,7 @@ BENCHMARK(BM_SecureRandomFill);
 
 void BM_PageCipherSeal(benchmark::State& state) {
   const size_t page_size = static_cast<size_t>(state.range(0));
-  auto cipher =
-      storage::PageCipher::Create(Bytes(32, 0x01), Bytes(32, 0x02),
-                                  page_size);
+  auto cipher = storage::PageCipher::Create(Bytes(32, 0x01), page_size);
   SHPIR_CHECK(cipher.ok());
   crypto::SecureRandom rng(2);
   storage::Page page(7, Bytes(page_size, 0x77));
@@ -205,9 +190,7 @@ BENCHMARK(BM_PageCipherSeal)->Arg(256)->Arg(1024)->Arg(10240);
 
 void BM_PageCipherOpen(benchmark::State& state) {
   const size_t page_size = static_cast<size_t>(state.range(0));
-  auto cipher =
-      storage::PageCipher::Create(Bytes(32, 0x01), Bytes(32, 0x02),
-                                  page_size);
+  auto cipher = storage::PageCipher::Create(Bytes(32, 0x01), page_size);
   SHPIR_CHECK(cipher.ok());
   crypto::SecureRandom rng(3);
   storage::Page page(7, Bytes(page_size, 0x77));
@@ -224,8 +207,7 @@ BENCHMARK(BM_PageCipherOpen)->Arg(256)->Arg(1024)->Arg(10240);
 // kept buffers. The `page` counter is the time per page, to set beside
 // BM_PageCipherSeal and BM_PageCipherOpen.
 storage::PageCipher BatchCipher(size_t page_size) {
-  auto cipher = storage::PageCipher::Create(Bytes(32, 0x01), Bytes(32, 0x02),
-                                            page_size);
+  auto cipher = storage::PageCipher::Create(Bytes(32, 0x01), page_size);
   SHPIR_CHECK(cipher.ok());
   return std::move(cipher).value();
 }

@@ -281,11 +281,13 @@ Status CApproxPir::Initialize(const std::vector<Page>& pages) {
       crypto::RandomPermutation(id_space_, cpu_->rng());
   const std::vector<uint64_t> inv = crypto::InvertPermutation(perm);
 
-  // Page `id`'s initial content, into `page`'s buffer.
+  // Page `id`'s initial content, zero-padded to B as every page read
+  // back from disk is, into `page`'s buffer.
   auto materialize = [&](PageId id, Page& page) {
     page.id = id;
     if (id < pages.size()) {
       page.data = pages[id].data;
+      page.data.resize(options_.page_size, 0);
     } else {
       page.data.assign(options_.page_size, 0);
     }
@@ -385,6 +387,9 @@ Result<CApproxPir::RoundOutcome> CApproxPir::RunRound(
     return FailedPreconditionError("engine not initialized");
   }
   SHPIR_RETURN_IF_ERROR(RollForward());
+  // A round whose k+1 pages the page key could not seal is refused
+  // before it moves one.
+  SHPIR_RETURN_IF_ERROR(cpu_->CheckSealBudget(NextRoundBlockSize() + 1));
   if (trace_ != nullptr) {
     trace_->BeginRequest();
   }
@@ -769,6 +774,10 @@ Status CApproxPir::ReshuffleInternal(bool rotate_keys) {
     return FailedPreconditionError("engine not initialized");
   }
   SHPIR_RETURN_IF_ERROR(RollForward());
+  if (!rotate_keys) {
+    // Re-sealing every slot under the same key must fit its budget.
+    SHPIR_RETURN_IF_ERROR(cpu_->CheckSealBudget(disk_slots_));
+  }
   // Stream every page in (disk + cache already in memory).
   std::vector<Page> all(id_space_);
   constexpr uint64_t kChunk = 1024;

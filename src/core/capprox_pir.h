@@ -181,7 +181,7 @@ class CApproxPir : public PirEngine {
   Status OfflineReshuffle();
 
   /// Offline key rotation: streams every page through the device,
-  /// installs fresh encryption/MAC keys, and rewrites everything
+  /// installs a fresh page key, and rewrites everything
   /// (re-permuted) under them. Combines with OfflineReshuffle's purge of
   /// dead contents. O(n); run during maintenance windows.
   Status RotateKeys();

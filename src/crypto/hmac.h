@@ -24,11 +24,6 @@ class HmacSha256 {
   /// Computes the tag of `data`.
   Tag Compute(ByteSpan data) const;
 
-  /// {Compute(a), Compute(b)}. Both messages resume from the same
-  /// midstates, so when they are equally long their blocks are hashed
-  /// together and finalized together (Sha256::UpdatePair).
-  std::array<Tag, 2> ComputePair(ByteSpan a, ByteSpan b) const;
-
   /// Verifies `tag` against `data` in constant time.
   bool Verify(ByteSpan data, ByteSpan tag) const;
 

@@ -1,6 +1,5 @@
 #include "crypto/sha256.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/bytes.h"
@@ -42,9 +41,49 @@ void Sha256::Reset() {
   total_len_ = 0;
 }
 
-void Sha256::Update(ByteSpan data) { AbsorbLanes<1>({this}, {data}); }
+void Sha256::Update(ByteSpan data) {
+  total_len_ += data.size();
+  size_t offset = 0;
+  if (buffer_len_ > 0) {
+    const size_t need = kBlockSize - buffer_len_;
+    const size_t take = std::min(need, data.size());
+    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+    buffer_len_ += take;
+    offset = take;
+    if (buffer_len_ == kBlockSize) {
+      ProcessBlocks(buffer_.data(), 1);
+      buffer_len_ = 0;
+    }
+  }
+  const size_t whole_blocks = (data.size() - offset) / kBlockSize;
+  if (whole_blocks > 0) {
+    ProcessBlocks(data.data() + offset, whole_blocks);
+    offset += whole_blocks * kBlockSize;
+  }
+  if (offset < data.size()) {
+    std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
+    buffer_len_ = data.size() - offset;
+  }
+}
 
-Sha256::Digest Sha256::Finalize() { return FinalizeLanes<1>({this})[0]; }
+Sha256::Digest Sha256::Finalize() {
+  const uint64_t bit_len = total_len_ * 8;
+  uint8_t pad[kBlockSize * 2] = {0x80};
+  // Pad to 56 mod 64, then append the 64-bit big-endian length.
+  const size_t pad_len =
+      (buffer_len_ < 56) ? (56 - buffer_len_) : (120 - buffer_len_);
+  Update(ByteSpan(pad, pad_len));
+  uint8_t len_bytes[8];
+  StoreBE64(bit_len, len_bytes);
+  // Bypass Update's total_len_ bookkeeping for the length block.
+  std::memcpy(buffer_.data() + buffer_len_, len_bytes, 8);
+  ProcessBlocks(buffer_.data(), 1);
+  Digest digest;
+  for (int i = 0; i < 8; ++i) {
+    StoreBE32(state_[i], digest.data() + 4 * i);
+  }
+  return digest;
+}
 
 Sha256::Digest Sha256::Hash(ByteSpan data) {
   Sha256 h;
@@ -52,112 +91,11 @@ Sha256::Digest Sha256::Hash(ByteSpan data) {
   return h.Finalize();
 }
 
-void Sha256::UpdatePair(Sha256& first, ByteSpan a, Sha256& second,
-                        ByteSpan b) {
-  if (first.total_len_ == second.total_len_ && a.size() == b.size()) {
-    AbsorbLanes<2>({&first, &second}, {a, b});
+void Sha256::ProcessBlocks(const uint8_t* data, size_t blocks) {
+  if (kernels::HasShaNi()) {
+    kernels::Sha256BlocksHardware(state_.data(), data, blocks);
   } else {
-    first.Update(a);
-    second.Update(b);
-  }
-}
-
-std::array<Sha256::Digest, 2> Sha256::FinalizePair(Sha256& first,
-                                                   Sha256& second) {
-  if (first.total_len_ == second.total_len_) {
-    return FinalizeLanes<2>({&first, &second});
-  }
-  return {first.Finalize(), second.Finalize()};
-}
-
-template <size_t lanes>
-void Sha256::AbsorbLanes(const std::array<Sha256*, lanes>& hashers,
-                         const std::array<ByteSpan, lanes>& data) {
-  // Every lane has the same buffer_len_ and input length, so the first
-  // lane's bookkeeping decides for all of them.
-  const size_t len = data[0].size();
-  const size_t buffered = hashers[0]->buffer_len_;
-  size_t offset = 0;
-  if (buffered > 0 && len > 0) {
-    offset = std::min(kBlockSize - buffered, len);
-    for (size_t l = 0; l < lanes; ++l) {
-      std::memcpy(hashers[l]->buffer_.data() + buffered, data[l].data(),
-                  offset);
-    }
-    if (buffered + offset == kBlockSize) {
-      std::array<const uint8_t*, lanes> blocks;
-      for (size_t l = 0; l < lanes; ++l) {
-        blocks[l] = hashers[l]->buffer_.data();
-      }
-      CompressLanes<lanes>(hashers, blocks, 1);
-    }
-  }
-  const size_t whole_blocks = (len - offset) / kBlockSize;
-  if (whole_blocks > 0) {
-    std::array<const uint8_t*, lanes> blocks;
-    for (size_t l = 0; l < lanes; ++l) {
-      blocks[l] = data[l].data() + offset;
-    }
-    CompressLanes<lanes>(hashers, blocks, whole_blocks);
-  }
-  const size_t tail = len - offset - whole_blocks * kBlockSize;
-  for (size_t l = 0; l < lanes; ++l) {
-    Sha256& h = *hashers[l];
-    h.total_len_ += len;
-    if (tail > 0) {
-      std::memcpy(h.buffer_.data(), data[l].data() + len - tail, tail);
-      h.buffer_len_ = tail;
-    } else {
-      h.buffer_len_ = (buffered + offset) % kBlockSize;
-    }
-  }
-}
-
-template <size_t lanes>
-std::array<Sha256::Digest, lanes> Sha256::FinalizeLanes(
-    const std::array<Sha256*, lanes>& hashers) {
-  const uint64_t bit_len = hashers[0]->total_len_ * 8;
-  const size_t buffered = hashers[0]->buffer_len_;
-  const uint8_t pad[kBlockSize * 2] = {0x80};
-  // Pad to 56 mod 64, then append the 64-bit big-endian length.
-  const size_t pad_len = (buffered < 56) ? (56 - buffered) : (120 - buffered);
-  std::array<ByteSpan, lanes> pads;
-  pads.fill(ByteSpan(pad, pad_len));
-  AbsorbLanes<lanes>(hashers, pads);
-  // The length block bypasses AbsorbLanes' total_len_ bookkeeping.
-  std::array<const uint8_t*, lanes> blocks;
-  for (size_t l = 0; l < lanes; ++l) {
-    Sha256& h = *hashers[l];
-    StoreBE64(bit_len, h.buffer_.data() + h.buffer_len_);
-    blocks[l] = h.buffer_.data();
-  }
-  CompressLanes<lanes>(hashers, blocks, 1);
-  std::array<Digest, lanes> digests;
-  for (size_t l = 0; l < lanes; ++l) {
-    for (int i = 0; i < 8; ++i) {
-      StoreBE32(hashers[l]->state_[i], digests[l].data() + 4 * i);
-    }
-  }
-  return digests;
-}
-
-template <size_t lanes>
-void Sha256::CompressLanes(const std::array<Sha256*, lanes>& hashers,
-                           const std::array<const uint8_t*, lanes>& data,
-                           size_t blocks) {
-  if (!kernels::HasShaNi()) {
-    for (size_t l = 0; l < lanes; ++l) {
-      kernels::Sha256BlocksPortable(hashers[l]->state_.data(), data[l],
-                                    blocks);
-    }
-  } else if constexpr (lanes == 2) {
-    kernels::Sha256BlocksHardwareX2(hashers[0]->state_.data(), data[0],
-                                    hashers[1]->state_.data(), data[1],
-                                    blocks);
-  } else {
-    static_assert(lanes == 1, "the SHA-NI kernels run one or two lanes");
-    kernels::Sha256BlocksHardware(hashers[0]->state_.data(), data[0],
-                                  blocks);
+    kernels::Sha256BlocksPortable(state_.data(), data, blocks);
   }
 }
 
@@ -224,45 +162,27 @@ bool HasShaNi() {
 // SHA256RNDS2 keeps the chaining value as two registers, {a, b, e, f}
 // and {c, d, g, h} (high lane to low: ABEF, CDGH), and runs two rounds
 // per call on the low two words of a W + K vector. Each 128-bit message
-// vector holds four schedule words, W[4i .. 4i + 3]. The kernel runs
-// `lanes` independent chains and issues each step for every lane in
-// turn, so one chain's RNDS2 latency overlaps the other's. Kept inline,
-// the lane loops unroll and the vectors stay in registers.
-template <size_t lanes>
-__attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline void
-ShaNiLanes(uint32_t* const (&states)[lanes],
-           const uint8_t* const (&data)[lanes], size_t blocks) {
+// vector holds four schedule words, W[4i .. 4i + 3].
+__attribute__((target("sha,sse4.1,ssse3"))) void Sha256BlocksHardware(
+    uint32_t state[8], const uint8_t* data, size_t blocks) {
   // Byte-swaps each 32-bit word: the message is big-endian.
   const __m128i kByteSwap =
       _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-  __m128i abef[lanes];
-  __m128i cdgh[lanes];
-#pragma GCC unroll 2
-  for (size_t l = 0; l < lanes; ++l) {
-    const __m128i dcba =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[l]));
-    const __m128i hgfe =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[l] + 4));
-    const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
-    const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
-    abef[l] = _mm_alignr_epi8(cdab, efgh, 8);
-    cdgh[l] = _mm_blend_epi16(efgh, cdab, 0xF0);
-  }
-  for (size_t offset = 0; offset < blocks * Sha256::kBlockSize;
-       offset += Sha256::kBlockSize) {
-    __m128i abef_in[lanes];
-    __m128i cdgh_in[lanes];
-    __m128i w[lanes][4];
-#pragma GCC unroll 2
-    for (size_t l = 0; l < lanes; ++l) {
-      abef_in[l] = abef[l];
-      cdgh_in[l] = cdgh[l];
-      for (size_t i = 0; i < 4; ++i) {
-        w[l][i] = _mm_shuffle_epi8(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                data[l] + offset + 16 * i)),
-            kByteSwap);
-      }
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+    for (size_t i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+          kByteSwap);
     }
     // Sixteen groups of four rounds. Group i consumes W[4i .. 4i + 3]
     // from w[i % 4], then that slot takes group i + 4's words:
@@ -271,55 +191,25 @@ ShaNiLanes(uint32_t* const (&states)[lanes],
     for (size_t i = 0; i < 16; ++i) {
       const __m128i k =
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * i));
-      __m128i wk[lanes];
-#pragma GCC unroll 2
-      for (size_t l = 0; l < lanes; ++l) {
-        wk[l] = _mm_add_epi32(w[l][i % 4], k);
-        cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk[l]);
-      }
-#pragma GCC unroll 2
-      for (size_t l = 0; l < lanes; ++l) {
-        abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l],
-                                        _mm_shuffle_epi32(wk[l], 0x0E));
-      }
+      const __m128i wk = _mm_add_epi32(w[i % 4], k);
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
       if (i < 12) {
-#pragma GCC unroll 2
-        for (size_t l = 0; l < lanes; ++l) {
-          const __m128i w7 =
-              _mm_alignr_epi8(w[l][(i + 3) % 4], w[l][(i + 2) % 4], 4);
-          w[l][i % 4] = _mm_sha256msg2_epu32(
-              _mm_add_epi32(
-                  _mm_sha256msg1_epu32(w[l][i % 4], w[l][(i + 1) % 4]), w7),
-              w[l][(i + 3) % 4]);
-        }
+        const __m128i w7 = _mm_alignr_epi8(w[(i + 3) % 4], w[(i + 2) % 4], 4);
+        w[i % 4] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]), w7),
+            w[(i + 3) % 4]);
       }
     }
-#pragma GCC unroll 2
-    for (size_t l = 0; l < lanes; ++l) {
-      abef[l] = _mm_add_epi32(abef[l], abef_in[l]);
-      cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_in[l]);
-    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
-#pragma GCC unroll 2
-  for (size_t l = 0; l < lanes; ++l) {
-    const __m128i feba = _mm_shuffle_epi32(abef[l], 0x1B);
-    const __m128i dchg = _mm_shuffle_epi32(cdgh[l], 0xB1);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(states[l]),
-                     _mm_blend_epi16(feba, dchg, 0xF0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(states[l] + 4),
-                     _mm_alignr_epi8(dchg, feba, 8));
-  }
-}
-
-__attribute__((target("sha,sse4.1,ssse3"))) void Sha256BlocksHardware(
-    uint32_t state[8], const uint8_t* data, size_t blocks) {
-  ShaNiLanes<1>({state}, {data}, blocks);
-}
-
-__attribute__((target("sha,sse4.1,ssse3"))) void Sha256BlocksHardwareX2(
-    uint32_t state_a[8], const uint8_t* a, uint32_t state_b[8],
-    const uint8_t* b, size_t blocks) {
-  ShaNiLanes<2>({state_a, state_b}, {a, b}, blocks);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
 }
 
 #else  // Not x86: only the portable kernel exists.
@@ -328,11 +218,6 @@ bool HasShaNi() { return false; }
 
 void Sha256BlocksHardware(uint32_t*, const uint8_t*, size_t) {
   // HasShaNi() is false here, so nothing reaches this.
-  SHPIR_CHECK(false);
-}
-
-void Sha256BlocksHardwareX2(uint32_t*, const uint8_t*, uint32_t*,
-                            const uint8_t*, size_t) {
   SHPIR_CHECK(false);
 }
 

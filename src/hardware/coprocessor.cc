@@ -1,6 +1,21 @@
 #include "hardware/coprocessor.h"
 
+#include <string>
+
 namespace shpir::hardware {
+
+Result<storage::PageCipher> SecureCoprocessor::DrawCipher(
+    crypto::SecureRandom& rng, size_t page_size) {
+  // 64 bytes are drawn and the first 32 key AES-256-GCM. The draw is the
+  // one the earlier AES-CTR + HMAC-SHA-256 format took for its two keys,
+  // so every later draw (nonces, the block starts r and s, the extra
+  // page) falls where it did, and seeded AccessTraces stay byte for byte
+  // the same.
+  Bytes key_material(64);
+  rng.Fill(key_material);
+  return storage::PageCipher::Create(ByteSpan(key_material).first(32),
+                                     page_size);
+}
 
 Result<std::unique_ptr<SecureCoprocessor>> SecureCoprocessor::Create(
     const HardwareProfile& profile, storage::Disk* disk, size_t page_size,
@@ -8,17 +23,23 @@ Result<std::unique_ptr<SecureCoprocessor>> SecureCoprocessor::Create(
   if (disk == nullptr) {
     return InvalidArgumentError("coprocessor requires a disk");
   }
+  if (profile.max_seals_per_key > (uint64_t{1} << 32)) {
+    return InvalidArgumentError(
+        "max_seals_per_key exceeds SP 800-38D's 2^32 seals per GCM key");
+  }
   crypto::SecureRandom rng =
       seed.has_value() ? crypto::SecureRandom(*seed) : crypto::SecureRandom();
-  Bytes enc_key(32), mac_key(32);
-  rng.Fill(enc_key);
-  rng.Fill(mac_key);
-  SHPIR_ASSIGN_OR_RETURN(
-      storage::PageCipher cipher,
-      storage::PageCipher::Create(enc_key, mac_key, page_size));
+  SHPIR_ASSIGN_OR_RETURN(storage::PageCipher cipher,
+                         DrawCipher(rng, page_size));
+  // A disk sealed in another format has other slot sizes (B + 52 bytes
+  // under AES-CTR + HMAC-SHA-256): this check is the format's version
+  // check.
   if (disk->slot_size() != cipher.sealed_size()) {
     return InvalidArgumentError(
-        "disk slot size does not match sealed page size");
+        "disk slot size " + std::to_string(disk->slot_size()) +
+        " does not match the sealed page size " +
+        std::to_string(cipher.sealed_size()) + " for " +
+        std::to_string(page_size) + "-byte pages");
   }
   return std::unique_ptr<SecureCoprocessor>(new SecureCoprocessor(
       profile, disk, std::move(cipher), std::move(rng)));
@@ -135,13 +156,23 @@ Status SecureCoprocessor::WritePlan(const storage::IoPlan& plan,
 }
 
 Status SecureCoprocessor::InstallFreshKeys() {
-  Bytes enc_key(32), mac_key(32);
-  rng_.Fill(enc_key);
-  rng_.Fill(mac_key);
-  SHPIR_ASSIGN_OR_RETURN(
-      storage::PageCipher cipher,
-      storage::PageCipher::Create(enc_key, mac_key, cipher_.page_size()));
+  SHPIR_ASSIGN_OR_RETURN(storage::PageCipher cipher,
+                         DrawCipher(rng_, cipher_.page_size()));
   cipher_ = std::move(cipher);
+  seals_under_key_ = 0;
+  return OkStatus();
+}
+
+Status SecureCoprocessor::CheckSealBudget(uint64_t pages) const {
+  // Past the budget, random nonces collide too often: a collision under
+  // GCM gives the store the GHASH key, and with it every page's tag.
+  if (pages > seals_left()) {
+    return ResourceExhaustedError(
+        "page key has sealed " + std::to_string(seals_under_key_) +
+        " pages of its " + std::to_string(profile_.max_seals_per_key) +
+        "; rotate the key (CApproxPir::RotateKeys) to seal " +
+        std::to_string(pages) + " more");
+  }
   return OkStatus();
 }
 
@@ -158,7 +189,9 @@ void SecureCoprocessor::ChargeCrypto(uint64_t pages,
 }
 
 Result<Bytes> SecureCoprocessor::SealPage(const storage::Page& page) {
+  SHPIR_RETURN_IF_ERROR(CheckSealBudget(1));
   ChargeCrypto(1, instruments_.pages_sealed);
+  ++seals_under_key_;
   return cipher_.Seal(page, rng_);
 }
 
@@ -169,7 +202,9 @@ Result<storage::Page> SecureCoprocessor::OpenPage(ByteSpan sealed) {
 
 Status SecureCoprocessor::SealPages(std::span<const storage::Page> pages,
                                     std::span<Bytes> out) {
+  SHPIR_RETURN_IF_ERROR(CheckSealBudget(pages.size()));
   ChargeCrypto(pages.size(), instruments_.pages_sealed);
+  seals_under_key_ += pages.size();
   return cipher_.SealPages(pages, rng_, out);
 }
 

@@ -30,9 +30,10 @@ namespace shpir::hardware {
 class SecureCoprocessor {
  public:
   /// Creates a coprocessor attached to `disk` (unowned; must outlive the
-  /// device). Encryption and MAC keys are generated internally. `seed`
-  /// makes all device randomness reproducible; nullopt seeds from OS
-  /// entropy. `page_size` is the database page payload size B.
+  /// device). The page key is generated internally. `seed` makes all
+  /// device randomness reproducible; nullopt seeds from OS entropy.
+  /// `page_size` is the database page payload size B. A disk whose slots
+  /// are not storage::PageCipher::SealedSize(B) bytes is refused.
   static Result<std::unique_ptr<SecureCoprocessor>> Create(
       const HardwareProfile& profile, storage::Disk* disk, size_t page_size,
       std::optional<uint64_t> seed = std::nullopt);
@@ -79,6 +80,17 @@ class SecureCoprocessor {
 
   /// --- Accounted crypto -------------------------------------------------
 
+  /// Seals left under the current page key: profile().max_seals_per_key
+  /// less the pages sealed since the key was drawn.
+  uint64_t seals_left() const {
+    return profile_.max_seals_per_key - seals_under_key_;
+  }
+
+  /// ResourceExhausted unless `pages` more pages fit under the current
+  /// page key. Every seal checks it first, and seals nothing past the
+  /// budget; callers that must not stop halfway (a round) check first.
+  Status CheckSealBudget(uint64_t pages) const;
+
   /// Encrypts a page with a fresh nonce; accounts crypto throughput.
   Result<Bytes> SealPage(const storage::Page& page);
 
@@ -102,8 +114,9 @@ class SecureCoprocessor {
   size_t page_size() const { return cipher_.page_size(); }
 
   /// Replaces the device's page keys with fresh ones drawn from its
-  /// RNG. Pages sealed under the old keys become unreadable — callers
-  /// (CApproxPir::RotateKeys) must re-seal everything in the same pass.
+  /// RNG and restarts the seal budget. Pages sealed under the old keys
+  /// become unreadable — callers (CApproxPir::RotateKeys) must re-seal
+  /// everything in the same pass.
   Status InstallFreshKeys();
 
   /// --- Observability -----------------------------------------------------
@@ -135,6 +148,10 @@ class SecureCoprocessor {
         cipher_(std::move(cipher)),
         rng_(std::move(rng)) {}
 
+  /// Draws the page key from `rng` and builds the page cipher under it.
+  static Result<storage::PageCipher> DrawCipher(crypto::SecureRandom& rng,
+                                                size_t page_size);
+
   /// Aggregate instruments mirroring the CostAccountant; all null until
   /// AttachMetrics().
   struct Instruments {
@@ -163,6 +180,7 @@ class SecureCoprocessor {
   crypto::SecureRandom rng_;
   CostAccountant cost_;
   uint64_t secure_memory_used_ = 0;
+  uint64_t seals_under_key_ = 0;  // Pages sealed under cipher_'s key.
   Instruments instruments_;
 };
 

@@ -25,6 +25,11 @@ struct HardwareProfile {
   double crypto_rate = 10.0 * kMB;
   /// Secure memory capacity (bytes); 64MB for one IBM 4764.
   uint64_t secure_memory_bytes = 64 * kMB;
+  /// Pages the device seals under one page key before it refuses to
+  /// seal more: SP 800-38D §8.3's cap of 2^32 for GCM with random 96-bit
+  /// nonces. A fresh key (SecureCoprocessor::InstallFreshKeys) restarts
+  /// the count.
+  uint64_t max_seals_per_key = uint64_t{1} << 32;
 
   /// Two-party model parameters (zero in the three-party model): network
   /// round-trip time and transfer rate between owner and provider.

@@ -11,13 +11,14 @@
 #include <iterator>
 
 #include "crypto/hmac.h"
+#include "crypto/secure_random.h"
 
 namespace shpir::net {
 
 namespace {
 
-/// The device seed, hence its page keys, comes from the passphrase, so
-/// a restart reconstructs the same keys.
+/// The device's first draw, its page key, comes from the passphrase,
+/// so a restart reconstructs the same key.
 uint64_t DeviceSeed(const std::string& passphrase) {
   crypto::HmacSha256 kdf(ByteSpan(
       reinterpret_cast<const uint8_t*>(passphrase.data()),
@@ -94,6 +95,12 @@ Result<std::unique_ptr<OwnerSession>> OwnerSession::Create(
           options,
           hardware::HardwareProfile::TwoPartyOwner(8ull * hardware::kGB),
           DeviceSeed(passphrase), session->disk_.get()));
+  // Every later draw comes from OS entropy. Were the stream the
+  // passphrase's too, each command would replay the last one's nonces
+  // and block choices: two commands would seal different pages under
+  // one key and nonce, which gives the store the GHASH key, and the
+  // store could predict the rounds.
+  session->cpu().rng() = crypto::SecureRandom();
   session->disk_->set_accountant(&session->cpu().cost());
   session->options_ = options;
   session->options_.block_size = session->engine().block_size();

@@ -13,9 +13,10 @@
 namespace shpir::net {
 
 /// The data owner of the two-party model (§5, Fig. 7): an EngineStack
-/// over the provider's disk, reached through a RemoteDisk, with the
-/// device seed (hence the page keys) and a BlobCipher derived from the
-/// passphrase. The state file carries the engine's secret state between
+/// over the provider's disk, reached through a RemoteDisk, with the page
+/// key and a BlobCipher derived from the passphrase. The device's other
+/// randomness (nonces, block choices) comes from OS entropy in each
+/// process. The state file carries the engine's secret state between
 /// processes: a 40-byte plaintext little-endian header (n, B, m, k,
 /// insert_reserve), then the sealed SerializeState() blob.
 class OwnerSession {

@@ -1,21 +1,20 @@
 #include "storage/page_cipher.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
-
-#include "crypto/constant_time.h"
 
 namespace shpir::storage {
 
-Result<PageCipher> PageCipher::Create(ByteSpan enc_key, ByteSpan mac_key,
-                                      size_t page_size) {
+Result<PageCipher> PageCipher::Create(ByteSpan key, size_t page_size) {
   if (page_size == 0) {
     return InvalidArgumentError("page size must be positive");
   }
-  SHPIR_ASSIGN_OR_RETURN(crypto::AesCtr ctr, crypto::AesCtr::Create(enc_key));
-  crypto::HmacSha256 mac(mac_key);
-  return PageCipher(std::move(ctr), std::move(mac), page_size);
+  if (page_size > crypto::AesGcm::kMaxTextSize - PageCodec::kHeaderSize) {
+    return InvalidArgumentError(
+        "page size exceeds AES-GCM's plaintext limit of 2^39 - 256 bits");
+  }
+  SHPIR_ASSIGN_OR_RETURN(crypto::AesGcm gcm, crypto::AesGcm::Create(key));
+  return PageCipher(std::move(gcm), page_size);
 }
 
 Result<Bytes> PageCipher::Seal(const Page& page,
@@ -43,21 +42,6 @@ Status PageCipher::SealPages(std::span<const Page> pages,
     out[i].resize(sealed_size());
     SHPIR_RETURN_IF_ERROR(Encrypt(pages[i], rng, out[i]));
   }
-  // The tags draw nothing from rng, so hashing them once every nonce is
-  // drawn keeps Seal's draw order.
-  const auto store_tag = [](const crypto::HmacSha256::Tag& tag, Bytes& slot) {
-    std::memcpy(slot.data() + slot.size() - kTagSize, tag.data(), kTagSize);
-  };
-  size_t i = 0;
-  for (; i + 1 < out.size(); i += 2) {
-    const std::array<crypto::HmacSha256::Tag, 2> tags =
-        mac_.ComputePair(Authenticated(out[i]), Authenticated(out[i + 1]));
-    store_tag(tags[0], out[i]);
-    store_tag(tags[1], out[i + 1]);
-  }
-  if (i < out.size()) {
-    store_tag(mac_.Compute(Authenticated(out[i])), out[i]);
-  }
   return OkStatus();
 }
 
@@ -77,19 +61,8 @@ Status PageCipher::OpenSlots(std::span<const Slot> sealed,
       return InvalidArgumentError("sealed page has wrong size");
     }
   }
-  size_t i = 0;
-  for (; i + 1 < sealed.size(); i += 2) {
-    const ByteSpan a(sealed[i]);
-    const ByteSpan b(sealed[i + 1]);
-    const std::array<crypto::HmacSha256::Tag, 2> tags =
-        mac_.ComputePair(Authenticated(a), Authenticated(b));
-    SHPIR_RETURN_IF_ERROR(Decrypt(a, tags[0], out[i]));
-    SHPIR_RETURN_IF_ERROR(Decrypt(b, tags[1], out[i + 1]));
-  }
-  if (i < sealed.size()) {
-    const ByteSpan last(sealed[i]);
-    SHPIR_RETURN_IF_ERROR(
-        Decrypt(last, mac_.Compute(Authenticated(last)), out[i]));
+  for (size_t i = 0; i < sealed.size(); ++i) {
+    SHPIR_RETURN_IF_ERROR(Decrypt(sealed[i], out[i]));
   }
   return OkStatus();
 }
@@ -101,31 +74,29 @@ Status PageCipher::Encrypt(const Page& page, crypto::SecureRandom& rng,
       slot.subspan(kNonceSize, codec_.serialized_size());
   rng.Fill(nonce);
   SHPIR_RETURN_IF_ERROR(codec_.Serialize(page, body));
-  return ctr_.CryptWithNonce(nonce, body, body);
+  return gcm_.Seal(nonce, body, slot.last(kTagSize));
 }
 
-Status PageCipher::Decrypt(ByteSpan slot,
-                           const crypto::HmacSha256::Tag& expected,
-                           Page& page) const {
-  if (!crypto::ConstantTimeEquals(expected, slot.last(kTagSize))) {
-    return DataLossError("page MAC verification failed");
-  }
+Status PageCipher::Decrypt(ByteSpan slot, Page& page) const {
   const ByteSpan nonce = slot.first(kNonceSize);
   const ByteSpan body = slot.subspan(kNonceSize, codec_.serialized_size());
+  if (!gcm_.Verify(nonce, body, slot.last(kTagSize))) {
+    return DataLossError("page tag verification failed");
+  }
   // The body is the serialized page: its 8-byte id, then the payload
-  // (PageCodec). The id and the payload's first bytes share keystream
-  // block 0, so that block opens aside and the rest of the payload, from
-  // block 1 on, straight into the page's own buffer.
+  // (PageCodec). The id and the payload's first bytes share the body's
+  // first keystream block, so that block opens aside and the rest of the
+  // payload, from block 1 on, straight into the page's own buffer.
   uint8_t head[crypto::Aes::kBlockSize];
   const size_t head_len = std::min(body.size(), sizeof(head));
-  SHPIR_RETURN_IF_ERROR(ctr_.CryptWithNonce(nonce, body.first(head_len),
-                                            MutableByteSpan(head, head_len)));
+  SHPIR_RETURN_IF_ERROR(gcm_.Decrypt(nonce, body.first(head_len),
+                                     MutableByteSpan(head, head_len)));
   page.id = PageCodec::ReadId(ByteSpan(head, head_len));
   page.data.resize(page_size());
   const size_t head_payload = head_len - PageCodec::kHeaderSize;
   std::memcpy(page.data.data(), head + PageCodec::kHeaderSize, head_payload);
   if (body.size() > head_len) {
-    SHPIR_RETURN_IF_ERROR(ctr_.CryptWithNonce(
+    SHPIR_RETURN_IF_ERROR(gcm_.Decrypt(
         nonce, body.subspan(head_len),
         MutableByteSpan(page.data).subspan(head_payload), /*block=*/1));
   }

@@ -533,6 +533,63 @@ TEST_F(CApproxPirTest, ShortPayloadsZeroPadded) {
   EXPECT_EQ((*data)[3], 0);
 }
 
+// Pages loaded with payloads shorter than B answer B bytes, zero-padded,
+// whether they start in the cache or on disk, and the state serialized
+// right after loading, with those pages in the cache, restores.
+TEST_F(CApproxPirTest, ShortLoadedPayloadsAnswerWholePages) {
+  CApproxPir::Options options;
+  options.num_pages = 64;
+  options.page_size = 16;
+  options.cache_pages = 8;
+  options.block_size = 4;
+  std::vector<Page> pages;
+  for (PageId id = 0; id < options.num_pages; ++id) {
+    Bytes payload(10);
+    for (size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<uint8_t>(id * 13 + i + 1);
+    }
+    pages.emplace_back(id, std::move(payload));
+  }
+  // Retrieves every page, the ones cached at the start first, before a
+  // round can move them through the disk.
+  const auto expect_whole_pages = [&](CApproxPir& engine) {
+    std::vector<PageId> order;
+    for (PageId id = 0; id < options.num_pages; ++id) {
+      if (engine.DebugIsCached(id)) {
+        order.push_back(id);
+      }
+    }
+    ASSERT_EQ(order.size(), options.cache_pages);
+    for (PageId id = 0; id < options.num_pages; ++id) {
+      if (std::find(order.begin(), order.end(), id) == order.end()) {
+        order.push_back(id);
+      }
+    }
+    for (const PageId id : order) {
+      Bytes expected = pages[id].data;
+      expected.resize(options.page_size, 0);
+      EXPECT_EQ(*engine.Retrieve(id), expected) << "page " << id;
+    }
+  };
+
+  expect_whole_pages(test::LoadedStack(options, 3, pages)->engine());
+
+  storage::MemoryDisk disk(*CApproxPir::DiskSlots(options),
+                           storage::PageCipher::SealedSize(options.page_size));
+  Bytes state;
+  {
+    auto loaded = test::LoadedStack(options, 3, pages, nullptr, &disk);
+    Result<Bytes> serialized = loaded->engine().SerializeState();
+    ASSERT_TRUE(serialized.ok());
+    state = *serialized;
+  }
+  auto restored = EngineStack::Create(
+      options, hardware::HardwareProfile::Ibm4764(), 3, &disk);
+  ASSERT_TRUE(restored.ok());
+  ASSERT_TRUE((*restored)->engine().RestoreState(state).ok());
+  expect_whole_pages((*restored)->engine());
+}
+
 TEST_F(CApproxPirTest, TinyConfigurations) {
   // Smallest viable setups must still work.
   for (uint64_t m : {2u, 3u}) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "storage/disk.h"
@@ -13,8 +15,8 @@ using storage::MemoryDisk;
 using storage::Page;
 
 constexpr size_t kPageSize = 32;
-// nonce 12 + (8 + 32) + tag 32.
-constexpr size_t kSealedSize = 84;
+// nonce 12 + (8 + 32) + tag 16.
+constexpr size_t kSealedSize = 68;
 
 TEST(HardwareProfileTest, Ibm4764MatchesTable2) {
   const HardwareProfile p = HardwareProfile::Ibm4764();
@@ -165,6 +167,61 @@ TEST(CoprocessorCreateTest, RejectsMismatchedSlotSize) {
   Result<std::unique_ptr<SecureCoprocessor>> cpu = SecureCoprocessor::Create(
       HardwareProfile::Ibm4764(), &disk, kPageSize, 1);
   EXPECT_FALSE(cpu.ok());
+  EXPECT_EQ(cpu.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A disk sealed in the earlier AES-CTR + HMAC-SHA-256 format has
+// B + 52-byte slots, 16 bytes more than AES-GCM's. The device refuses it
+// and names both sizes.
+TEST(CoprocessorCreateTest, RefusesAnOldFormatDisk) {
+  MemoryDisk disk(4, kPageSize + 52);
+  Result<std::unique_ptr<SecureCoprocessor>> cpu = SecureCoprocessor::Create(
+      HardwareProfile::Ibm4764(), &disk, kPageSize, 1);
+  ASSERT_FALSE(cpu.ok());
+  EXPECT_EQ(cpu.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = cpu.status().message();
+  EXPECT_NE(message.find("84"), std::string::npos) << message;
+  EXPECT_NE(message.find(std::to_string(kSealedSize)), std::string::npos)
+      << message;
+}
+
+// The device seals at most max_seals_per_key pages under one key, a
+// refused batch seals none of its pages, and a fresh key restarts the
+// count.
+TEST(CoprocessorSealBudgetTest, RefusesPastTheCapUntilAFreshKey) {
+  MemoryDisk disk(4, kSealedSize);
+  HardwareProfile profile = HardwareProfile::Ibm4764();
+  profile.max_seals_per_key = 3;
+  Result<std::unique_ptr<SecureCoprocessor>> made =
+      SecureCoprocessor::Create(profile, &disk, kPageSize, 1);
+  ASSERT_TRUE(made.ok());
+  SecureCoprocessor& cpu = **made;
+  const std::vector<Page> pages = {Page(1, Bytes(kPageSize, 1)),
+                                   Page(2, Bytes(kPageSize, 2))};
+  std::vector<Bytes> sealed(pages.size());
+  ASSERT_TRUE(cpu.SealPages(pages, sealed).ok());
+  EXPECT_EQ(cpu.seals_left(), 1u);
+  EXPECT_EQ(cpu.SealPages(pages, sealed).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(cpu.seals_left(), 1u);
+  ASSERT_TRUE(cpu.SealPage(pages[0]).ok());
+  const Result<Bytes> refused = cpu.SealPage(pages[0]);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(cpu.cost().counters().crypto_bytes, 3 * kPageSize);
+  ASSERT_TRUE(cpu.InstallFreshKeys().ok());
+  EXPECT_EQ(cpu.seals_left(), 3u);
+  EXPECT_TRUE(cpu.SealPage(pages[0]).ok());
+}
+
+TEST(CoprocessorSealBudgetTest, RefusesABudgetPastTheGcmCap) {
+  MemoryDisk disk(4, kSealedSize);
+  HardwareProfile profile = HardwareProfile::Ibm4764();
+  EXPECT_EQ(profile.max_seals_per_key, uint64_t{1} << 32);
+  profile.max_seals_per_key = (uint64_t{1} << 32) + 1;
+  Result<std::unique_ptr<SecureCoprocessor>> cpu =
+      SecureCoprocessor::Create(profile, &disk, kPageSize, 1);
+  ASSERT_FALSE(cpu.ok());
   EXPECT_EQ(cpu.status().code(), StatusCode::kInvalidArgument);
 }
 

@@ -161,7 +161,7 @@ TEST(CostModelTest, Fig6SubSecondUpTo100GbAtEps01) {
 TEST(CostModelTest, SimulatorCrossValidatesEq8) {
   // Run the actual engine on a small database and compare the simulated
   // per-query time with Eq. 8. The simulator transfers sealed pages
-  // (B + 52 bytes), so allow that overhead.
+  // (B + 36 bytes), so allow that overhead.
   constexpr size_t kPageSize = 1000;
   core::CApproxPir::Options options;
   options.num_pages = 256;

@@ -312,82 +312,6 @@ TEST(Sha256KernelParityTest, DispatchedWithRandomSplitsMatchesPortable) {
   }
 }
 
-// The two-lane SHA-NI kernel against two portable compressions, from
-// random chaining values over 0-20 random blocks per lane.
-TEST(Sha256KernelParityTest, TwoLaneHardwareMatchesTwoPortableCalls) {
-  if (!kernels::HasShaNi()) {
-    GTEST_SKIP() << "CPUID reports no SHA-NI: the two-lane SHA-256 kernel "
-                    "is not exercised on this CPU";
-  }
-  SecureRandom rng(15);
-  for (size_t blocks = 0; blocks <= 20; ++blocks) {
-    for (int trial = 0; trial < 4; ++trial) {
-      std::array<uint32_t, 8> a_state;
-      std::array<uint32_t, 8> b_state;
-      for (size_t i = 0; i < 8; ++i) {
-        a_state[i] = static_cast<uint32_t>(rng.NextUint64());
-        b_state[i] = static_cast<uint32_t>(rng.NextUint64());
-      }
-      Bytes a(blocks * Sha256::kBlockSize);
-      Bytes b(blocks * Sha256::kBlockSize);
-      rng.Fill(a);
-      rng.Fill(b);
-      std::array<uint32_t, 8> a_expected = a_state;
-      std::array<uint32_t, 8> b_expected = b_state;
-      kernels::Sha256BlocksPortable(a_expected.data(), a.data(), blocks);
-      kernels::Sha256BlocksPortable(b_expected.data(), b.data(), blocks);
-      kernels::Sha256BlocksHardwareX2(a_state.data(), a.data(),
-                                      b_state.data(), b.data(), blocks);
-      ASSERT_EQ(a_state, a_expected) << blocks << " blocks, trial " << trial;
-      ASSERT_EQ(b_state, b_expected) << blocks << " blocks, trial " << trial;
-    }
-  }
-}
-
-// Sha256::UpdatePair and FinalizePair, dispatched (two SHA-NI lanes
-// where present), fed two equally long messages in the same random
-// pieces, against the portable kernel; then, once the states' histories
-// differ, the one-after-the-other path.
-TEST(Sha256KernelParityTest, PairWithRandomSplitsMatchesPortable) {
-  SecureRandom rng(16);
-  for (size_t len = 0; len <= 1100; ++len) {
-    Bytes a(len);
-    Bytes b(len);
-    rng.Fill(a);
-    rng.Fill(b);
-    Sha256 first;
-    Sha256 second;
-    size_t offset = 0;
-    while (offset < len) {
-      const size_t take =
-          1 + rng.UniformInt(std::min<uint64_t>(len - offset, 200));
-      Sha256::UpdatePair(first, ByteSpan(a.data() + offset, take), second,
-                         ByteSpan(b.data() + offset, take));
-      offset += take;
-    }
-    const std::array<Sha256::Digest, 2> digests =
-        Sha256::FinalizePair(first, second);
-    ASSERT_EQ(HexEncode(ByteSpan(digests[0].data(), digests[0].size())),
-              DigestWith(Form::kPortable, a))
-        << "length " << len;
-    ASSERT_EQ(HexEncode(ByteSpan(digests[1].data(), digests[1].size())),
-              DigestWith(Form::kPortable, b))
-        << "length " << len;
-  }
-  Sha256 first;
-  Sha256 second;
-  const Bytes a(100, 0x61);
-  const Bytes b(70, 0x62);
-  Sha256::UpdatePair(first, a, second, ByteSpan(b.data(), 30));
-  Sha256::UpdatePair(first, ByteSpan(), second, ByteSpan(b.data() + 30, 40));
-  const std::array<Sha256::Digest, 2> digests =
-      Sha256::FinalizePair(first, second);
-  EXPECT_EQ(HexEncode(ByteSpan(digests[0].data(), digests[0].size())),
-            DigestWith(Form::kPortable, a));
-  EXPECT_EQ(HexEncode(ByteSpan(digests[1].data(), digests[1].size())),
-            DigestWith(Form::kPortable, b));
-}
-
 // HmacSha256, which hashes its pad blocks once and resumes from the
 // saved states, against RFC 2104 computed from the portable kernel, for
 // keys shorter than, equal to and longer than the 64-byte block.
@@ -423,6 +347,85 @@ TEST(HmacKernelParityTest, MidstatesMatchRfc2104) {
                 DigestWith(Form::kPortable, outer))
           << "key " << key_len << " bytes, data " << data_len << " bytes";
     }
+  }
+}
+
+// The GHASH kernel of `form`, keyed by the subkey `h`, over `data` from
+// the running value `y`.
+Bytes GhashWith(Form form, const Bytes& h, Bytes y, ByteSpan data) {
+  uint8_t key[kernels::kGhashKeyBytes];
+  kernels::ExpandGhashKey(h.data(), key);
+  if (form == Form::kPortable) {
+    kernels::GhashPortable(key, y.data(), data.data(), data.size());
+  } else {
+    kernels::GhashHardware(key, y.data(), data.data(), data.size());
+  }
+  return y;
+}
+
+class GhashKernelTest : public ::testing::TestWithParam<Form> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Form::kHardware && !kernels::HasPclmul()) {
+      GTEST_SKIP() << "CPUID reports no PCLMULQDQ: the hardware GHASH "
+                      "kernel is not exercised on this CPU";
+    }
+  }
+};
+
+// GHASH(H, {}, C) from the GCM specification's test cases 2 and 3
+// (AES-128: one block, and four blocks, half a hardware stride) and 14
+// (AES-256, one block): C, then the length block 0^64 || [len(C)]_64.
+TEST_P(GhashKernelTest, GcmSpecVectors) {
+  struct Vector {
+    std::string h;
+    std::string c;
+    std::string ghash;
+  };
+  const std::vector<Vector> vectors = {
+      {"66e94bd4ef8a2c3b884cfa59ca342b2e", "0388dace60b6a392f328c2b971b2fe78",
+       "f38cbb1ad69223dcc3457ae5b6b0f885"},
+      {"b83b533708bf535d0aa6e52980d53b78",
+       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
+       "7f1b32b81b820d02614f8895ac1d4eac"},
+      {"dc95c078a2408989ad48a21492842087", "cea7403d4d606b6e074ec5d3baf39d18",
+       "83de425c5edc5d498f382c441041ca92"},
+  };
+  for (const Vector& v : vectors) {
+    const Bytes h = HexDecode(v.h);
+    const Bytes c = HexDecode(v.c);
+    Bytes lengths(16, 0);
+    StoreBE64(static_cast<uint64_t>(c.size()) * 8, lengths.data() + 8);
+    const Bytes y = GhashWith(GetParam(), h, Bytes(16, 0), c);
+    EXPECT_EQ(HexEncode(GhashWith(GetParam(), h, y, lengths)), v.ghash)
+        << "H " << v.h;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, GhashKernelTest,
+                         ::testing::Values(Form::kPortable, Form::kHardware),
+                         FormName);
+
+// The PCLMULQDQ kernel against the portable one for random subkeys and
+// running values over every length up to 1,100 bytes: whole strides,
+// every tail of one to eight blocks, and a partial last block.
+TEST(GhashKernelParityTest, HardwareMatchesPortable) {
+  if (!kernels::HasPclmul()) {
+    GTEST_SKIP() << "CPUID reports no PCLMULQDQ: nothing to compare with "
+                    "the portable GHASH kernel on this CPU";
+  }
+  SecureRandom rng(18);
+  for (size_t len = 0; len <= 1100; ++len) {
+    Bytes h(16);
+    Bytes y(16);
+    Bytes data(len);
+    rng.Fill(h);
+    rng.Fill(y);
+    rng.Fill(data);
+    ASSERT_EQ(HexEncode(GhashWith(Form::kHardware, h, y, data)),
+              HexEncode(GhashWith(Form::kPortable, h, y, data)))
+        << "length " << len << ", H " << HexEncode(h);
   }
 }
 

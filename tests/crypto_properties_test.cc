@@ -16,7 +16,7 @@ namespace shpir::crypto {
 namespace {
 
 TEST(CryptoPropertiesTest, SealedNoncesNeverRepeat) {
-  auto cipher = storage::PageCipher::Create(Bytes(32, 1), Bytes(32, 2), 16);
+  auto cipher = storage::PageCipher::Create(Bytes(32, 1), 16);
   ASSERT_TRUE(cipher.ok());
   SecureRandom rng(1);
   const storage::Page page(0, Bytes(16, 0));

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/check.h"
 #include "core/capprox_pir.h"
@@ -144,6 +146,70 @@ TEST(KeyRotationTest, UpdatesComposeWithRotation) {
   ASSERT_TRUE(stack->engine().Remove(4).ok());
   ASSERT_TRUE(stack->engine().RotateKeys().ok());
   EXPECT_FALSE(stack->engine().Retrieve(4).ok());
+}
+
+// A round the page key could not seal is refused before it moves a
+// page, and so is a reshuffle under the same key; RotateKeys draws a
+// fresh key, whose budget the store then runs on.
+TEST(KeyRotationTest, RoundsPastTheSealBudgetWaitForRotation) {
+  CApproxPir::Options options;
+  options.num_pages = 60;
+  options.page_size = kPageSize;
+  options.cache_pages = 8;
+  options.block_size = 8;
+  const uint64_t slots = *CApproxPir::DiskSlots(options);
+  // Initialize seals every slot; three rounds of k + 1 = 9 pages fit
+  // after it, a fourth does not.
+  hardware::HardwareProfile profile = hardware::HardwareProfile::Ibm4764();
+  profile.max_seals_per_key = slots + 3 * 9 + 4;
+  Result<std::unique_ptr<EngineStack>> made =
+      EngineStack::Create(options, profile, 16);
+  ASSERT_TRUE(made.ok());
+  EngineStack& stack = **made;
+  std::vector<Page> pages;
+  for (PageId id = 0; id < 60; ++id) {
+    pages.emplace_back(id, PayloadFor(id));
+  }
+  ASSERT_TRUE(stack.engine().Initialize(pages).ok());
+  for (PageId id = 0; id < 3; ++id) {
+    ASSERT_EQ(*stack.engine().Retrieve(id), PayloadFor(id));
+  }
+  EXPECT_EQ(stack.cpu().seals_left(), 4u);
+
+  storage::Disk& disk = *stack.cpu().disk();
+  std::vector<Bytes> before(disk.num_slots(), Bytes(kSealedSize));
+  for (uint64_t i = 0; i < disk.num_slots(); ++i) {
+    ASSERT_TRUE(disk.Read(i, before[i]).ok());
+  }
+  // Where each page is: its slot, or the cache.
+  auto locate = [&stack](PageId id) {
+    const Result<storage::Location> slot = stack.engine().DebugLocation(id);
+    return slot.ok() ? static_cast<int64_t>(*slot) : int64_t{-1};
+  };
+  std::vector<int64_t> where(60);
+  for (PageId id = 0; id < 60; ++id) {
+    where[id] = locate(id);
+  }
+  const Result<Bytes> refused = stack.engine().Retrieve(4);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(stack.engine().OfflineReshuffle().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(stack.engine().stats().queries, 3u);
+  for (uint64_t i = 0; i < disk.num_slots(); ++i) {
+    Bytes now(kSealedSize);
+    ASSERT_TRUE(disk.Read(i, now).ok());
+    EXPECT_EQ(now, before[i]) << "slot " << i;
+  }
+  for (PageId id = 0; id < 60; ++id) {
+    EXPECT_EQ(locate(id), where[id]) << id;
+  }
+
+  ASSERT_TRUE(stack.engine().RotateKeys().ok());
+  EXPECT_EQ(stack.cpu().seals_left(), 3 * 9 + 4u);
+  for (PageId id = 4; id < 7; ++id) {
+    ASSERT_EQ(*stack.engine().Retrieve(id), PayloadFor(id));
+  }
 }
 
 TEST(ThreadSafeEngineTest, ConcurrentRetrievesStayCorrect) {

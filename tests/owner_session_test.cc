@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -112,6 +113,40 @@ TEST_F(OwnerSessionTest, ResumeReturnsModifiedBytesAndCarriedOverStats) {
   // temporary file behind.
   ASSERT_TRUE((*resumed)->Save().ok());
   EXPECT_FALSE(std::filesystem::exists(state_ + ".tmp"));
+}
+
+// The passphrase fixes the page key, not the nonces: commands that
+// resume a saved state seal under fresh ones, so the provider never
+// sees one nonce on two different slots. Under GCM such a pair would
+// give it the GHASH key, and with it a tag for any slot it forged.
+TEST_F(OwnerSessionTest, ResumedCommandsRepeatNoNonce) {
+  CreateSaved();
+  std::map<std::string, Bytes> slot_of_nonce;
+  size_t repeats = 0;
+  auto observe = [&] {
+    for (uint64_t slot = 0; slot < disk_.num_slots(); ++slot) {
+      Bytes bytes(disk_.slot_size());
+      SHPIR_CHECK_OK(disk_.Read(slot, bytes));
+      const std::string nonce(
+          bytes.begin(), bytes.begin() + storage::PageCipher::kNonceSize);
+      const auto [seen, fresh] = slot_of_nonce.emplace(nonce, bytes);
+      if (!fresh && seen->second != bytes) {
+        ++repeats;
+      }
+    }
+  };
+  observe();
+  // Each command resumes what the last one saved, as successive
+  // shpir_owner runs do, and writes page 5 with its own bytes.
+  for (uint8_t command = 0; command < 4; ++command) {
+    Result<std::unique_ptr<OwnerSession>> resumed = Resume("pass");
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    ASSERT_TRUE(
+        (*resumed)->engine().Modify(5, Bytes(kPageSize, command)).ok());
+    observe();
+    ASSERT_TRUE((*resumed)->Save().ok());
+  }
+  EXPECT_EQ(repeats, 0u);
 }
 
 TEST_F(OwnerSessionTest, WrongPassphraseOrTruncatedFileIsDataLoss) {

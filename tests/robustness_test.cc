@@ -34,7 +34,7 @@ TEST(RobustnessTest, WireDecodeSurvivesRandomFrames) {
 }
 
 TEST(RobustnessTest, PageCipherRejectsRandomBlobs) {
-  auto cipher = storage::PageCipher::Create(Bytes(32, 1), Bytes(32, 2), 64);
+  auto cipher = storage::PageCipher::Create(Bytes(32, 1), 64);
   ASSERT_TRUE(cipher.ok());
   crypto::SecureRandom rng(2);
   for (int i = 0; i < kFuzzIterations; ++i) {

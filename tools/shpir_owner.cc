@@ -25,7 +25,7 @@
 //
 // Example session:
 //   slots=$(...)                         # printed by `init`
-//   shpir_provider /tmp/db.bin $slots 1076 9000 &
+//   shpir_provider /tmp/db.bin $slots 1060 9000 &
 //   shpir_owner init --port 9000 --pages 1000
 //   shpir_owner put --port 9000 --id 7 --data "hello"
 //   shpir_owner get --port 9000 --id 7
